@@ -44,6 +44,10 @@ go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .
 echo '== emu ablation smoke (lfi-bench -emu -ablate -scale 0.02)'
 go run ./cmd/lfi-bench -emu -ablate -scale 0.02
 
+echo '== toolchain: golden ELF + alloc bound'
+go test -count=1 -run 'TestBuildGolden|TestRewriteTextGolden|TestBuildAllocs' ./internal/progs
+go test -count=1 -run 'TestPrintGolden' ./internal/arm64
+
 echo '== fuzz smoke (lfi-fuzz -iters 2000 -seed 1)'
 go run ./cmd/lfi-fuzz -iters 2000 -seed 1
 

@@ -17,14 +17,15 @@ const (
 )
 
 // Item is one element of an assembly file: an instruction, a label
-// definition, or a directive.
+// definition, or a directive. The rewriter copies every item once, so the
+// struct carries one name and a 32-bit line number rather than a field
+// per kind.
 type Item struct {
-	Kind      ItemKind
-	Inst      Inst     // ItemInst
-	Label     string   // ItemLabel
-	Directive string   // ItemDirective, without the leading dot
-	Args      []string // directive arguments
-	LineNo    int      // 1-based source line
+	Kind   ItemKind
+	LineNo int32    // 1-based source line
+	Inst   Inst     // ItemInst
+	Name   string   // ItemLabel: the label; ItemDirective: the directive, without the leading dot
+	Args   []string // directive arguments
 }
 
 // File is a parsed assembly source file.
@@ -96,17 +97,20 @@ func stripBlockComments(src string) string {
 	return b.String()
 }
 
-// ParseFile parses GNU-syntax assembly source into items.
+// ParseFile parses GNU-syntax assembly source into items. Items is
+// reserved once, from the line count; operand and mnemonic strings are
+// substrings of src.
 func ParseFile(src string) (*File, error) {
-	f := &File{}
-	src = stripBlockComments(src)
-	for no, line := range strings.Split(src, "\n") {
+	if strings.Contains(src, "/*") {
+		src = stripBlockComments(src)
+	}
+	f := &File{Items: make([]Item, 0, strings.Count(src, "\n")+1)}
+	var line string
+	for no := int32(1); src != ""; no++ {
+		line, src, _ = strings.Cut(src, "\n")
 		line = strings.TrimSpace(stripComment(line))
-		if line == "" {
-			continue
-		}
 		// A line may start with one or more labels.
-		for {
+		for line != "" {
 			colon := strings.IndexByte(line, ':')
 			if colon < 0 {
 				break
@@ -115,42 +119,39 @@ func ParseFile(src string) (*File, error) {
 			if !isSymbolName(name) {
 				break
 			}
-			f.Items = append(f.Items, Item{Kind: ItemLabel, Label: name, LineNo: no + 1})
+			f.Items = append(f.Items, Item{Kind: ItemLabel, Name: name, LineNo: no})
 			line = strings.TrimSpace(line[colon+1:])
-			if line == "" {
-				break
-			}
 		}
 		if line == "" {
 			continue
 		}
 		if line[0] == '.' {
-			sp := strings.IndexAny(line, " \t")
-			dir := line
-			rest := ""
-			if sp >= 0 {
-				dir = line[:sp]
-				rest = strings.TrimSpace(line[sp+1:])
-			}
+			dir, rest := cutWord(line[1:])
 			var args []string
 			if rest != "" {
-				args = splitOperands(rest)
+				var buf [8]string
+				args = append(args, splitOperands(buf[:0], rest)...)
 			}
-			f.Items = append(f.Items, Item{
-				Kind:      ItemDirective,
-				Directive: strings.TrimPrefix(dir, "."),
-				Args:      args,
-				LineNo:    no + 1,
-			})
+			f.Items = append(f.Items, Item{Kind: ItemDirective, Name: dir, Args: args, LineNo: no})
 			continue
 		}
 		inst, err := ParseInst(line)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", no+1, err)
+			return nil, fmt.Errorf("line %d: %w", no, err)
 		}
-		f.Items = append(f.Items, Item{Kind: ItemInst, Inst: inst, LineNo: no + 1})
+		f.Items = append(f.Items, Item{Kind: ItemInst, Inst: inst, LineNo: no})
 	}
 	return f, nil
+}
+
+// cutWord splits s at its first run of blanks: "lsl #3" gives "lsl", "#3".
+func cutWord(s string) (word, rest string) {
+	for i := 0; i < len(s); i++ {
+		if s[i] == ' ' || s[i] == '\t' {
+			return s[:i], strings.TrimSpace(s[i+1:])
+		}
+	}
+	return s, ""
 }
 
 func isSymbolName(s string) bool {
@@ -167,31 +168,6 @@ func isSymbolName(s string) bool {
 		}
 	}
 	return true
-}
-
-// String renders the file back to assembly text.
-func (f *File) String() string {
-	var b strings.Builder
-	for _, it := range f.Items {
-		switch it.Kind {
-		case ItemLabel:
-			b.WriteString(it.Label)
-			b.WriteString(":\n")
-		case ItemDirective:
-			b.WriteByte('.')
-			b.WriteString(it.Directive)
-			if len(it.Args) > 0 {
-				b.WriteByte(' ')
-				b.WriteString(strings.Join(it.Args, ", "))
-			}
-			b.WriteByte('\n')
-		case ItemInst:
-			b.WriteByte('\t')
-			b.WriteString(it.Inst.String())
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
 }
 
 // Layout tells the assembler where each section will live in the target
@@ -237,7 +213,7 @@ func alignUp(v, a uint64) uint64 {
 
 // AssembleError decorates assembly failures with a line number.
 type AssembleError struct {
-	LineNo int
+	LineNo int32
 	Err    error
 }
 
@@ -247,94 +223,105 @@ func (e *AssembleError) Error() string {
 
 func (e *AssembleError) Unwrap() error { return e.Err }
 
+// sectionSwitch reports the section a .text/.data/.bss/.rodata/.section
+// directive selects.
+func sectionSwitch(it *Item) (section, bool) {
+	switch it.Name {
+	case "text":
+		return secText, true
+	case "data":
+		return secData, true
+	case "bss":
+		return secBSS, true
+	case "rodata":
+		return secROData, true
+	case "section":
+		if len(it.Args) > 0 {
+			switch {
+			case strings.HasPrefix(it.Args[0], ".text"):
+				return secText, true
+			case strings.HasPrefix(it.Args[0], ".rodata"):
+				return secROData, true
+			case strings.HasPrefix(it.Args[0], ".bss"):
+				return secBSS, true
+			}
+			return secData, true
+		}
+	}
+	return 0, false
+}
+
+// dataSize is the number of bytes a data directive emits.
+func dataSize(it *Item) (uint64, error) {
+	switch it.Name {
+	case "quad", "xword", "dword", "8byte":
+		return uint64(8 * len(it.Args)), nil
+	case "word", "long", "4byte":
+		return uint64(4 * len(it.Args)), nil
+	case "hword", "short", "2byte":
+		return uint64(2 * len(it.Args)), nil
+	case "byte":
+		return uint64(len(it.Args)), nil
+	case "ascii", "asciz", "string":
+		n := uint64(0)
+		for _, a := range it.Args {
+			s, err := parseStringLit(a)
+			if err != nil {
+				return 0, err
+			}
+			n += uint64(len(s))
+			if it.Name != "ascii" {
+				n++
+			}
+		}
+		return n, nil
+	case "space", "skip", "zero":
+		if len(it.Args) < 1 {
+			return 0, fmt.Errorf(".space needs a size")
+		}
+		v, ok := parseImmVal(it.Args[0])
+		if !ok || v < 0 {
+			return 0, fmt.Errorf("bad .space size %q", it.Args[0])
+		}
+		return uint64(v), nil
+	}
+	return 0, nil
+}
+
 // Assemble lays out and encodes the file into a linked image.
 func Assemble(f *File, layout Layout) (*Image, error) {
 	if layout.PageSize == 0 {
 		layout.PageSize = 16 * 1024
 	}
 
-	// Pass 1: compute section sizes and symbol offsets.
+	// Pass 1: compute section sizes and symbol offsets. A symbol is held
+	// as its section in the top two bits over its offset until the
+	// section bases are known.
+	const secShift = 62
+	symAddr := make(map[string]uint64)
+	globals := make(map[string]bool)
 	cur := secText
 	var size [numSections]uint64
-	type symdef struct {
-		sec section
-		off uint64
-	}
-	syms := make(map[string]symdef)
-	globals := make(map[string]bool)
-
-	sizeOf := func(it *Item) (uint64, error) {
-		switch it.Directive {
-		case "quad", "xword", "dword", "8byte":
-			return uint64(8 * len(it.Args)), nil
-		case "word", "long", "4byte":
-			return uint64(4 * len(it.Args)), nil
-		case "hword", "short", "2byte":
-			return uint64(2 * len(it.Args)), nil
-		case "byte":
-			return uint64(len(it.Args)), nil
-		case "ascii", "asciz", "string":
-			n := uint64(0)
-			for _, a := range it.Args {
-				s, err := parseStringLit(a)
-				if err != nil {
-					return 0, err
-				}
-				n += uint64(len(s))
-				if it.Directive != "ascii" {
-					n++
-				}
-			}
-			return n, nil
-		case "space", "skip", "zero":
-			if len(it.Args) < 1 {
-				return 0, fmt.Errorf(".space needs a size")
-			}
-			v, ok := parseImmVal(it.Args[0])
-			if !ok || v < 0 {
-				return 0, fmt.Errorf("bad .space size %q", it.Args[0])
-			}
-			return uint64(v), nil
-		}
-		return 0, nil
-	}
 
 	for idx := range f.Items {
 		it := &f.Items[idx]
 		switch it.Kind {
 		case ItemLabel:
-			if _, dup := syms[it.Label]; dup {
-				return nil, &AssembleError{it.LineNo, fmt.Errorf("duplicate symbol %q", it.Label)}
+			if _, dup := symAddr[it.Name]; dup {
+				return nil, &AssembleError{it.LineNo, fmt.Errorf("duplicate symbol %q", it.Name)}
 			}
-			syms[it.Label] = symdef{cur, size[cur]}
+			symAddr[it.Name] = uint64(cur)<<secShift | size[cur]
 		case ItemInst:
 			if cur != secText {
 				return nil, &AssembleError{it.LineNo, fmt.Errorf("instruction outside .text")}
 			}
 			size[cur] += 4
 		case ItemDirective:
-			switch it.Directive {
-			case "text":
-				cur = secText
-			case "data":
-				cur = secData
-			case "bss":
-				cur = secBSS
-			case "rodata":
-				cur = secROData
-			case "section":
-				if len(it.Args) > 0 {
-					switch {
-					case strings.HasPrefix(it.Args[0], ".text"):
-						cur = secText
-					case strings.HasPrefix(it.Args[0], ".rodata"):
-						cur = secROData
-					case strings.HasPrefix(it.Args[0], ".bss"):
-						cur = secBSS
-					default:
-						cur = secData
-					}
-				}
+			if sec, ok := sectionSwitch(it); ok {
+				cur = sec
+				continue
+			}
+			switch it.Name {
 			case "globl", "global":
 				for _, a := range it.Args {
 					globals[a] = true
@@ -356,7 +343,7 @@ func Assemble(f *File, layout Layout) (*Image, error) {
 					size[cur] = alignUp(size[cur], uint64(v))
 				}
 			default:
-				n, err := sizeOf(it)
+				n, err := dataSize(it)
 				if err != nil {
 					return nil, &AssembleError{it.LineNo, err}
 				}
@@ -378,23 +365,34 @@ func Assemble(f *File, layout Layout) (*Image, error) {
 	}
 	base[secBSS] = alignUp(base[secData]+size[secData], layout.PageSize)
 
-	symAddr := make(map[string]uint64, len(syms))
-	for name, d := range syms {
-		symAddr[name] = base[d.sec] + d.off
+	for name, v := range symAddr {
+		symAddr[name] = base[v>>secShift] + v&(1<<secShift-1)
 	}
 
-	resolve := func(label string, lineNo int) (uint64, error) {
+	resolve := func(label string, lineNo int32) (uint64, error) {
 		a, ok := symAddr[label]
 		if !ok {
 			return 0, &AssembleError{lineNo, fmt.Errorf("undefined symbol %q", label)}
 		}
 		return a, nil
 	}
+	// value is a data directive argument: a number or a symbol's address.
+	value := func(arg string, lineNo int32) (uint64, error) {
+		if isImm(arg) {
+			v, _ := parseImmVal(arg)
+			return uint64(v), nil
+		}
+		return resolve(arg, lineNo)
+	}
 
-	// Pass 2: emit bytes.
+	// Pass 2: emit bytes into buffers of the sizes pass 1 found. The BSS
+	// holds no bytes, so nothing is emitted for it.
 	var buf [numSections][]byte
+	for sec := secText; sec < secBSS; sec++ {
+		buf[sec] = make([]byte, 0, size[sec])
+	}
 	cur = secText
-	emit := func(sec section, b ...byte) { buf[sec] = append(buf[sec], b...) }
+	le := binary.LittleEndian
 
 	for idx := range f.Items {
 		it := &f.Items[idx]
@@ -433,95 +431,58 @@ func Assemble(f *File, layout Layout) (*Image, error) {
 			if err != nil {
 				return nil, &AssembleError{it.LineNo, err}
 			}
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], w)
-			emit(secText, b[:]...)
+			buf[secText] = le.AppendUint32(buf[secText], w)
 
 		case ItemDirective:
-			switch it.Directive {
-			case "text":
-				cur = secText
-			case "data":
-				cur = secData
-			case "bss":
-				cur = secBSS
-			case "rodata":
-				cur = secROData
-			case "section":
-				if len(it.Args) > 0 {
-					switch {
-					case strings.HasPrefix(it.Args[0], ".text"):
-						cur = secText
-					case strings.HasPrefix(it.Args[0], ".rodata"):
-						cur = secROData
-					case strings.HasPrefix(it.Args[0], ".bss"):
-						cur = secBSS
-					default:
-						cur = secData
-					}
-				}
+			if sec, ok := sectionSwitch(it); ok {
+				cur = sec
+				continue
+			}
+			if cur == secBSS {
+				continue
+			}
+			out := buf[cur]
+			switch it.Name {
 			case "align", "p2align", "balign":
 				if len(it.Args) >= 1 {
 					v, _ := parseImmVal(it.Args[0])
 					a := uint64(1) << uint(v)
-					if it.Directive == "balign" {
+					if it.Name == "balign" {
 						a = uint64(v)
 					}
-					for uint64(len(buf[cur]))%a != 0 {
-						if cur == secText {
-							var b [4]byte
-							binary.LittleEndian.PutUint32(b[:], 0xd503201f) // nop
-							if uint64(len(buf[cur]))%4 == 0 && a >= 4 {
-								emit(cur, b[:]...)
-								continue
-							}
+					for uint64(len(out))%a != 0 {
+						if cur == secText && len(out)%4 == 0 && a >= 4 {
+							out = le.AppendUint32(out, 0xd503201f) // nop
+						} else {
+							out = append(out, 0)
 						}
-						emit(cur, 0)
 					}
 				}
 			case "quad", "xword", "dword", "8byte":
 				for _, a := range it.Args {
-					var v uint64
-					if isImm(a) {
-						sv, _ := parseImmVal(a)
-						v = uint64(sv)
-					} else {
-						addr, err := resolve(a, it.LineNo)
-						if err != nil {
-							return nil, err
-						}
-						v = addr
+					v, err := value(a, it.LineNo)
+					if err != nil {
+						return nil, err
 					}
-					var b [8]byte
-					binary.LittleEndian.PutUint64(b[:], v)
-					emit(cur, b[:]...)
+					out = le.AppendUint64(out, v)
 				}
 			case "word", "long", "4byte":
 				for _, a := range it.Args {
-					var v uint64
-					if isImm(a) {
-						sv, _ := parseImmVal(a)
-						v = uint64(sv)
-					} else {
-						addr, err := resolve(a, it.LineNo)
-						if err != nil {
-							return nil, err
-						}
-						v = addr
+					v, err := value(a, it.LineNo)
+					if err != nil {
+						return nil, err
 					}
-					var b [4]byte
-					binary.LittleEndian.PutUint32(b[:], uint32(v))
-					emit(cur, b[:]...)
+					out = le.AppendUint32(out, uint32(v))
 				}
 			case "hword", "short", "2byte":
 				for _, a := range it.Args {
 					sv, _ := parseImmVal(a)
-					emit(cur, byte(sv), byte(sv>>8))
+					out = le.AppendUint16(out, uint16(sv))
 				}
 			case "byte":
 				for _, a := range it.Args {
 					sv, _ := parseImmVal(a)
-					emit(cur, byte(sv))
+					out = append(out, byte(sv))
 				}
 			case "ascii", "asciz", "string":
 				for _, a := range it.Args {
@@ -529,15 +490,16 @@ func Assemble(f *File, layout Layout) (*Image, error) {
 					if err != nil {
 						return nil, &AssembleError{it.LineNo, err}
 					}
-					emit(cur, []byte(s)...)
-					if it.Directive != "ascii" {
-						emit(cur, 0)
+					out = append(out, s...)
+					if it.Name != "ascii" {
+						out = append(out, 0)
 					}
 				}
 			case "space", "skip", "zero":
 				v, _ := parseImmVal(it.Args[0])
-				emit(cur, make([]byte, v)...)
+				out = append(out, make([]byte, v)...)
 			}
+			buf[cur] = out
 		}
 	}
 

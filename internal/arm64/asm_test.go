@@ -2,6 +2,7 @@ package arm64
 
 import (
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -150,6 +151,25 @@ func TestAssembleErrors(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.sub) {
 			t.Errorf("src %q: err = %v, want substring %q", c.src, err, c.sub)
+		}
+	}
+}
+
+// A trailing comma leaves an empty last operand; it must come back as a
+// *ParseError (parseShiftOp once indexed the empty operand's fields).
+func TestTrailingCommaIsParseError(t *testing.T) {
+	for _, line := range []string{
+		"add x0, x1, x2,",
+		"cmp x0, x1,",
+		"tst x0, x1,",
+		"add x0, x1, #1,",
+	} {
+		_, err := ParseFile("_start:\n\t" + line + "\n")
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("%q: err = %v, want a *ParseError", line, err)
+		} else if pe.Line != line {
+			t.Errorf("%q: error names line %q", line, pe.Line)
 		}
 	}
 }

@@ -52,16 +52,16 @@ func EncodeBitmask(v uint64, is64 bool) (n, immr, imms uint32, ok bool) {
 	if ones == 0 || ones == size {
 		return 0, 0, 0, false
 	}
-	welem := onesMask(ones)
-	rot := uint(0)
-	found := false
-	for r := uint(0); r < size; r++ {
-		if ror(welem, r, size) == elem {
-			rot, found = r, true
-			break
-		}
+	// The element must be a run of ones rotated right by rot. A run that
+	// does not reach bit 0 started tz places lower; one that does has
+	// wrapped, and its low part is the trailing ones.
+	var rot uint
+	if elem&1 == 0 {
+		rot = size - uint(bits.TrailingZeros64(elem))
+	} else {
+		rot = ones - uint(bits.TrailingZeros64(^elem))
 	}
-	if !found {
+	if ror(onesMask(ones), rot, size) != elem {
 		return 0, 0, 0, false
 	}
 	if size == 64 {

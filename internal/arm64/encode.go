@@ -17,9 +17,10 @@ import (
 // Branch offsets (B/BL/B.cond/CBZ/CBNZ and the TBZ Imm) are signed byte
 // offsets from the instruction's own address.
 
-// EncodeError describes an instruction that cannot be encoded.
+// EncodeError describes an instruction that cannot be encoded. It holds a
+// copy, so the instruction handed to Encode need not outlive the call.
 type EncodeError struct {
-	Inst *Inst
+	Inst Inst
 	Msg  string
 }
 
@@ -28,7 +29,7 @@ func (e *EncodeError) Error() string {
 }
 
 func encErr(i *Inst, format string, args ...any) (uint32, error) {
-	return 0, &EncodeError{Inst: i, Msg: fmt.Sprintf(format, args...)}
+	return 0, &EncodeError{Inst: *i, Msg: fmt.Sprintf(format, args...)}
 }
 
 func sfBit(r Reg) uint32 {

@@ -175,39 +175,6 @@ func (m Mem) IsRegOffset() bool {
 	return m.Mode == AddrReg || m.Mode == AddrRegUXTW || m.Mode == AddrRegSXTW || m.Mode == AddrRegSXTX
 }
 
-func (m Mem) String() string {
-	switch m.Mode {
-	case AddrBase:
-		return fmt.Sprintf("[%s]", m.Base)
-	case AddrImm:
-		if m.Imm == 0 {
-			return fmt.Sprintf("[%s]", m.Base)
-		}
-		return fmt.Sprintf("[%s, #%d]", m.Base, m.Imm)
-	case AddrPre:
-		return fmt.Sprintf("[%s, #%d]!", m.Base, m.Imm)
-	case AddrPost:
-		return fmt.Sprintf("[%s], #%d", m.Base, m.Imm)
-	case AddrReg:
-		if m.Amount <= 0 {
-			return fmt.Sprintf("[%s, %s]", m.Base, m.Index)
-		}
-		return fmt.Sprintf("[%s, %s, lsl #%d]", m.Base, m.Index, m.Amount)
-	case AddrRegUXTW, AddrRegSXTW, AddrRegSXTX:
-		ext := "uxtw"
-		if m.Mode == AddrRegSXTW {
-			ext = "sxtw"
-		} else if m.Mode == AddrRegSXTX {
-			ext = "sxtx"
-		}
-		if m.Amount < 0 {
-			return fmt.Sprintf("[%s, %s, %s]", m.Base, m.Index, ext)
-		}
-		return fmt.Sprintf("[%s, %s, %s #%d]", m.Base, m.Index, ext, m.Amount)
-	}
-	return "<bad mem>"
-}
-
 // Inst is one decoded or parsed instruction. Fields that do not apply to a
 // given Op are zero (registers: RegNone).
 type Inst struct {
@@ -231,6 +198,3 @@ type Inst struct {
 	// label; after encoding/decoding they carry a byte offset in Imm.
 	Label string
 }
-
-// String renders the instruction in GNU assembly syntax.
-func (i Inst) String() string { return printInst(&i) }

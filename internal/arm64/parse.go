@@ -17,41 +17,37 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("arm64: cannot parse %q: %s", e.Line, e.Msg)
 }
 
-// operand is one comma-separated piece of an instruction after the
-// mnemonic, with memory operands kept intact ("[x0, #8]!").
-func splitOperands(s string) []string {
-	var out []string
+// splitOperands appends to dst the comma-separated pieces of an operand
+// list, with memory operands kept intact ("[x0, #8]!") and string
+// literals unbroken. Callers pass a fixed array, so a line's operands
+// cost no allocation.
+func splitOperands(dst []string, s string) []string {
 	depth := 0
 	start := 0
-	inStr := false
 	for i := 0; i < len(s); i++ {
-		if inStr {
-			if s[i] == '\\' {
-				i++
-			} else if s[i] == '"' {
-				inStr = false
-			}
-			continue
-		}
 		switch s[i] {
 		case '"':
-			inStr = true
+			for i++; i < len(s) && s[i] != '"'; i++ {
+				if s[i] == '\\' {
+					i++
+				}
+			}
 		case '[':
 			depth++
 		case ']':
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
+				dst = append(dst, strings.TrimSpace(s[start:i]))
 				start = i + 1
 			}
 		}
 	}
 	last := strings.TrimSpace(s[start:])
-	if last != "" || len(out) > 0 {
-		out = append(out, last)
+	if last != "" || len(dst) > 0 {
+		dst = append(dst, last)
 	}
-	return out
+	return dst
 }
 
 func parseImmVal(s string) (int64, bool) {
@@ -89,41 +85,38 @@ func isImm(s string) bool {
 	return c == '-' || (c >= '0' && c <= '9')
 }
 
-// barrier option names for DMB/DSB.
-var barrierOpts = map[string]int64{
-	"oshld": 1, "oshst": 2, "osh": 3,
-	"nshld": 5, "nshst": 6, "nsh": 7,
-	"ishld": 9, "ishst": 10, "ish": 11,
-	"ld": 13, "st": 14, "sy": 15,
+// barrierOpts names the DMB/DSB options by their CRm value; the holes
+// have no name.
+var barrierOpts = [16]string{
+	1: "oshld", 2: "oshst", 3: "osh",
+	5: "nshld", 6: "nshst", 7: "nsh",
+	9: "ishld", 10: "ishst", 11: "ish",
+	13: "ld", 14: "st", 15: "sy",
 }
 
 // A few system registers, packed as op0:op1:CRn:CRm:op2 (15 bits, with op0
 // encoded as its low bit the way MRS/MSR instructions carry it).
-var sysRegs = map[string]int64{
-	"tpidr_el0":   1<<14 | 3<<11 | 13<<7 | 0<<3 | 2,
-	"scxtnum_el0": 1<<14 | 3<<11 | 13<<7 | 0<<3 | 7,
-	"nzcv":        1<<14 | 3<<11 | 4<<7 | 2<<3 | 0,
-	"fpcr":        1<<14 | 3<<11 | 4<<7 | 4<<3 | 0,
-	"fpsr":        1<<14 | 3<<11 | 4<<7 | 4<<3 | 1,
-	"cntvct_el0":  1<<14 | 3<<11 | 14<<7 | 0<<3 | 2,
-}
-
-func sysRegName(v int64) string {
-	for k, sv := range sysRegs {
-		if sv == v {
-			return k
-		}
-	}
-	return fmt.Sprintf("s%d_%d_c%d_c%d_%d", 2+(v>>14)&1, (v>>11)&7, (v>>7)&15, (v>>3)&15, v&7)
+var sysRegs = [...]struct {
+	name string
+	enc  int64
+}{
+	{"tpidr_el0", 1<<14 | 3<<11 | 13<<7 | 0<<3 | 2},
+	{"scxtnum_el0", 1<<14 | 3<<11 | 13<<7 | 0<<3 | 7},
+	{"nzcv", 1<<14 | 3<<11 | 4<<7 | 2<<3 | 0},
+	{"fpcr", 1<<14 | 3<<11 | 4<<7 | 4<<3 | 0},
+	{"fpsr", 1<<14 | 3<<11 | 4<<7 | 4<<3 | 1},
+	{"cntvct_el0", 1<<14 | 3<<11 | 14<<7 | 0<<3 | 2},
 }
 
 // parseSysReg resolves a system register operand: either one of the named
 // registers above, or the generic s<op0>_<op1>_c<CRn>_c<CRm>_<op2> spelling
-// that sysRegName falls back to for registers it has no name for.
+// that the printer falls back to for registers it has no name for.
 func parseSysReg(s string) (int64, bool) {
 	s = strings.ToLower(s)
-	if v, ok := sysRegs[s]; ok {
-		return v, true
+	for _, sr := range sysRegs {
+		if sr.name == s {
+			return sr.enc, true
+		}
 	}
 	var op0, op1, crn, crm, op2 int64
 	if n, err := fmt.Sscanf(s, "s%d_%d_c%d_c%d_%d", &op0, &op1, &crn, &crm, &op2); n != 5 || err != nil {
@@ -147,7 +140,11 @@ func parseMem(s string) (Mem, string, bool) {
 	}
 	inner := s[1:close]
 	trail := strings.TrimSpace(s[close+1:])
-	parts := splitOperands(inner)
+	if trail != "" && trail != "!" {
+		return Mem{}, "", false
+	}
+	var buf [4]string
+	parts := splitOperands(buf[:0], inner)
 	if len(parts) == 0 {
 		return Mem{}, "", false
 	}
@@ -193,17 +190,14 @@ func parseMem(s string) (Mem, string, bool) {
 			return Mem{}, "", false
 		}
 		m.Index = idx
-		fields := strings.Fields(parts[2])
-		if len(fields) == 0 {
-			return Mem{}, "", false
-		}
-		ext, ok := ParseExtend(strings.ToLower(fields[0]))
+		word, amount := cutWord(parts[2])
+		ext, ok := ParseExtend(strings.ToLower(word))
 		if !ok {
 			return Mem{}, "", false
 		}
 		amt := int8(-1)
-		if len(fields) == 2 {
-			v, ok := parseImmVal(fields[1])
+		if amount != "" {
+			v, ok := parseImmVal(amount)
 			if !ok || v < 0 || v > 4 {
 				return Mem{}, "", false
 			}
@@ -235,31 +229,57 @@ func parseMem(s string) (Mem, string, bool) {
 // targets may be symbolic labels (returned in Label) or numeric offsets.
 func ParseInst(line string) (Inst, error) {
 	line = strings.TrimSpace(line)
-	perr := func(format string, args ...any) (Inst, error) {
-		return Inst{Op: BAD}, &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
+	i, err := parseInst(line)
+	if err != nil {
+		err.Line = line
+		return Inst{Op: BAD}, err
 	}
-	sp := strings.IndexAny(line, " \t")
-	mnem := line
-	rest := ""
-	if sp >= 0 {
-		mnem = line[:sp]
-		rest = strings.TrimSpace(line[sp+1:])
+	return i, nil
+}
+
+// perr, needReg and the rest of parseInst report errors without the line;
+// ParseInst adds it, so nothing on the success path holds on to it.
+func perr(format string, args ...any) (Inst, *ParseError) {
+	return Inst{Op: BAD}, &ParseError{Msg: fmt.Sprintf(format, args...)}
+}
+
+func lowerReg(s string) (Reg, bool) { return ParseReg(strings.ToLower(s)) }
+
+func needReg(s string) (Reg, *ParseError) {
+	r, ok := lowerReg(s)
+	if !ok {
+		return RegNone, &ParseError{Msg: fmt.Sprintf("bad register %q", s)}
 	}
+	return r, nil
+}
+
+// parseShiftOp parses a trailing "lsl #3" style operand.
+func parseShiftOp(s string) (Extend, int8, bool) {
+	word, amount := cutWord(s)
+	ext, ok := ParseExtend(strings.ToLower(word))
+	if !ok {
+		return ExtNone, -1, false
+	}
+	if amount == "" {
+		return ext, -1, true
+	}
+	v, ok := parseImmVal(amount)
+	if !ok || v < 0 || v > 63 {
+		return ExtNone, -1, false
+	}
+	return ext, int8(v), true
+}
+
+func parseInst(line string) (Inst, *ParseError) {
+	mnem, rest := cutWord(line)
 	mnem = strings.ToLower(mnem)
-	ops := splitOperands(rest)
+	var opbuf [6]string
+	ops := splitOperands(opbuf[:0], rest)
 
 	var i Inst
 	i.Rd, i.Rn, i.Rm, i.Ra = RegNone, RegNone, RegNone, RegNone
 	i.Amount = -1
 
-	reg := func(s string) (Reg, bool) { return ParseReg(strings.ToLower(s)) }
-	needReg := func(s string) (Reg, error) {
-		r, ok := reg(s)
-		if !ok {
-			return RegNone, &ParseError{Line: line, Msg: fmt.Sprintf("bad register %q", s)}
-		}
-		return r, nil
-	}
 	labelOrOfs := func(s string) {
 		if isImm(s) {
 			v, _ := parseImmVal(s)
@@ -284,56 +304,49 @@ func ParseInst(line string) (Inst, error) {
 		return i, nil
 	}
 
-	// Shift/extend helper for trailing "lsl #3" style operands.
-	parseShiftOp := func(s string) (Extend, int8, bool) {
-		f := strings.Fields(s)
-		ext, ok := ParseExtend(strings.ToLower(f[0]))
-		if !ok {
-			return ExtNone, -1, false
-		}
-		if len(f) == 1 {
-			return ext, -1, true
-		}
-		v, ok := parseImmVal(f[1])
-		if !ok {
-			return ExtNone, -1, false
-		}
-		return ext, int8(v), true
-	}
-
 	// Fill Rm/Imm/Ext from an "operand 2" (register with optional shift, or
 	// immediate with optional shift).
-	fillOp2 := func(op2 []string) error {
+	fillOp2 := func(op2 []string) *ParseError {
+		if len(op2) > 2 {
+			return &ParseError{Msg: "too many operands"}
+		}
+		addSub := i.Op.shape() == shapeAddSub
 		if strings.HasPrefix(op2[0], ":lo12:") {
 			// Relocation-style symbolic immediate (adrp/add pairs); the
 			// assembler resolves it to sym & 0xfff.
+			if !addSub || len(op2) != 1 {
+				return &ParseError{Msg: fmt.Sprintf("bad operand %q", op2[0])}
+			}
 			i.Label = op2[0]
 			return nil
 		}
 		if isImm(op2[0]) {
 			v, ok := parseImmVal(op2[0])
 			if !ok {
-				return &ParseError{Line: line, Msg: "bad immediate"}
+				return &ParseError{Msg: "bad immediate"}
 			}
 			i.Imm = v
 			if len(op2) == 2 {
+				// Only add/sub immediates shift, and only by 0 or 12.
 				ext, amt, ok := parseShiftOp(op2[1])
-				if !ok {
-					return &ParseError{Line: line, Msg: "bad shift"}
+				if !ok || !addSub || ext != ExtLSL || (amt != 0 && amt != 12) {
+					return &ParseError{Msg: "bad shift"}
 				}
-				i.Ext, i.Amount = ext, amt
+				if amt == 12 {
+					i.Ext, i.Amount = ext, amt
+				}
 			}
 			return nil
 		}
-		r, ok := reg(op2[0])
+		r, ok := lowerReg(op2[0])
 		if !ok {
-			return &ParseError{Line: line, Msg: fmt.Sprintf("bad operand %q", op2[0])}
+			return &ParseError{Msg: fmt.Sprintf("bad operand %q", op2[0])}
 		}
 		i.Rm = r
 		if len(op2) == 2 {
 			ext, amt, ok := parseShiftOp(op2[1])
 			if !ok {
-				return &ParseError{Line: line, Msg: "bad shift"}
+				return &ParseError{Msg: "bad shift"}
 			}
 			i.Ext, i.Amount = ext, amt
 		}
@@ -355,7 +368,7 @@ func ParseInst(line string) (Inst, error) {
 			if !ok {
 				return perr("bad immediate")
 			}
-			return movImmInst(rd, v, line)
+			return movImmInst(rd, v)
 		}
 		rm, err := needReg(ops[1])
 		if err != nil {
@@ -744,7 +757,7 @@ func ParseInst(line string) (Inst, error) {
 		i.Rd, i.Imm, i.Amount = rd, v, 0
 		if len(ops) == 3 {
 			ext, amt, ok := parseShiftOp(ops[2])
-			if !ok || ext != ExtLSL {
+			if !ok || ext != ExtLSL || amt < 0 || amt%16 != 0 {
 				return perr("bad move-wide shift")
 			}
 			i.Amount = amt
@@ -1032,7 +1045,7 @@ func ParseInst(line string) (Inst, error) {
 		}
 		if len(ops) == 4 {
 			v, ok := parseImmVal(ops[3])
-			if !ok || m.WritesBack() || m.Imm != 0 {
+			if !ok || m.WritesBack() || m.IsRegOffset() || m.Imm != 0 {
 				return perr("bad post-index")
 			}
 			m.Mode = AddrPost
@@ -1110,12 +1123,14 @@ func ParseInst(line string) (Inst, error) {
 			if len(ops) != 1 {
 				return perr("%s needs 1 operand", mnem)
 			}
-			v, ok := barrierOpts[strings.ToLower(ops[0])]
-			if !ok {
-				return perr("bad barrier option %q", ops[0])
+			opt := strings.ToLower(ops[0])
+			for v, name := range barrierOpts {
+				if name == opt && name != "" {
+					i.Imm = int64(v)
+					return i, nil
+				}
 			}
-			i.Imm = v
-			return i, nil
+			return perr("bad barrier option %q", ops[0])
 		case MRS:
 			if len(ops) != 2 {
 				return perr("mrs needs 2 operands")
@@ -1150,7 +1165,7 @@ func ParseInst(line string) (Inst, error) {
 }
 
 // movImmInst lowers "mov rd, #imm" to movz/movn/orr-immediate.
-func movImmInst(rd Reg, v int64, line string) (Inst, error) {
+func movImmInst(rd Reg, v int64) (Inst, *ParseError) {
 	i := Inst{Rd: rd, Rn: RegNone, Rm: RegNone, Ra: RegNone, Amount: 0}
 	u := uint64(v)
 	if !rd.Is64() {
@@ -1194,5 +1209,5 @@ func movImmInst(rd Reg, v int64, line string) (Inst, error) {
 		i.Amount = -1
 		return i, nil
 	}
-	return Inst{Op: BAD}, &ParseError{Line: line, Msg: fmt.Sprintf("mov immediate %#x needs multiple instructions", u)}
+	return perr("mov immediate %#x needs multiple instructions", u)
 }

@@ -6,7 +6,10 @@
 // which instructions exist and what they do.
 package arm64
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg identifies an architectural register together with the width or view
 // under which an instruction names it (x5 vs w5, d0 vs q0).
@@ -196,32 +199,28 @@ func (r Reg) FPBits() int {
 	return 0
 }
 
-var regKindPrefix = [numRegKinds]byte{'x', 'w', 'b', 'h', 's', 'd', 'q', 'v'}
+// regNames holds the GNU assembly spelling of every valid Reg value.
+var regNames [int(numRegKinds) * regKindStride]string
+
+func init() {
+	for k, prefix := range [numRegKinds]string{"x", "w", "b", "h", "s", "d", "q", "v"} {
+		for n := 0; n < regKindStride; n++ {
+			regNames[k*regKindStride+n] = prefix + strconv.Itoa(n)
+		}
+	}
+	regNames[XZR], regNames[SP] = "xzr", "sp"
+	regNames[WZR], regNames[WSP] = "wzr", "wsp"
+}
 
 // String returns the GNU assembly spelling of the register.
 func (r Reg) String() string {
 	if r == RegNone {
 		return "<none>"
 	}
-	k, n := r.kind(), r.Num()
-	if k >= numRegKinds {
+	if int(r) >= len(regNames) {
 		return fmt.Sprintf("<bad reg %d>", uint16(r))
 	}
-	if k == kindX || k == kindW {
-		switch n {
-		case 31:
-			if k == kindX {
-				return "xzr"
-			}
-			return "wzr"
-		case 32:
-			if k == kindX {
-				return "sp"
-			}
-			return "wsp"
-		}
-	}
-	return fmt.Sprintf("%c%d", regKindPrefix[k], n)
+	return regNames[r]
 }
 
 // ParseReg parses a register name ("x0", "wzr", "sp", "d12", ...). It

@@ -370,6 +370,15 @@ func TestParseRejects(t *testing.T) {
 		"mov x0, #0x123456789", // needs multiple instructions
 		"tbz x0, #64, 8",
 		"ccmp x0, x1, #16, eq",
+		// Accepted once, and printed as something that parsed differently.
+		"ldr x0, [x1]junk",
+		"add x0, x1, #1, lsl #3",
+		"and x0, x1, #1, lsl #12",
+		"add x0, x1, x2, lsl #128",
+		"add x0, x1, x2, lsl #1, x3",
+		"and x0, x1, :lo12:sym",
+		"movz x0, #0, lsl",
+		"ldp x0, x1, [x2, x3], #16",
 	}
 	for _, src := range bad {
 		if _, err := ParseInst(src); err == nil {

@@ -66,7 +66,6 @@ const (
 
 // Marshal serializes the executable as an ELF64 binary.
 func (e *Executable) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
 	n := len(e.Segments)
 	// File layout: ehdr, phdrs, then segment data back to back (8-aligned).
 	offs := make([]uint64, n)
@@ -76,6 +75,8 @@ func (e *Executable) Marshal() ([]byte, error) {
 		offs[i] = pos
 		pos += uint64(len(s.Data))
 	}
+	var buf bytes.Buffer
+	buf.Grow(int(pos))
 
 	// ELF header.
 	var ident [16]byte

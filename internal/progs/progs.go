@@ -27,11 +27,11 @@ type BuildResult struct {
 func Build(src string, opts core.Options) (*BuildResult, error) {
 	f, err := arm64.ParseFile(src)
 	if err != nil {
-		return nil, fmt.Errorf("progs: %w", err)
+		return nil, err
 	}
 	nf, stats, err := rewrite.Rewrite(f, opts)
 	if err != nil {
-		return nil, fmt.Errorf("progs: %w", err)
+		return nil, err
 	}
 	b, err := assemble(nf)
 	if err != nil {
@@ -47,7 +47,7 @@ func Build(src string, opts core.Options) (*BuildResult, error) {
 func BuildNative(src string) (*BuildResult, error) {
 	f, err := arm64.ParseFile(src)
 	if err != nil {
-		return nil, fmt.Errorf("progs: %w", err)
+		return nil, err
 	}
 	return assemble(f)
 }
@@ -58,12 +58,12 @@ func assemble(f *arm64.File) (*BuildResult, error) {
 		PageSize: 16 * 1024,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("progs: %w", err)
+		return nil, err
 	}
 	exe := elfobj.FromImage(img)
 	elfBytes, err := exe.Marshal()
 	if err != nil {
-		return nil, fmt.Errorf("progs: %w", err)
+		return nil, err
 	}
 	return &BuildResult{
 		ELF:      elfBytes,

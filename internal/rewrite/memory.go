@@ -105,7 +105,7 @@ func loadsX30(inst *arm64.Inst) bool {
 
 // guardLoadedDests re-establishes the x30 invariant after a load that
 // wrote the link register (§4.2: guards are inserted when x30 is loaded).
-func (r *rewriter) guardLoadedDests(inst *arm64.Inst, line int) {
+func (r *rewriter) guardLoadedDests(inst *arm64.Inst, line int32) {
 	if loadsX30(inst) {
 		r.emit(core.GuardInto(arm64.X30, arm64.X30), line)
 		r.stats.RetGuards++
@@ -144,7 +144,7 @@ func nextInstIdx(f *arm64.File, idx int) int {
 }
 
 // spRegOffset lowers a register-offset access based on sp.
-func (r *rewriter) spRegOffset(inst *arm64.Inst, line int) error {
+func (r *rewriter) spRegOffset(inst *arm64.Inst, line int32) error {
 	m := inst.Mem
 	// mov w22, wsp
 	r.emit(arm64.Inst{Op: arm64.ADD, Rd: core.RegAddr32.W(), Rn: arm64.WSP,
@@ -190,7 +190,7 @@ func stageIndexAdd(dst, src arm64.Reg, m arm64.Mem) (arm64.Inst, error) {
 // o0Guard applies the basic two-cycle guard (§3) to a single-register
 // load/store: the address is forced into x18 and the access goes through
 // x18.
-func (r *rewriter) o0Guard(inst *arm64.Inst, line int) error {
+func (r *rewriter) o0Guard(inst *arm64.Inst, line int32) error {
 	m := inst.Mem
 	line4 := line
 	access := *inst
@@ -255,7 +255,7 @@ const spImmBound = guardImmBound - int64(core.SPMaxDrift)
 // the guard region: the full 32-bit address is staged in w22 and the
 // access goes through the guarded addressing mode. The immediate is split
 // into two add-immediates (low 12 bits, then the 4KiB-aligned remainder).
-func (r *rewriter) oversizedImm(inst *arm64.Inst, line int) {
+func (r *rewriter) oversizedImm(inst *arm64.Inst, line int32) {
 	m := inst.Mem
 	lo := int64(m.Imm) & 0xfff
 	hi := int64(m.Imm) &^ 0xfff
@@ -291,7 +291,7 @@ func addImm(dst, src arm64.Reg, imm int64) arm64.Inst {
 // is not semantics-preserving for out-of-sandbox addresses, which is
 // acceptable (SFI redirects them anyway), and for in-sandbox addresses the
 // low 32 bits agree. The emitted form matches stageIndexAdd for AddrReg.
-func (r *rewriter) sxtxFallback(inst *arm64.Inst, line int) error {
+func (r *rewriter) sxtxFallback(inst *arm64.Inst, line int32) error {
 	m := inst.Mem
 	st := arm64.Inst{Op: arm64.ADD, Rd: core.RegAddr32.W(), Rn: m.Base.W(),
 		Rm: m.Index.W(), Ra: arm64.RegNone, Ext: arm64.ExtLSL, Amount: m.Amount}
@@ -312,7 +312,7 @@ func (r *rewriter) sxtxFallback(inst *arm64.Inst, line int) error {
 // table3 applies the zero-instruction-guard transformations of Table 3 to
 // a single-register load/store (O1), with redundant guard elimination on
 // top at O2 (§4.3).
-func (r *rewriter) table3(f *arm64.File, idx int, inst *arm64.Inst, line int) error {
+func (r *rewriter) table3(f *arm64.File, idx int, inst *arm64.Inst, line int32) error {
 	m := inst.Mem
 	access := *inst
 
@@ -395,7 +395,7 @@ func (r *rewriter) table3(f *arm64.File, idx int, inst *arm64.Inst, line int) er
 // baseTechnique guards pair/exclusive accesses, which have no guarded
 // addressing mode (§4.1 end): the base is forced into x18 (or served from
 // a hoisting register at O2).
-func (r *rewriter) baseTechnique(f *arm64.File, idx int, inst *arm64.Inst, line int) error {
+func (r *rewriter) baseTechnique(f *arm64.File, idx int, inst *arm64.Inst, line int32) error {
 	access := *inst
 	switch inst.Op {
 	case arm64.LDXR, arm64.LDAXR, arm64.STXR, arm64.STLXR, arm64.LDAR, arm64.STLR:

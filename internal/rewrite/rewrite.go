@@ -30,7 +30,7 @@ type Stats struct {
 
 // Error wraps a rewriting failure with the source line.
 type Error struct {
-	LineNo int
+	LineNo int32
 	Msg    string
 }
 
@@ -40,7 +40,6 @@ type rewriter struct {
 	opts     core.Options
 	out      []arm64.Item
 	stats    Stats
-	labels   int
 	skipNext bool // next instruction already emitted (runtime-call pair)
 
 	// Hoisting state (per basic block): which base register each hoist
@@ -53,7 +52,9 @@ var hoistRegs = [2]arm64.Reg{core.RegHoist1, core.RegHoist2}
 
 // Rewrite transforms the file according to opts and returns a new file.
 func Rewrite(f *arm64.File, opts core.Options) (*arm64.File, Stats, error) {
-	r := &rewriter{opts: opts}
+	// Guards grow the kernels' instruction count by under a fifth; a
+	// quarter over the input leaves the output slice to be sized once.
+	r := &rewriter{opts: opts, out: make([]arm64.Item, 0, len(f.Items)+len(f.Items)/4)}
 	r.resetHoists()
 
 	inText := true
@@ -88,23 +89,17 @@ func Rewrite(f *arm64.File, opts core.Options) (*arm64.File, Stats, error) {
 	}
 
 	nf := &arm64.File{Items: r.out}
-	fixupStats := fixRanges(nf)
-	r.stats.RangeFixups = fixupStats
-	for _, it := range nf.Items {
-		if it.Kind == arm64.ItemInst {
-			r.stats.OutputInsts++
-		}
-	}
-	// Re-resolve sp elision on the rewritten stream.
+	r.stats.RangeFixups = fixRanges(nf)
+	r.stats.OutputInsts += r.stats.RangeFixups // a fixup makes one branch two
 	return nf, r.stats, nil
 }
 
 func sectionOf(it *arm64.Item) string {
-	switch it.Directive {
+	switch it.Name {
 	case "text":
 		return "text"
 	case "data", "bss", "rodata":
-		return it.Directive
+		return it.Name
 	case "section":
 		if len(it.Args) > 0 {
 			switch {
@@ -123,13 +118,9 @@ func (r *rewriter) resetHoists() {
 	r.hoistNext = 0
 }
 
-func (r *rewriter) emit(inst arm64.Inst, lineNo int) {
+func (r *rewriter) emit(inst arm64.Inst, lineNo int32) {
 	r.out = append(r.out, arm64.Item{Kind: arm64.ItemInst, Inst: inst, LineNo: lineNo})
-}
-
-func (r *rewriter) freshLabel() string {
-	r.labels++
-	return fmt.Sprintf(".Llfi%d", r.labels)
+	r.stats.OutputInsts++
 }
 
 // inst rewrites the instruction at f.Items[idx].
@@ -183,7 +174,7 @@ func (r *rewriter) inst(f *arm64.File, idx int) error {
 
 // checkReserved rejects input that writes the reserved registers or uses
 // them other than as the paper's conventions allow.
-func (r *rewriter) checkReserved(inst *arm64.Inst, lineNo int) error {
+func (r *rewriter) checkReserved(inst *arm64.Inst, lineNo int32) error {
 	var dsts [4]arm64.Reg
 	for _, d := range inst.DestRegs(dsts[:0]) {
 		if core.IsReserved(d) {
@@ -301,82 +292,86 @@ func spModElidable(f *arm64.File, idx int) bool {
 	return false
 }
 
-// spElisionMap is kept for the ablation bench: it answers, per index,
-// whether §4.2 would elide the guard. (The main pass calls spModElidable
-// directly; this exists so tests can inspect the decision.)
-func spElisionMap(f *arm64.File, opts core.Options) []bool {
-	m := make([]bool, len(f.Items))
-	if opts.DisableSPOpts {
-		return m
+// roughSize is the byte size fixRanges assumes for an item.
+func roughSize(it *arm64.Item) int {
+	switch it.Kind {
+	case arm64.ItemInst:
+		return 4
+	case arm64.ItemDirective:
+		return 16 // conservative allowance for data/align directives
 	}
-	for i := range f.Items {
-		it := &f.Items[i]
-		if it.Kind != arm64.ItemInst {
-			continue
-		}
-		var dsts [4]arm64.Reg
-		for _, d := range it.Inst.DestRegs(dsts[:0]) {
-			if d.IsSP() {
-				m[i] = spModElidable(f, i)
-			}
-		}
-	}
-	return m
+	return 0
 }
 
 // fixRanges replaces tbz/tbnz whose (conservatively estimated) target is
 // out of the ±32KiB encoding range with an inverted-condition trampoline
-// (§5.1 "Difficulties").
+// (§5.1 "Difficulties"). It scans first and rebuilds the item slice, at
+// its exact new size, only when some branch needs the fixup; most files
+// have no tbz/tbnz at all and pay one scan.
 func fixRanges(f *arm64.File) int {
-	// First pass: approximate byte offset of every item and label.
-	labelOff := make(map[string]int)
+	// Approximate byte offset of every tbz/tbnz.
+	type site struct{ idx, off int }
+	var sites []site
 	off := 0
-	offs := make([]int, len(f.Items))
 	for i := range f.Items {
 		it := &f.Items[i]
-		offs[i] = off
-		switch it.Kind {
-		case arm64.ItemLabel:
-			labelOff[it.Label] = off
-		case arm64.ItemInst:
-			off += 4
-		case arm64.ItemDirective:
-			off += 16 // conservative allowance for data/align directives
-		}
-	}
-	const margin = 1 << 12 // safety margin under the 2^15 limit
-	fixed := 0
-	var out []arm64.Item
-	seq := 0
-	for i := range f.Items {
-		it := f.Items[i]
 		if it.Kind == arm64.ItemInst && (it.Inst.Op == arm64.TBZ || it.Inst.Op == arm64.TBNZ) && it.Inst.Label != "" {
-			tgt, ok := labelOff[it.Inst.Label]
-			if ok {
-				d := tgt - offs[i]
-				if d > (1<<15)-margin || d < -(1<<15)+margin {
-					// tbz xN, #b, far  =>  tbnz xN, #b, near; b far; near:
-					seq++
-					skip := fmt.Sprintf(".Llfirange%d", seq)
-					inv := it.Inst
-					if inv.Op == arm64.TBZ {
-						inv.Op = arm64.TBNZ
-					} else {
-						inv.Op = arm64.TBZ
-					}
-					inv.Label = skip
-					out = append(out, arm64.Item{Kind: arm64.ItemInst, Inst: inv, LineNo: it.LineNo})
-					out = append(out, arm64.Item{Kind: arm64.ItemInst, LineNo: it.LineNo,
-						Inst: arm64.Inst{Op: arm64.B, Rd: arm64.RegNone, Rn: arm64.RegNone,
-							Rm: arm64.RegNone, Ra: arm64.RegNone, Amount: -1, Label: it.Inst.Label}})
-					out = append(out, arm64.Item{Kind: arm64.ItemLabel, Label: skip, LineNo: it.LineNo})
-					fixed++
-					continue
-				}
+			sites = append(sites, site{i, off})
+		}
+		off += roughSize(it)
+	}
+	if len(sites) == 0 {
+		return 0
+	}
+	// The same estimate for the labels they name.
+	const undefined = -1
+	labelOff := make(map[string]int, len(sites))
+	for _, s := range sites {
+		labelOff[f.Items[s.idx].Inst.Label] = undefined
+	}
+	off = 0
+	for i := range f.Items {
+		it := &f.Items[i]
+		if it.Kind == arm64.ItemLabel {
+			if _, named := labelOff[it.Name]; named {
+				labelOff[it.Name] = off
 			}
 		}
-		out = append(out, it)
+		off += roughSize(it)
 	}
-	f.Items = out
-	return fixed
+	const margin = 1 << 12 // safety margin under the 2^15 limit
+	far := sites[:0]
+	for _, s := range sites {
+		tgt := labelOff[f.Items[s.idx].Inst.Label]
+		if d := tgt - s.off; tgt != undefined && (d > (1<<15)-margin || d < -(1<<15)+margin) {
+			far = append(far, s)
+		}
+	}
+	if len(far) == 0 {
+		return 0
+	}
+	out := make([]arm64.Item, 0, len(f.Items)+2*len(far))
+	next := 0
+	for n, s := range far {
+		// tbz xN, #b, far  =>  tbnz xN, #b, near; b far; near:
+		out = append(out, f.Items[next:s.idx]...)
+		next = s.idx + 1
+		it := &f.Items[s.idx]
+		skip := fmt.Sprintf(".Llfirange%d", n+1)
+		inv := it.Inst
+		if inv.Op == arm64.TBZ {
+			inv.Op = arm64.TBNZ
+		} else {
+			inv.Op = arm64.TBZ
+		}
+		inv.Label = skip
+		out = append(out,
+			arm64.Item{Kind: arm64.ItemInst, Inst: inv, LineNo: it.LineNo},
+			arm64.Item{Kind: arm64.ItemInst, LineNo: it.LineNo,
+				Inst: arm64.Inst{Op: arm64.B, Rd: arm64.RegNone, Rn: arm64.RegNone,
+					Rm: arm64.RegNone, Ra: arm64.RegNone, Amount: -1, Label: it.Inst.Label}},
+			arm64.Item{Kind: arm64.ItemLabel, Name: skip, LineNo: it.LineNo})
+	}
+	f.Items = append(out, f.Items[next:]...)
+	return len(far)
 }

@@ -173,6 +173,26 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		t.Errorf("ambiguous spec: code=%d resp=%+v", code, resp)
 	}
 
+	// Unparseable source → 400 bad_request from both endpoints. A trailing
+	// comma once panicked the parser, and the client saw a dropped
+	// connection instead.
+	const trailingComma = "_start:\n\tadd x0, x1, x2,\n"
+	resp, code = postJob(t, ts, &JobRequest{Source: trailingComma})
+	if code != http.StatusBadRequest || resp.ErrorKind != "bad_request" {
+		t.Errorf("unparseable job source: code=%d resp=%+v", code, resp)
+	}
+	body, _ := json.Marshal(&ImageRequest{Name: "comma", Source: trailingComma})
+	hr, err = http.Post(ts.URL+"/v1/images", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ir JobResponse
+	json.NewDecoder(hr.Body).Decode(&ir)
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusBadRequest || ir.ErrorKind != "bad_request" {
+		t.Errorf("unparseable image source: code=%d resp=%+v", hr.StatusCode, ir)
+	}
+
 	// Over-quota tenant → 429 quota; the frozen clock never refills, so
 	// the second request must be rejected while the first succeeds.
 	resp, code = postJob(t, ts, &JobRequest{Image: "hello", Tenant: "metered"})

@@ -139,12 +139,12 @@ type wasmifier struct {
 	skipNext    bool
 }
 
-func (w *wasmifier) emit(inst arm64.Inst, line int) {
+func (w *wasmifier) emit(inst arm64.Inst, line int32) {
 	w.out = append(w.out, arm64.Item{Kind: arm64.ItemInst, Inst: inst, LineNo: line})
 }
 
 // loadHeapBase emits "ldr x24, [x21, #ctx]" per the reload policy.
-func (w *wasmifier) loadHeapBase(line int) {
+func (w *wasmifier) loadHeapBase(line int32) {
 	if w.sys.HeapReload == ReloadPerBlock && w.blockLoaded {
 		return
 	}
@@ -384,8 +384,8 @@ func addIndirectChecks(f *arm64.File) (*arm64.File, error) {
 	}
 	if added {
 		out = append(out,
-			arm64.Item{Kind: arm64.ItemDirective, Directive: "text"},
-			arm64.Item{Kind: arm64.ItemLabel, Label: trapLabel},
+			arm64.Item{Kind: arm64.ItemDirective, Name: "text"},
+			arm64.Item{Kind: arm64.ItemLabel, Name: trapLabel},
 			arm64.Item{Kind: arm64.ItemInst, Inst: arm64.Inst{
 				Op: arm64.BRK, Rd: arm64.RegNone, Rn: arm64.RegNone,
 				Rm: arm64.RegNone, Ra: arm64.RegNone, Imm: 77, Amount: -1,

@@ -52,6 +52,7 @@ import (
 	"lfi/internal/lfirt"
 	"lfi/internal/obs"
 	"lfi/internal/pool"
+	"lfi/internal/progs"
 	"lfi/internal/rewrite"
 	"lfi/internal/verifier"
 	"lfi/internal/wasmfront"
@@ -104,45 +105,16 @@ func Rewrite(asmSource string, opts CompileOptions) (string, RewriteStats, error
 	return nf.String(), stats, nil
 }
 
-// CompileResult is a built sandbox executable.
-type CompileResult struct {
-	// ELF is the executable image accepted by Runtime.Load.
-	ELF []byte
-	// Assembly is the guarded assembly text after rewriting.
-	Assembly string
-	// TextSize and FileSize support code-size comparisons (§6.3).
-	TextSize int
-	FileSize int
-	// Stats details the inserted guards.
-	Stats RewriteStats
-}
+// CompileResult is a built sandbox executable: the ELF image accepted by
+// Runtime.Load, TextSize and FileSize for code-size comparisons (§6.3),
+// and the rewriter's Stats. It carries no assembly text; Rewrite returns
+// the guarded assembly for callers who want to read it.
+type CompileResult = progs.BuildResult
 
 // Compile rewrites, assembles, and packages assembly source into a
 // sandbox ELF executable.
 func Compile(asmSource string, opts CompileOptions) (*CompileResult, error) {
-	f, err := arm64.ParseFile(asmSource)
-	if err != nil {
-		return nil, err
-	}
-	nf, stats, err := rewrite.Rewrite(f, opts.internal())
-	if err != nil {
-		return nil, err
-	}
-	img, err := arm64.Assemble(nf, arm64.Layout{TextBase: core.MinCodeOffset, PageSize: 16 * 1024})
-	if err != nil {
-		return nil, err
-	}
-	elfBytes, err := elfobj.FromImage(img).Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return &CompileResult{
-		ELF:      elfBytes,
-		Assembly: nf.String(),
-		TextSize: len(img.Text),
-		FileSize: len(elfBytes),
-		Stats:    stats,
-	}, nil
+	return progs.Build(asmSource, opts.internal())
 }
 
 // CompileWasm translates a WebAssembly module (MVP integer subset)
@@ -162,19 +134,7 @@ func CompileWasm(wasm []byte, opts CompileOptions) (*CompileResult, error) {
 // CompileNative assembles source without guards. The result does not pass
 // verification; it exists for baseline measurements.
 func CompileNative(asmSource string) (*CompileResult, error) {
-	f, err := arm64.ParseFile(asmSource)
-	if err != nil {
-		return nil, err
-	}
-	img, err := arm64.Assemble(f, arm64.Layout{TextBase: core.MinCodeOffset, PageSize: 16 * 1024})
-	if err != nil {
-		return nil, err
-	}
-	elfBytes, err := elfobj.FromImage(img).Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return &CompileResult{ELF: elfBytes, TextSize: len(img.Text), FileSize: len(elfBytes)}, nil
+	return progs.BuildNative(asmSource)
 }
 
 // VerifyStats summarizes a successful verification.
