@@ -50,7 +50,6 @@ func main() {
 	smoke := flag.Bool("smoke", false, "with -wasm: tiny iteration counts for CI")
 	jsonPath := flag.String("json", "", "with -emu/-wasm: also write the report to this file (e.g. BENCH_wasm.json)")
 	slowpath := flag.Bool("slowpath", false, "with -emu: use the per-step interpreter instead of the block fast path")
-	ablate := flag.Bool("ablate", false, "with -emu: run the dispatch-layer ablation (blocks only, +chaining, +superblocks, +fusion)")
 	metrics := flag.Bool("metrics", false, "with -emu/-pool: also report observability counters (caches, latency quantiles)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
@@ -149,11 +148,7 @@ func main() {
 		done = true
 	}
 	if *emuBench {
-		if *ablate {
-			runEmuAblation(*machine, *scale)
-		} else {
-			runEmu(*machine, *scale, !*slowpath, *jsonPath, *metrics)
-		}
+		runEmu(*machine, *scale, !*slowpath, *jsonPath, *metrics)
 		done = true
 	}
 	if *wasmBench {
@@ -203,8 +198,6 @@ func runEmu(machine string, scale float64, fastpath bool, jsonPath string, metri
 			"dispatches", s.FastRuns, s.SlowRuns, s.Flushes)
 		fmt.Printf("%-24s %12d hits %12d misses (%.2f%% hit)\n",
 			"chain links", s.ChainHits, s.ChainMisses, hitPct(s.ChainHits, s.ChainMisses))
-		fmt.Printf("%-24s %12d enters %10d side exits, %d stitched\n",
-			"superblocks", s.SBEnters, s.SBSideExits, s.SBBuilds)
 		fmt.Printf("%-24s %12d pairs %11d accesses\n",
 			"fused idioms", s.FusedPairs, s.FusedAccesses)
 	}
@@ -214,64 +207,6 @@ func runEmu(machine string, scale float64, fastpath bool, jsonPath string, metri
 		}
 		fmt.Printf("\nwrote %s\n", jsonPath)
 	}
-}
-
-// runEmuAblation measures each dispatch layer's contribution by running
-// the workload suite under the four stacked configurations. Functional
-// equivalence is asserted, not assumed: every configuration must retire
-// exactly the same instruction count and attribute exactly the same cycle
-// count (bit-identical float64s), and the full configuration must not be
-// slower than the base one beyond measurement noise.
-func runEmuAblation(machine string, scale float64) {
-	coreModel, _ := model(machine)
-	configs := []struct {
-		name string
-		opts bench.EmuOptions
-	}{
-		{"blocks only", bench.EmuOptions{Fastpath: true}},
-		{"+chaining", bench.EmuOptions{Fastpath: true, Chaining: true}},
-		{"+superblocks", bench.EmuOptions{Fastpath: true, Chaining: true, Tracing: true}},
-		{"+fusion", bench.DefaultEmuOptions()},
-	}
-	fmt.Printf("Dispatch-layer ablation — %s model, scale %.2f\n\n", machineTitle(machine), scale)
-	fmt.Printf("%-14s %14s %16s %12s %12s\n",
-		"config", "total instrs", "total cycles", "minstr/s", "mcf minstr/s")
-	reports := make([]*bench.EmuReport, len(configs))
-	for i, cfg := range configs {
-		rep, err := bench.EmuThroughputOpts(machine, coreModel, scale, cfg.opts)
-		if err != nil {
-			fatal("emu ablation: %v", err)
-		}
-		reports[i] = rep
-		mcf := 0.0
-		for _, r := range rep.Workloads {
-			if r.Workload == "505.mcf" {
-				mcf = r.InstrsPerSec / 1e6
-			}
-		}
-		fmt.Printf("%-14s %14d %16.0f %12.2f %12.2f\n",
-			cfg.name, rep.Total.Instrs, rep.Total.Cycles,
-			rep.Total.InstrsPerSec/1e6, mcf)
-	}
-	base := reports[0]
-	for i, rep := range reports[1:] {
-		if rep.Total.Instrs != base.Total.Instrs {
-			fatal("ablation: %q retired %d instrs, %q retired %d — dispatch layers changed semantics",
-				configs[i+1].name, rep.Total.Instrs, configs[0].name, base.Total.Instrs)
-		}
-		if rep.Total.Cycles != base.Total.Cycles {
-			fatal("ablation: %q attributed %.0f cycles, %q attributed %.0f — timing model diverged",
-				configs[i+1].name, rep.Total.Cycles, configs[0].name, base.Total.Cycles)
-		}
-	}
-	full := reports[len(reports)-1]
-	// Generous slack: wall-clock throughput on shared machines is noisy,
-	// and a genuine regression from the layers shows up far below this.
-	if full.Total.InstrsPerSec < 0.75*base.Total.InstrsPerSec {
-		fatal("ablation: full config %.2f Minstr/s is a regression vs blocks-only %.2f Minstr/s",
-			full.Total.InstrsPerSec/1e6, base.Total.InstrsPerSec/1e6)
-	}
-	fmt.Printf("\nok: instrs and cycles identical across configs; full config within noise of base or faster\n")
 }
 
 func hitPct(hits, misses uint64) float64 {

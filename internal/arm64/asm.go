@@ -211,6 +211,16 @@ func alignUp(v, a uint64) uint64 {
 	return (v + a - 1) &^ (a - 1)
 }
 
+// MaxSectionSize bounds each section of an assembled image. A few bytes
+// of source (`.space N`, `.balign N`) can ask for any size, and source
+// arrives from network clients, so Assemble rejects a section that grows
+// past this in pass 1, before it allocates anything. The value is the
+// slot layout's code margin (internal/core asserts the two are equal; it
+// imports this package, so the constant cannot live there): text may not
+// be larger than that in any case, and with every section held to it a
+// whole image stays far below the mmap arena in the slot's upper half.
+const MaxSectionSize = uint64(128) << 20
+
 // AssembleError decorates assembly failures with a line number.
 type AssembleError struct {
 	LineNo int32
@@ -337,7 +347,7 @@ func Assemble(f *File, layout Layout) (*Image, error) {
 			case "balign":
 				if len(it.Args) >= 1 {
 					v, ok := parseImmVal(it.Args[0])
-					if !ok || v <= 0 {
+					if !ok || v <= 0 || v&(v-1) != 0 {
 						return nil, &AssembleError{it.LineNo, fmt.Errorf("bad alignment")}
 					}
 					size[cur] = alignUp(size[cur], uint64(v))
@@ -349,6 +359,9 @@ func Assemble(f *File, layout Layout) (*Image, error) {
 				}
 				size[cur] += n
 			}
+		}
+		if size[cur] > MaxSectionSize {
+			return nil, &AssembleError{it.LineNo, fmt.Errorf("section exceeds %d bytes", MaxSectionSize)}
 		}
 	}
 

@@ -3,6 +3,7 @@ package arm64
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -143,6 +144,13 @@ func TestAssembleErrors(t *testing.T) {
 		{"\tb nowhere", "undefined symbol"},
 		{".data\n\tadd x0, x1, #1", "outside .text"},
 		{"x:\n\tldr x0, [x1, #99999]", "out of range"},
+		// Sizes a client can name in a few bytes; each must be refused in
+		// pass 1, before pass 2 allocates the section.
+		{".data\nbuf:\n\t.space 1099511627776", "section exceeds"},
+		{".rodata\nbuf:\n\t.space 1099511627776", "section exceeds"},
+		{".data\n\t.byte 1\n\t.balign 1099511627776", "section exceeds"},
+		{".bss\nbuf:\n\t.space 1099511627776", "section exceeds"},
+		{".data\n\t.byte 1\n\t.balign 1099511627777", "bad alignment"},
 	}
 	for _, c := range cases {
 		f, err := ParseFile(c.src)
@@ -152,6 +160,33 @@ func TestAssembleErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.sub) {
 			t.Errorf("src %q: err = %v, want substring %q", c.src, err, c.sub)
 		}
+		var ae *AssembleError
+		if !errors.As(err, &ae) {
+			t.Errorf("src %q: err is a %T, want an *AssembleError", c.src, err)
+		}
+	}
+}
+
+// A section exactly at the cap assembles; one byte more does not.
+func TestSectionCapBoundary(t *testing.T) {
+	src := func(n uint64) string { return fmt.Sprintf(".bss\nbuf:\n\t.space %d\n", n) }
+	f, err := ParseFile(src(MaxSectionSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := Assemble(f, Layout{TextBase: 0x100000})
+	if err != nil {
+		t.Fatalf("section of MaxSectionSize bytes: %v", err)
+	}
+	if img.BSSSize != MaxSectionSize {
+		t.Errorf("BSSSize = %d, want %d", img.BSSSize, MaxSectionSize)
+	}
+	f, err = ParseFile(src(MaxSectionSize + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Assemble(f, Layout{TextBase: 0x100000}); err == nil {
+		t.Error("section of MaxSectionSize+1 bytes assembled")
 	}
 }
 

@@ -29,14 +29,11 @@ type EmuReport struct {
 	Machine   string   `json:"machine"`
 	Scale     float64  `json:"scale"`
 	Fastpath  bool     `json:"fastpath"`
-	Chaining  bool     `json:"chaining"`
-	Tracing   bool     `json:"tracing"`
-	Fusion    bool     `json:"fusion"`
 	Workloads []EmuRow `json:"workloads"`
 	Total     EmuRow   `json:"total"`
 	// Emu aggregates the emulator's cache/dispatch counters across all
 	// workloads (block-cache and translation-cache hit rates, chain and
-	// superblock activity, fastpath vs slowpath dispatches).
+	// fusion activity, fastpath vs slowpath dispatches).
 	Emu emu.Stats `json:"emu"`
 }
 
@@ -58,46 +55,15 @@ func emuRow(name string, instrs uint64, cycles float64, wall time.Duration) EmuR
 	return r
 }
 
-// EmuOptions selects which dispatch layers an EmuThroughput run enables.
-// The zero value means "everything off"; Default() is the production
-// configuration.
-type EmuOptions struct {
-	Fastpath bool // predecoded-block loop vs per-step interpreter
-	Chaining bool // direct block chaining
-	Tracing  bool // hot-trace superblocks
-	Fusion   bool // guard-idiom fusion
-}
-
-// DefaultEmuOptions is the production configuration: all layers on.
-func DefaultEmuOptions() EmuOptions {
-	return EmuOptions{Fastpath: true, Chaining: true, Tracing: true, Fusion: true}
-}
-
 // emuReps is how many times each workload runs per measurement; the
 // fastest repetition is reported.
 const emuReps = 5
 
 // EmuThroughput runs every workload once under a timed runtime and
 // measures the simulator's own execution rate. fastpath selects the
-// predecoded-block loop (with all second-generation layers enabled) or
-// the per-step reference interpreter.
+// predecoded-block fast path or the per-step reference interpreter.
 func EmuThroughput(machine string, model *emu.CoreModel, scale float64, fastpath bool) (*EmuReport, error) {
-	opts := DefaultEmuOptions()
-	opts.Fastpath = fastpath
-	return EmuThroughputOpts(machine, model, scale, opts)
-}
-
-// EmuThroughputOpts is EmuThroughput with per-layer control, for ablation
-// runs (chaining alone, +superblocks, +fusion).
-func EmuThroughputOpts(machine string, model *emu.CoreModel, scale float64, opts EmuOptions) (*EmuReport, error) {
-	rep := &EmuReport{
-		Machine:  machine,
-		Scale:    scale,
-		Fastpath: opts.Fastpath,
-		Chaining: opts.Chaining,
-		Tracing:  opts.Tracing,
-		Fusion:   opts.Fusion,
-	}
+	rep := &EmuReport{Machine: machine, Scale: scale, Fastpath: fastpath}
 	var totInstrs uint64
 	var totCycles float64
 	var totWall time.Duration
@@ -118,12 +84,7 @@ func EmuThroughputOpts(machine string, model *emu.CoreModel, scale float64, opts
 			cfg := lfirt.DefaultConfig()
 			cfg.Model = model
 			rt := lfirt.New(cfg)
-			eo := emu.DefaultOptions()
-			eo.Fastpath = opts.Fastpath
-			eo.Chaining = opts.Chaining
-			eo.Tracing = opts.Tracing
-			eo.Fusion = opts.Fusion
-			rt.CPU.Apply(eo)
+			rt.CPU.SetFastpath(fastpath)
 			p, err := rt.Load(res.ELF)
 			if err != nil {
 				return nil, err

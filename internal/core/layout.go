@@ -7,6 +7,8 @@ package core
 // conditions against them. Keeping one definition means the oracles
 // cannot silently drift from the real layout.
 
+import "lfi/internal/arm64"
+
 const (
 	// DefaultPageSize is the page granularity the runtime and watchdog
 	// map memory at: the 16KiB Apple page size the paper targets.
@@ -43,6 +45,15 @@ const (
 	// recomputes this fixpoint from the swept encodings and
 	// TestSPDriftFixpoint pins the arithmetic.
 	SPMaxDrift = uint64(2048)
+)
+
+// The assembler's per-section cap is the code margin. internal/arm64
+// cannot import this package, so it spells the value out; each difference
+// below is a uint64 constant only if it is not negative, so this compiles
+// only while the two are equal.
+const (
+	_ = CodeMargin - arm64.MaxSectionSize
+	_ = arm64.MaxSectionSize - CodeMargin
 )
 
 // HostCallRegionSize is the size of the runtime's host-call landing

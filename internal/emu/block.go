@@ -1,19 +1,18 @@
-// Predecoded basic-block fast path, second generation.
+// Predecoded basic-block fast path.
 //
 // The per-step interpreter (Step) pays for a host-call range check, a PC
 // alignment check, an icache map lookup, and full timing-metadata
 // classification on every instruction. The fast path amortises all of that
-// to block boundaries and beyond, in three stacked layers:
+// to block boundaries, with three mechanisms that are always on together:
 //
-//  1. Predecode (PR 2): straight-line runs are decoded once into flat
-//     blocks whose slots carry the decoded instruction plus its cached
-//     retire metadata, and a tight inner loop executes the slots back to
-//     back. Blocks end at anything that can redirect or stop the flow:
-//     branches, SVC, BRK, undecodable words, page boundaries (the next
-//     page may be unmapped or remapped independently), and the host-call
-//     window.
+//   - Predecode: straight-line runs are decoded once into flat blocks
+//     whose slots carry the decoded instruction plus its cached retire
+//     metadata, and a tight inner loop executes the slots back to back.
+//     Blocks end at anything that can redirect or stop the flow: branches,
+//     SVC, BRK, undecodable words, page boundaries (the next page may be
+//     unmapped or remapped independently), and the host-call window.
 //
-//  2. Direct block chaining: when a block exit leads to a block that is
+//   - Direct block chaining: when a block exit leads to a block that is
 //     already predecoded, a direct pointer is patched into the exiting
 //     block's chain slots, keyed by the observed next PC. Dispatch then
 //     jumps block-to-block without re-hashing the PC or re-running the
@@ -23,16 +22,10 @@
 //     by comparing the target's pc (conflict eviction refills entries),
 //     so a stale link can only miss, never misdirect.
 //
-//  3. Hot-trace superblocks (trace.go): blocks entered more than
-//     traceThreshold times get the observed hot path — across
-//     unconditional and strongly biased conditional branches, with tight
-//     loops unrolled — stitched into a single superblock that executes
-//     with one budget check at entry and per-branch side-exit checks.
-//
-// Guard-idiom fusion (fuse.go) runs at predecode time inside layers 1 and
-// 3: the rewriter's staged-address guard sequences are marked so the
-// dispatch loops execute them through specialised accessors instead of the
-// general exec switch.
+//   - Guard-idiom fusion (fuse.go) runs at predecode time: the rewriter's
+//     staged-address guard sequences are marked so the dispatch loop
+//     executes them through specialised accessors instead of the general
+//     exec switch.
 //
 // Equivalence with the slow path is exact, not approximate:
 //   - exec() itself is shared (the fused executors replicate its
@@ -42,18 +35,17 @@
 //   - retire metadata is model-independent (scoreboard slots + latency
 //     class); retireWith runs the identical arithmetic in the identical
 //     order as per-step retire, so Timing.Cycles() is bit-identical.
-//   - the instruction budget is applied with exact carry-in: blocks and
-//     superblocks are clipped to the remaining budget (fused pairs split
-//     when the clip lands between them), so TrapBudget lands on the same
-//     instruction as the slow loop.
+//   - the instruction budget is applied with exact carry-in: blocks are
+//     clipped to the remaining budget (fused pairs split when the clip
+//     lands between them), so TrapBudget lands on the same instruction as
+//     the slow loop.
 //
-// All caches here (block cache, chain links, superblocks, page-translation
-// caches, the slow path's icache) are guarded by the AddrSpace epoch,
-// which bumps on any mapping mutation or host-side forced write. The
-// chained inner loop checks the epoch only at outer dispatches: mappings
-// cannot mutate during a single Run call, because every mutation path
-// (host calls, the scheduler, snapshot restore) first returns a trap out
-// of Run.
+// All caches here (block cache, chain links, page-translation caches, the
+// slow path's icache) are guarded by the AddrSpace epoch, which bumps on
+// any mapping mutation or host-side forced write. The chained inner loop
+// checks the epoch only at outer dispatches: mappings cannot mutate during
+// a single Run call, because every mutation path (host calls, the
+// scheduler, snapshot restore) first returns a trap out of Run.
 package emu
 
 import (
@@ -79,9 +71,6 @@ const (
 	// arms of a conditional branch (and memoizes up to two indirect
 	// targets).
 	chainWays = 2
-	// defaultTraceThreshold is the number of block entries before the hot
-	// successor sequence is stitched into a superblock.
-	defaultTraceThreshold = 64
 )
 
 // instSlot is one predecoded instruction plus its cached retire metadata
@@ -104,28 +93,15 @@ type bcEntry struct {
 	chainPC  [chainWays]uint64
 	chainTo  [chainWays]*bcEntry
 	chainClk uint8
-
-	// Trace-formation state: entry counter, last observed successor PC
-	// and its stability streak, and the stitched superblock (if any).
-	enters   uint32
-	stable   uint8
-	sbTries  uint8
-	sbFailed bool
-	lastNext uint64
-	sb       *superblock
 }
 
-// reset invalidates e and clears chain/trace state for reuse at pc.
+// reset invalidates e and clears its chain links for reuse at pc.
 func (e *bcEntry) reset(pc uint64) {
 	e.pc = pc
 	e.insts = e.insts[:0]
 	e.chainPC = [chainWays]uint64{}
 	e.chainTo = [chainWays]*bcEntry{}
 	e.chainClk = 0
-	e.enters, e.stable, e.sbTries = 0, 0, 0
-	e.sbFailed = false
-	e.lastNext = 0
-	e.sb = nil
 }
 
 // chainNext returns the already-validated successor block for pc, or nil.
@@ -276,9 +252,7 @@ func (c *CPU) decodeBlock(pc uint64, e *bcEntry) *Trap {
 			break
 		}
 	}
-	if c.fusion {
-		annotateFusion(e.insts)
-	}
+	annotateFusion(e.insts)
 	return nil
 }
 
@@ -319,10 +293,10 @@ func (c *CPU) runSlots(slots []instSlot) *Trap {
 
 // runBlocks is the fast-path Run loop. The outer loop's check order per
 // iteration matches the slow path exactly: budget, then host-call window,
-// then alignment. The inner loop follows chain links and enters
-// superblocks, re-checking only the budget: chained targets were proven
-// aligned and outside the host-call window when the link was installed,
-// and the epoch cannot move mid-Run (see the package comment).
+// then alignment. The inner loop follows chain links, re-checking only
+// the budget: chained targets were proven aligned and outside the
+// host-call window when the link was installed, and the epoch cannot move
+// mid-Run (see the package comment).
 func (c *CPU) runBlocks(maxInstrs uint64) *Trap {
 	end := ^uint64(0)
 	if maxInstrs != 0 {
@@ -365,22 +339,7 @@ func (c *CPU) runBlocks(maxInstrs uint64) *Trap {
 			if c.Instrs >= end {
 				return c.hotTrap(TrapBudget, c.PC)
 			}
-			npc := c.PC
-			if e.sb == nil {
-				// Successor statistics feed trace formation; frozen once
-				// a superblock covers the block.
-				if npc == e.lastNext {
-					if e.stable < 255 {
-						e.stable++
-					}
-				} else {
-					e.lastNext, e.stable = npc, 0
-				}
-			}
-			if !c.chaining {
-				break
-			}
-			if next := e.chainNext(npc); next != nil {
+			if next := e.chainNext(c.PC); next != nil {
 				c.Stat.ChainHits++
 				e = next
 				continue
@@ -392,25 +351,9 @@ func (c *CPU) runBlocks(maxInstrs uint64) *Trap {
 	}
 }
 
-// runEntry executes one dispatched block: its superblock when one is
-// stitched (stitching it first if the block just crossed the threshold),
-// otherwise its predecoded slots clipped to the remaining budget.
+// runEntry executes one dispatched block: its predecoded slots, clipped
+// to the remaining budget.
 func (c *CPU) runEntry(e *bcEntry, end uint64) *Trap {
-	if c.tracing {
-		if e.sb != nil {
-			return c.runSuperblock(e.sb, end)
-		}
-		e.enters++
-		// Each failed stitch attempt doubles the entry count required for
-		// the next one (conditional exits need a stability streak that
-		// only more entries can provide).
-		if !e.sbFailed && e.enters>>e.sbTries >= c.traceThreshold {
-			c.buildTrace(e)
-			if e.sb != nil {
-				return c.runSuperblock(e.sb, end)
-			}
-		}
-	}
 	slots := e.insts
 	if rem := end - c.Instrs; rem < uint64(len(slots)) {
 		slots = slots[:rem]

@@ -106,18 +106,6 @@ type CPU struct {
 	memEpoch uint64
 	fastpath bool
 
-	// Second-generation dispatch layers (see block.go/trace.go/fuse.go):
-	// direct block chaining, hot-trace superblocks, and guard-idiom
-	// fusion. Each has its own escape hatch so regressions can be
-	// bisected layer by layer in production.
-	chaining bool
-	tracing  bool
-	fusion   bool
-	// traceThreshold is the number of block entries before a superblock
-	// is stitched; sbCount bounds live superblocks between flushes.
-	traceThreshold uint32
-	sbCount        int
-
 	// Reused storage for the hot TrapBudget/TrapHostCall results, so
 	// budget-sliced scheduling does not allocate per slice. Traps of those
 	// kinds returned by Run are valid only until the next Run/Step call.
@@ -160,9 +148,6 @@ type Stats struct {
 	Flushes       uint64 `json:"flushes"`         // epoch-driven decode/translation flushes
 	ChainHits     uint64 `json:"chain_hits"`      // block transfers served by chain links
 	ChainMisses   uint64 `json:"chain_misses"`    // chain exits resolved by the outer dispatch
-	SBEnters      uint64 `json:"sb_enters"`       // superblock entries
-	SBSideExits   uint64 `json:"sb_side_exits"`   // superblock side exits (biased branch missed)
-	SBBuilds      uint64 `json:"sb_builds"`       // superblocks stitched
 	FusedPairs    uint64 `json:"fused_pairs"`     // guard+access pairs executed fused
 	FusedAccesses uint64 `json:"fused_accesses"`  // accesses served by the fused access path
 }
@@ -180,9 +165,6 @@ func (s *Stats) Add(other Stats) {
 	s.Flushes += other.Flushes
 	s.ChainHits += other.ChainHits
 	s.ChainMisses += other.ChainMisses
-	s.SBEnters += other.SBEnters
-	s.SBSideExits += other.SBSideExits
-	s.SBBuilds += other.SBBuilds
 	s.FusedPairs += other.FusedPairs
 	s.FusedAccesses += other.FusedAccesses
 }
@@ -200,74 +182,21 @@ func New(m *mem.AddrSpace) *CPU {
 		shift++
 	}
 	return &CPU{
-		Mem:            m,
-		icache:         make(map[uint64][]cachedInst),
-		pageShift:      shift,
-		pageSize:       ps,
-		memEpoch:       m.Epoch(),
-		fastpath:       bootOptions.Fastpath,
-		chaining:       bootOptions.Chaining,
-		tracing:        bootOptions.Tracing,
-		fusion:         bootOptions.Fusion,
-		traceThreshold: bootOptions.TraceThreshold,
+		Mem:       m,
+		icache:    make(map[uint64][]cachedInst),
+		pageShift: shift,
+		pageSize:  ps,
+		memEpoch:  m.Epoch(),
+		fastpath:  true,
 	}
 }
 
-// SetFastpath toggles the predecoded-block dispatch loop.
-//
-// Deprecated: use Apply with an Options struct; the individual setters
-// remain as thin wrappers.
-func (c *CPU) SetFastpath(on bool) { c.fastpath = on }
-
-// Fastpath reports whether the block dispatch loop is enabled.
-func (c *CPU) Fastpath() bool { return c.fastpath }
-
-// SetChaining toggles direct block chaining. Decoded blocks are dropped
-// so stale links from a previous setting can never be followed.
-//
-// Deprecated: use Apply with an Options struct.
-func (c *CPU) SetChaining(on bool) {
-	c.chaining = on
-	c.flushDecoded(c.Mem.Epoch())
-}
-
-// Chaining reports whether direct block chaining is enabled.
-func (c *CPU) Chaining() bool { return c.chaining }
-
-// SetTracing toggles hot-trace superblocks. Decoded blocks and stitched
-// superblocks are dropped.
-//
-// Deprecated: use Apply with an Options struct.
-func (c *CPU) SetTracing(on bool) {
-	c.tracing = on
-	c.flushDecoded(c.Mem.Epoch())
-}
-
-// Tracing reports whether hot-trace superblocks are enabled.
-func (c *CPU) Tracing() bool { return c.tracing }
-
-// SetFusion toggles guard-idiom fusion. Fusion marks are applied at
-// predecode time, so toggling drops decoded blocks.
-//
-// Deprecated: use Apply with an Options struct.
-func (c *CPU) SetFusion(on bool) {
-	c.fusion = on
-	c.flushDecoded(c.Mem.Epoch())
-}
-
-// Fusion reports whether guard-idiom fusion is enabled.
-func (c *CPU) Fusion() bool { return c.fusion }
-
-// SetTraceThreshold overrides the number of block entries before a hot
-// trace is stitched (tests and fuzzing use low values to form superblocks
-// quickly). Values below 1 are clamped to 1.
-//
-// Deprecated: use Apply with an Options struct.
-func (c *CPU) SetTraceThreshold(n uint32) {
-	if n < 1 {
-		n = 1
-	}
-	c.traceThreshold = n
+// SetFastpath selects the executor Run uses: the predecoded-block fast
+// path (the default) or, when off, the per-step interpreter that the
+// differential suites use as the bit-identical reference. Decoded state
+// is dropped so nothing cached under one executor is reused by the other.
+func (c *CPU) SetFastpath(on bool) {
+	c.fastpath = on
 	c.flushDecoded(c.Mem.Epoch())
 }
 
@@ -279,8 +208,8 @@ func (c *CPU) SetHostCallRegion(base, size uint64) {
 }
 
 // flushDecoded drops every decode- and translation-cache entry — including
-// chain links and stitched superblocks, which hold pointers into the block
-// cache — and marks the caches current as of epoch.
+// chain links, which hold pointers into the block cache — and marks the
+// caches current as of epoch.
 func (c *CPU) flushDecoded(epoch uint64) {
 	c.Stat.Flushes++
 	c.memEpoch = epoch
@@ -288,7 +217,6 @@ func (c *CPU) flushDecoded(epoch uint64) {
 	for i := range c.bcache {
 		c.bcache[i].reset(0)
 	}
-	c.sbCount = 0
 	c.tcRead = [tcacheSize]tcEntry{}
 	c.tcWrite = [tcacheSize]tcEntry{}
 }

@@ -5,7 +5,6 @@ package emu
 // the exact instruction at which every trap (including TrapBudget) lands.
 
 import (
-	"os"
 	"reflect"
 	"testing"
 
@@ -107,50 +106,9 @@ func compareTraps(t *testing.T, slow, fast *Trap, when string) {
 	}
 }
 
-// lockstep runs the program on three identical machines — per-step
-// reference, blocks-only fast path, and the full chained/traced/fused
-// configuration (with a tiny trace threshold so superblocks actually form
-// within short tests) — in deliberately awkward budget slices so
-// TrapBudget lands mid-block and mid-superblock, comparing the complete
-// architectural state after every slice and the final memory image at the
-// end. Returns the final trap.
-func lockstep(t *testing.T, src string) *Trap {
+// compareMem checks the two machines' whole memory images are identical.
+func compareMem(t *testing.T, slow, fast *CPU, when string) {
 	t.Helper()
-	slow := loadProgram(t, src)
-	slow.SetFastpath(false)
-	fast := loadProgram(t, src)
-	fast.SetFastpath(true)
-	fast.SetChaining(false)
-	fast.SetTracing(false)
-	fast.SetFusion(false)
-	full := loadProgram(t, src)
-	full.SetFastpath(true)
-	full.SetChaining(true)
-	full.SetTracing(true)
-	full.SetFusion(true)
-	full.SetTraceThreshold(2)
-
-	// Prime slice sizes defeat any alignment with block boundaries.
-	slices := []uint64{1, 2, 3, 5, 7, 11, 13, 17, 23, 97, 251, 1021}
-	var final *Trap
-	for i := 0; i < 100000; i++ {
-		n := slices[i%len(slices)]
-		str := slow.Run(n)
-		ftr := fast.Run(n)
-		ctr := full.Run(n)
-		compareTraps(t, str, ftr, "mid-run (blocks)")
-		compareCPUs(t, slow, fast, "mid-run (blocks)")
-		compareTraps(t, str, ctr, "mid-run (chained)")
-		compareCPUs(t, slow, full, "mid-run (chained)")
-		if str.Kind != TrapBudget {
-			final = str
-			break
-		}
-	}
-	if final == nil {
-		t.Fatal("program did not finish within the lockstep budget")
-	}
-
 	sm, err := slow.Mem.SnapshotRange(0, 0x900000)
 	if err != nil {
 		t.Fatal(err)
@@ -159,16 +117,40 @@ func lockstep(t *testing.T, src string) *Trap {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := full.Mem.SnapshotRange(0, 0x900000)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(sm, fm) {
-		t.Fatal("final memory snapshots diverge (blocks)")
+		t.Fatalf("%s: memory snapshots diverge", when)
 	}
-	if !reflect.DeepEqual(sm, cm) {
-		t.Fatal("final memory snapshots diverge (chained)")
+}
+
+// lockstep runs the program on two identical machines — the per-step
+// reference and the fast path — in deliberately awkward budget slices so
+// TrapBudget lands mid-block and between the halves of fused pairs,
+// comparing the complete architectural state after every slice and the
+// final memory image at the end. Returns the final trap.
+func lockstep(t *testing.T, src string) *Trap {
+	t.Helper()
+	slow := loadProgram(t, src)
+	slow.SetFastpath(false)
+	fast := loadProgram(t, src)
+
+	// Prime slice sizes defeat any alignment with block boundaries.
+	slices := []uint64{1, 2, 3, 5, 7, 11, 13, 17, 23, 97, 251, 1021}
+	var final *Trap
+	for i := 0; i < 100000; i++ {
+		n := slices[i%len(slices)]
+		str := slow.Run(n)
+		ftr := fast.Run(n)
+		compareTraps(t, str, ftr, "mid-run")
+		compareCPUs(t, slow, fast, "mid-run")
+		if str.Kind != TrapBudget {
+			final = str
+			break
+		}
 	}
+	if final == nil {
+		t.Fatal("program did not finish within the lockstep budget")
+	}
+	compareMem(t, slow, fast, "final")
 	return final
 }
 
@@ -333,7 +315,6 @@ loop:
 	slow := loadProgram(t, src)
 	slow.SetFastpath(false)
 	fast := loadProgram(t, src)
-	fast.SetFastpath(true)
 	const hcBase, hcLen = 0x300000, 0x10000
 	slow.SetHostCallRegion(hcBase, hcLen)
 	fast.SetHostCallRegion(hcBase, hcLen)
@@ -427,8 +408,8 @@ func assembleText(t *testing.T, src string) []byte {
 	return img.Text
 }
 
-// TestDiffChainEpochInvalidation checks that chain links and superblocks —
-// not just raw block decodes — are dropped when the address-space epoch
+// TestDiffChainEpochInvalidation checks that chain links — not just raw
+// block decodes — are dropped when the address-space epoch
 // bumps, in both mutation scenarios: remapping the text page, and
 // rewriting text in place with WriteForce (which cannot change mappings
 // but must still bump the epoch).
@@ -455,13 +436,6 @@ loop:
 `
 	for _, scenario := range []string{"remap", "rewrite-in-place"} {
 		c := loadProgram(t, loop1)
-		// Force every layer on regardless of EMU_* env knobs: this test is
-		// about invalidating chains and superblocks, so they must exist.
-		c.SetFastpath(true)
-		c.SetChaining(true)
-		c.SetTracing(true)
-		c.SetFusion(true)
-		c.SetTraceThreshold(2)
 		entry := c.PC
 		if tr := c.Run(0); tr == nil || tr.Kind != TrapBRK {
 			t.Fatalf("%s: first run trap = %v, want brk", scenario, tr)
@@ -469,12 +443,9 @@ loop:
 		if c.X[0] != 200 {
 			t.Fatalf("%s: x0 = %d, want 200", scenario, c.X[0])
 		}
-		// The run must actually have exercised the layers being tested.
+		// The run must actually have followed the links being tested.
 		if c.Stat.ChainHits == 0 {
 			t.Fatalf("%s: no chain hits recorded; chaining not exercised", scenario)
-		}
-		if c.Stat.SBEnters == 0 {
-			t.Fatalf("%s: no superblock entries recorded; tracing not exercised", scenario)
 		}
 
 		text2 := assembleText(t, loop2)
@@ -491,7 +462,7 @@ loop:
 			}
 		case "rewrite-in-place":
 			// No mapping mutation at all: WriteForce alone must invalidate
-			// the warm chains and superblocks.
+			// the warm chains.
 			if f := c.Mem.WriteForce(text2, textBase); f != nil {
 				t.Fatal(f)
 			}
@@ -501,17 +472,18 @@ loop:
 			t.Fatalf("%s: second run trap = %v, want brk", scenario, tr)
 		}
 		if c.X[0] != 600 {
-			t.Fatalf("%s: stale chained/traced code survived: x0 = %d, want 600", scenario, c.X[0])
+			t.Fatalf("%s: stale chained code survived: x0 = %d, want 600", scenario, c.X[0])
 		}
 	}
 }
 
-// TestDiffSnapshotMidSuperblock stops a machine whose hot loop runs inside
-// an unrolled superblock at a budget trap that necessarily lands mid-trace,
-// snapshots memory and architectural state, rebuilds a machine from the
-// snapshot, and runs both forward in lockstep: the restored machine must
-// resume at the exact PC and stay bit-identical to the original.
-func TestDiffSnapshotMidSuperblock(t *testing.T) {
+// TestDiffSnapshotMidChainedLoop stops a machine whose hot loop runs over
+// a warm chain link at a budget trap that lands mid-block, snapshots
+// memory and architectural state, rebuilds a machine from the snapshot
+// (cold caches, no links), and runs both forward in lockstep: the restored
+// machine must resume at the exact PC and stay bit-identical to the
+// original.
+func TestDiffSnapshotMidChainedLoop(t *testing.T) {
 	const src = `
 _start:
 	mov x0, #0
@@ -525,23 +497,16 @@ loop:
 `
 	a := loadProgram(t, src)
 	a.Timing = nil // timing scoreboards are not part of a snapshot
-	// Force every layer on regardless of EMU_* env knobs: the point of the
-	// test is to snapshot while executing inside a superblock.
-	a.SetFastpath(true)
-	a.SetChaining(true)
-	a.SetTracing(true)
-	a.SetFusion(true)
-	a.SetTraceThreshold(2)
-	// Warm up until the loop runs inside a superblock; the 4-instruction
-	// loop unrolls far past the 97-instruction slices, so every budget trap
-	// from here on lands mid-superblock.
+	// Warm up until the loop block is chained to itself; 97 is not a
+	// multiple of the 4-instruction loop, so budget traps from here on land
+	// inside the block.
 	for i := 0; i < 20; i++ {
 		if tr := a.Run(97); tr.Kind != TrapBudget {
 			t.Fatalf("warmup trap = %v, want budget", tr)
 		}
 	}
-	if a.Stat.SBEnters == 0 {
-		t.Fatal("superblock never entered during warmup")
+	if a.Stat.ChainHits == 0 {
+		t.Fatal("no chain link followed during warmup")
 	}
 
 	pages, err := a.Mem.SnapshotRange(0, 0x900000)
@@ -553,11 +518,6 @@ loop:
 		t.Fatal(err)
 	}
 	b := New(as)
-	b.SetFastpath(true)
-	b.SetChaining(true)
-	b.SetTracing(true)
-	b.SetFusion(true)
-	b.SetTraceThreshold(2)
 	b.X, b.SP, b.V = a.X, a.SP, a.V
 	b.FlagN, b.FlagZ, b.FlagC, b.FlagV = a.FlagN, a.FlagZ, a.FlagC, a.FlagV
 	b.PC = a.PC
@@ -583,90 +543,77 @@ loop:
 	}
 }
 
-// TestDispatchKnobs checks the per-layer escape hatches and their getters.
-func TestDispatchKnobs(t *testing.T) {
-	c := loadProgram(t, `
+// TestDiffFusedPairBudgetSplit runs one straight-line block dense in
+// guard+access idioms under every budget from 1 to the block length, so
+// TrapBudget lands on every slot — in particular between the two halves of
+// every fused pair, where runSlots must run the head alone — and checks
+// the stop and the resumed run against the per-step interpreter.
+func TestDiffFusedPairBudgetSplit(t *testing.T) {
+	const src = `
 _start:
+	adrp x21, buf
+	add x21, x21, :lo12:buf
+	mov w1, #8
+	mov x3, #0x1234
+	add x22, x21, w1, uxtw
+	str x3, [x22]
+	add x22, x21, w1, uxtw
+	ldr x4, [x22]
+	add x18, x21, w1, uxtw
+	ldrb w5, [x18, #1]
+	and x22, x1, #0xff
+	ldr x6, [x21, x22]
+	add x22, x21, w4, uxtw
+	strh w3, [x22, #2]
+	sub x22, x22, #2
+	ldrsh x7, [x22, #4]
+	eor x22, x21, x1
+	ldrsw x8, [x22]
+	mov x22, x21
+	ldr d0, [x22, #8]
 	brk #0
-`)
-	// Defaults follow the EMU_* env knobs: each layer is on unless its
-	// knob is the literal string "off".
-	wantFast := os.Getenv("EMU_FASTPATH") != "off"
-	wantChain := os.Getenv("EMU_CHAIN") != "off"
-	wantTrace := os.Getenv("EMU_TRACE") != "off"
-	wantFuse := os.Getenv("EMU_FUSE") != "off"
-	if c.Fastpath() != wantFast || c.Chaining() != wantChain || c.Tracing() != wantTrace || c.Fusion() != wantFuse {
-		t.Fatalf("defaults: fastpath=%v chaining=%v tracing=%v fusion=%v, want %v %v %v %v (from EMU_* env)",
-			c.Fastpath(), c.Chaining(), c.Tracing(), c.Fusion(),
-			wantFast, wantChain, wantTrace, wantFuse)
+.bss
+buf:
+	.space 8192
+`
+	probe := loadProgram(t, src)
+	entry := probe.PC
+	if tr := probe.Run(0); tr.Kind != TrapBRK {
+		t.Fatalf("probe trap = %v, want brk", tr)
 	}
-	c.SetChaining(false)
-	c.SetTracing(false)
-	c.SetFusion(false)
-	if c.Chaining() || c.Tracing() || c.Fusion() {
-		t.Fatal("setters did not disable layers")
+	block := probe.bcache[(entry>>2)&(bcacheSize-1)].insts
+	if uint64(len(block)) != probe.Instrs+1 {
+		t.Fatalf("program is %d instructions but its first block has %d; want one block",
+			probe.Instrs+1, len(block))
 	}
-	c.SetTraceThreshold(0) // clamps to 1
-	c.SetChaining(true)
-	c.SetTracing(true)
-	if tr := c.Run(10); tr == nil || tr.Kind != TrapBRK {
-		t.Fatalf("trap = %v, want brk", tr)
-	}
-
-	// The consolidated entry point: Apply reconfigures every layer in one
-	// step and Options reads the configuration back verbatim (modulo the
-	// threshold clamp).
-	want := Options{Fastpath: true, Chaining: false, Tracing: true, Fusion: false, TraceThreshold: 7}
-	c.Apply(want)
-	if got := c.Options(); got != want {
-		t.Errorf("Options() = %+v after Apply(%+v)", got, want)
-	}
-	c.Apply(Options{}) // zero threshold clamps to 1
-	if got := c.Options(); got.TraceThreshold != 1 {
-		t.Errorf("Apply did not clamp TraceThreshold: %d", got.TraceThreshold)
-	}
-	c.Apply(DefaultOptions())
-	if got := c.Options(); got != DefaultOptions() {
-		t.Errorf("Options() = %+v after Apply(DefaultOptions())", got)
-	}
-	if tr := c.Run(10); tr == nil || tr.Kind != TrapBRK {
-		t.Fatalf("trap after Apply = %v, want brk", tr)
-	}
-
-	// Env contract: each EMU_* variable disables its layer only when set
-	// to the literal string "off", and OptionsFromEnv reads the
-	// environment at call time.
-	for _, k := range []string{"EMU_FASTPATH", "EMU_CHAIN", "EMU_TRACE", "EMU_FUSE"} {
-		t.Setenv(k, "")
-	}
-	if got := OptionsFromEnv(); got != DefaultOptions() {
-		t.Errorf("OptionsFromEnv() with empty env = %+v, want defaults", got)
-	}
-	t.Setenv("EMU_FASTPATH", "0") // not the literal "off": stays on
-	if !OptionsFromEnv().Fastpath {
-		t.Error(`EMU_FASTPATH="0" disabled the fastpath; only "off" should`)
-	}
-	envCases := []struct {
-		key string
-		get func(Options) bool
-	}{
-		{"EMU_FASTPATH", func(o Options) bool { return o.Fastpath }},
-		{"EMU_CHAIN", func(o Options) bool { return o.Chaining }},
-		{"EMU_TRACE", func(o Options) bool { return o.Tracing }},
-		{"EMU_FUSE", func(o Options) bool { return o.Fusion }},
-	}
-	for _, ec := range envCases {
-		t.Setenv(ec.key, "off")
-		o := OptionsFromEnv()
-		if ec.get(o) {
-			t.Errorf("%s=off did not disable its layer", ec.key)
-		}
-		for _, other := range envCases {
-			if other.key != ec.key && !other.get(o) {
-				t.Errorf("%s=off also disabled %s's layer", ec.key, other.key)
+	splits := 0
+	for n := 1; n <= len(block); n++ {
+		slow := loadProgram(t, src)
+		slow.SetFastpath(false)
+		fast := loadProgram(t, src)
+		compareTraps(t, slow.Run(uint64(n)), fast.Run(uint64(n)), "clipped")
+		compareCPUs(t, slow, fast, "clipped")
+		compareMem(t, slow, fast, "clipped")
+		// Pairs wholly inside the clip ran fused; a head in the last
+		// clipped slot ran alone.
+		var whole uint64
+		for k := 0; k+1 < n; k++ {
+			if block[k].fuse.kind == fusePair {
+				whole++
 			}
 		}
-		t.Setenv(ec.key, "")
+		if fast.Stat.FusedPairs != whole {
+			t.Fatalf("budget %d: %d fused pairs executed, want %d", n, fast.Stat.FusedPairs, whole)
+		}
+		if block[n-1].fuse.kind == fusePair {
+			splits++
+		}
+		compareTraps(t, slow.Run(0), fast.Run(0), "resumed")
+		compareCPUs(t, slow, fast, "resumed")
+		compareMem(t, slow, fast, "resumed")
+	}
+	if splits < 8 {
+		t.Fatalf("only %d budgets split a fused pair, want at least 8", splits)
 	}
 }
 

@@ -28,9 +28,9 @@
 // retire separately with their own pc and metadata (so Timing cycles are
 // bit-identical), Instrs advances once per instruction, and a fault in
 // the access leaves the guard retired exactly as the unfused path would.
-// Budget clipping may split a pair: the dispatch loops (block.go,
-// trace.go) run the head generically when its partner falls outside the
-// clip, so TrapBudget still lands on the exact instruction.
+// Budget clipping may split a pair: runSlots (block.go) runs the head
+// generically when its partner falls outside the clip, so TrapBudget
+// still lands on the exact instruction.
 package emu
 
 import "lfi/internal/arm64"

@@ -385,11 +385,10 @@ func (t *Timing) retire(c *CPU, i *arm64.Inst, pc uint64, eff *effects) {
 }
 
 // retireWith charges one instruction described by md to the scoreboard.
-// Every dispatch generation retires through here — the per-step path (via
-// retire), predecoded blocks, superblocks, and the fused executors in
-// fuse.go all pass the instruction's real pc and predecoded metadata, so
-// cycle accounting is bit-identical no matter which engine executed the
-// instruction.
+// Both executors retire through here — the per-step path (via retire),
+// predecoded blocks and the fused executors in fuse.go all pass the
+// instruction's real pc and predecoded metadata, so cycle accounting is
+// bit-identical no matter which one executed the instruction.
 func (t *Timing) retireWith(pc uint64, eff *effects, md *retireMeta) {
 	m := t.Model
 	t.Retired++

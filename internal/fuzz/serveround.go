@@ -165,8 +165,9 @@ func serveRound(seed int64, rep *FaultReport) {
 	}
 
 	// The drained server answers with the closed taxonomy error, not a
-	// hang or a transport failure.
-	if kind, _ := serveSyncProbe(client, base, map[string]any{"image": "quick"}, rng, report); kind != "closed" {
+	// hang or a transport failure. The probe is never canceled (nil rng):
+	// a cancel that wins the race leaves no kind to classify.
+	if kind, _ := serveSyncProbe(client, base, map[string]any{"image": "quick"}, nil, report); kind != "closed" {
 		report("post-close submit classified %q, want closed", kind)
 	}
 
@@ -183,10 +184,11 @@ func serveRound(seed int64, rep *FaultReport) {
 // serveSyncProbe submits one sync job. It returns the response's error
 // kind ("" if the response was unusable) and whether the client
 // canceled the request itself — the one case where a missing response
-// is legitimate.
+// is legitimate. One request in four is canceled mid-flight, drawn from
+// rng; a nil rng sends a plain request that is never canceled.
 func serveSyncProbe(client *http.Client, base string, req map[string]any, rng *rand.Rand, report func(string, ...any)) (string, bool) {
 	ctx := context.Background()
-	cancelMidFlight := rng.Intn(4) == 0
+	cancelMidFlight := rng != nil && rng.Intn(4) == 0
 	var cancel context.CancelFunc
 	if cancelMidFlight {
 		ctx, cancel = context.WithCancel(ctx)

@@ -33,18 +33,11 @@ type watchdog struct {
 
 func pageUp(v uint64) uint64 { return (v + pageSize - 1) &^ (pageSize - 1) }
 
-// wdMode selects which emulator dispatch generation a watchdog runs.
-type wdMode int
-
-const (
-	wdSlow    wdMode = iota // per-step reference interpreter
-	wdFast                  // predecoded blocks only (PR-2 fast path)
-	wdChained               // blocks + chaining + superblocks + fusion
-)
-
 // newWatchdog builds a machine around text placed per img's layout. The
 // text may differ from img.Text (mutants); only its placement is reused.
-func newWatchdog(img *arm64.Image, text []byte, slot uint64, mode wdMode) (*watchdog, error) {
+// fastpath selects the emulator's fast path or, when false, the per-step
+// reference interpreter.
+func newWatchdog(img *arm64.Image, text []byte, slot uint64, fastpath bool) (*watchdog, error) {
 	as := mem.NewAddrSpace(pageSize)
 	if err := as.Map(slot, core.CallTableSize, mem.PermRead); err != nil {
 		return nil, err
@@ -77,16 +70,7 @@ func newWatchdog(img *arm64.Image, text []byte, slot uint64, mode wdMode) (*watc
 	}
 
 	c := emu.New(as)
-	chained := mode == wdChained
-	c.Apply(emu.Options{
-		Fastpath: mode != wdSlow,
-		Chaining: chained,
-		Tracing:  chained,
-		Fusion:   chained,
-		// Fuzz programs are short; stitch superblocks almost immediately so
-		// the trace machinery is actually exercised within a run.
-		TraceThreshold: 2,
-	})
+	c.SetFastpath(fastpath)
 	c.SetHostCallRegion(hostBase, core.HostCallRegionSize)
 	c.Timing = emu.NewTiming(emu.ModelM1())
 	c.PC = img.Entry
@@ -194,23 +178,18 @@ func trapsDiffer(slow, fast *emu.Trap) string {
 // boundaries in the fast path.
 var lockstepSlices = []uint64{1, 2, 3, 5, 7, 11, 13, 17, 23, 97, 251, 1021, 4099}
 
-// runLockstep executes text on three watchdog machines — per-step
-// reference, predecoded blocks, and the full chained/traced/fused
-// configuration — comparing complete state (registers, memory, flags,
-// Instrs, cycles) after every slice, checking containment and register
-// invariants on every trap, and comparing the final memory images. It
-// serves oracles 2 and 3 in a single run: any escape, invariant break, or
-// divergence between dispatch generations is a violation.
+// runLockstep executes text on two watchdog machines — the per-step
+// reference and the fast path — comparing complete state (registers,
+// memory, flags, Instrs, cycles) after every slice, checking containment
+// and register invariants on every trap, and comparing the final memory
+// images. It serves oracles 2 and 3 in a single run: any escape,
+// invariant break, or divergence between the executors is a violation.
 func runLockstep(img *arm64.Image, text []byte, slot, budget uint64) []string {
-	slow, err := newWatchdog(img, text, slot, wdSlow)
+	slow, err := newWatchdog(img, text, slot, false)
 	if err != nil {
 		return []string{fmt.Sprintf("watchdog setup: %v", err)}
 	}
-	fast, err := newWatchdog(img, text, slot, wdFast)
-	if err != nil {
-		return []string{fmt.Sprintf("watchdog setup: %v", err)}
-	}
-	chained, err := newWatchdog(img, text, slot, wdChained)
+	fast, err := newWatchdog(img, text, slot, true)
 	if err != nil {
 		return []string{fmt.Sprintf("watchdog setup: %v", err)}
 	}
@@ -226,21 +205,12 @@ func runLockstep(img *arm64.Image, text []byte, slot, budget uint64) []string {
 		spent += n
 		str := slow.cpu.Run(n)
 		ftr := fast.cpu.Run(n)
-		ctr := chained.cpu.Run(n)
 		if d := trapsDiffer(str, ftr); d != "" {
 			report("fastpath: " + d)
 			return violations
 		}
-		if d := trapsDiffer(str, ctr); d != "" {
-			report("chained: " + d)
-			return violations
-		}
 		if d := diverged(slow.cpu, fast.cpu); d != "" {
 			report("fastpath: " + d)
-			return violations
-		}
-		if d := diverged(slow.cpu, chained.cpu); d != "" {
-			report("chained: " + d)
 			return violations
 		}
 		if str == nil {
@@ -265,22 +235,15 @@ func runLockstep(img *arm64.Image, text []byte, slot, budget uint64) []string {
 			}
 			slow.cpu.PC = slow.cpu.X[30]
 			fast.cpu.PC = fast.cpu.X[30]
-			chained.cpu.PC = chained.cpu.X[30]
 			continue
 		}
 		// Terminal trap (brk, fault, undefined, svc): compare memory.
 		sm, err1 := slow.cpu.Mem.SnapshotRange(slot, slot+512*1024*1024)
 		fm, err2 := fast.cpu.Mem.SnapshotRange(slot, slot+512*1024*1024)
-		cm, err3 := chained.cpu.Mem.SnapshotRange(slot, slot+512*1024*1024)
-		if err1 != nil || err2 != nil || err3 != nil {
-			report(fmt.Sprintf("memory snapshot: %v / %v / %v", err1, err2, err3))
-		} else {
-			if !reflect.DeepEqual(sm, fm) {
-				report("fastpath: final memory snapshots diverge")
-			}
-			if !reflect.DeepEqual(sm, cm) {
-				report("chained: final memory snapshots diverge")
-			}
+		if err1 != nil || err2 != nil {
+			report(fmt.Sprintf("memory snapshot: %v / %v", err1, err2))
+		} else if !reflect.DeepEqual(sm, fm) {
+			report("fastpath: final memory snapshots diverge")
 		}
 		return violations
 	}

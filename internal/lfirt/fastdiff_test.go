@@ -2,10 +2,9 @@ package lfirt
 
 // End-to-end differential tests: every workload program must produce an
 // identical run — exit status, stdout, retired instruction count, cycle
-// count, and final register file — under all three emulator dispatch
-// generations (the per-step reference interpreter, predecoded blocks
-// only, and blocks + chaining + superblocks + fusion), including the
-// exact instruction at which a deadline kill lands.
+// count, and final register file — under both emulator executors (the
+// per-step reference interpreter and the fast path), including the exact
+// instruction at which a deadline kill lands.
 
 import (
 	"errors"
@@ -18,40 +17,6 @@ import (
 	"lfi/internal/workloads"
 )
 
-// diffCfg selects which dispatch generation a differential run uses.
-type diffCfg int
-
-const (
-	cfgSlow diffCfg = iota // per-step reference interpreter
-	cfgFast                // predecoded blocks only
-	cfgFull                // blocks + chaining + superblocks + fusion
-)
-
-func (c diffCfg) String() string {
-	switch c {
-	case cfgSlow:
-		return "slow"
-	case cfgFast:
-		return "fast"
-	default:
-		return "full"
-	}
-}
-
-// applyCfg configures a CPU for one dispatch generation. The full
-// configuration drops the trace threshold so superblocks form within even
-// short test programs.
-func applyCfg(c *emu.CPU, cfg diffCfg) {
-	c.SetFastpath(cfg != cfgSlow)
-	full := cfg == cfgFull
-	c.SetChaining(full)
-	c.SetTracing(full)
-	c.SetFusion(full)
-	if full {
-		c.SetTraceThreshold(2)
-	}
-}
-
 type runResult struct {
 	status int
 	err    string
@@ -63,12 +28,12 @@ type runResult struct {
 	v      [32][2]uint64
 }
 
-func runPath(t *testing.T, elf []byte, dc diffCfg, budget uint64) runResult {
+func runPath(t *testing.T, elf []byte, fastpath bool, budget uint64) runResult {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Model = emu.ModelM1()
 	rt := New(cfg)
-	applyCfg(rt.CPU, dc)
+	rt.CPU.SetFastpath(fastpath)
 	p, err := rt.Load(elf)
 	if err != nil {
 		t.Fatalf("load: %v", err)
@@ -91,12 +56,10 @@ func runPath(t *testing.T, elf []byte, dc diffCfg, budget uint64) runResult {
 
 func diffRun(t *testing.T, name string, elf []byte, budget uint64) {
 	t.Helper()
-	slow := runPath(t, elf, cfgSlow, budget)
-	for _, dc := range []diffCfg{cfgFast, cfgFull} {
-		got := runPath(t, elf, dc, budget)
-		if !reflect.DeepEqual(slow, got) {
-			t.Errorf("%s: %v path diverges from reference:\nslow=%+v\n%v=%+v", name, dc, slow, dc, got)
-		}
+	slow := runPath(t, elf, false, budget)
+	fast := runPath(t, elf, true, budget)
+	if !reflect.DeepEqual(slow, fast) {
+		t.Errorf("%s: fast path diverges from reference:\nslow=%+v\nfast=%+v", name, slow, fast)
 	}
 }
 
@@ -148,20 +111,18 @@ msg:
 }
 
 // TestDiffDeadlineExact verifies ErrDeadline fires after the same retired
-// instruction on every path: neither the fast path's budget carry-in nor a
-// superblock's entry clip may slide the kill point even by one instruction.
+// instruction on both paths: the fast path's budget carry-in and block
+// clip may not slide the kill point even by one instruction.
 func TestDiffDeadlineExact(t *testing.T) {
 	w, _ := workloads.Get("531.deepsjeng")
 	elf := build(t, w.Source(0.05))
 	// Budgets chosen to land mid-run, at awkward offsets w.r.t. any
-	// block or superblock boundary.
+	// block boundary.
 	for _, budget := range []uint64{1, 97, 1009, 10007, 30011} {
-		slow := runPath(t, elf, cfgSlow, budget)
-		for _, dc := range []diffCfg{cfgFast, cfgFull} {
-			got := runPath(t, elf, dc, budget)
-			if !reflect.DeepEqual(slow, got) {
-				t.Errorf("budget=%d: %v deadline run diverges:\nslow=%+v\n%v=%+v", budget, dc, slow, dc, got)
-			}
+		slow := runPath(t, elf, false, budget)
+		fast := runPath(t, elf, true, budget)
+		if !reflect.DeepEqual(slow, fast) {
+			t.Errorf("budget=%d: deadline run diverges:\nslow=%+v\nfast=%+v", budget, slow, fast)
 		}
 		if slow.err == "" {
 			t.Fatalf("budget=%d did not trip the deadline; pick a smaller budget", budget)
@@ -198,11 +159,11 @@ func TestDiffMidRunMemory(t *testing.T) {
 		sp      uint64
 		memHash string
 	}
-	capture := func(dc diffCfg) stop {
+	capture := func(fastpath bool) stop {
 		cfg := DefaultConfig()
 		cfg.Model = emu.ModelM1()
 		rt := New(cfg)
-		applyCfg(rt.CPU, dc)
+		rt.CPU.SetFastpath(fastpath)
 		p, err := rt.Load(elf)
 		if err != nil {
 			t.Fatal(err)
@@ -228,37 +189,34 @@ func TestDiffMidRunMemory(t *testing.T) {
 			memHash: string(buf),
 		}
 	}
-	slow := capture(cfgSlow)
-	for _, dc := range []diffCfg{cfgFast, cfgFull} {
-		got := capture(dc)
-		if slow.kind != got.kind || slow.pc != got.pc || slow.instrs != got.instrs ||
-			slow.cycles != got.cycles || slow.x != got.x || slow.sp != got.sp {
-			t.Fatalf("mid-run state diverges: slow kind=%v pc=%#x instrs=%d, %v kind=%v pc=%#x instrs=%d",
-				slow.kind, slow.pc, slow.instrs, dc, got.kind, got.pc, got.instrs)
-		}
-		if slow.memHash != got.memHash {
-			t.Fatalf("mid-run memory images diverge (%v)", dc)
-		}
+	slow, fast := capture(false), capture(true)
+	if slow.kind != fast.kind || slow.pc != fast.pc || slow.instrs != fast.instrs ||
+		slow.cycles != fast.cycles || slow.x != fast.x || slow.sp != fast.sp {
+		t.Fatalf("mid-run state diverges: slow kind=%v pc=%#x instrs=%d, fast kind=%v pc=%#x instrs=%d",
+			slow.kind, slow.pc, slow.instrs, fast.kind, fast.pc, fast.instrs)
+	}
+	if slow.memHash != fast.memHash {
+		t.Fatal("mid-run memory images diverge")
 	}
 }
 
 // TestDiffSnapshotHotProc snapshots a process whose hot loop has already
-// been stitched into superblocks (it parks in an RTRecv on an empty ring
+// run over chain links (it parks in an RTRecv on an empty ring
 // mid-program), then restores it three ways: into the same runtime (whose
-// CPU still holds superblocks and chain links built over the original
-// slot), into a fresh fully-optimized runtime, and into a reference
-// interpreter runtime. All three clones must resume at the correct PC
-// with the snapshotted registers — the program's second loop continues
-// the first loop's counter and checks the exact final value — and exit
-// identically. This pins two properties at the runtime level: restores
-// never resume through stale superblocks (the clone lands in a different
-// slot, so warm traces keyed by the old pcs must not misfire), and a
-// snapshot image is dispatch-generation independent.
+// CPU still holds blocks and chain links built over the original slot),
+// into a fresh fast-path runtime, and into a reference interpreter
+// runtime. All three clones must resume at the correct PC with the
+// snapshotted registers — the program's second loop continues the first
+// loop's counter and checks the exact final value — and exit identically.
+// This pins two properties at the runtime level: restores never resume
+// through stale links (the clone lands in a different slot, so warm
+// blocks keyed by the old pcs must not misfire), and a snapshot image is
+// executor independent.
 func TestDiffSnapshotHotProc(t *testing.T) {
 	src := `
 _start:
-	// First hot loop: 2000 iterations, hot enough to stitch superblocks
-	// at the lowered trace threshold before the program parks.
+	// First hot loop: 2000 iterations over the loop block's chain link
+	// to itself before the program parks.
 	mov x19, #0
 loop1:
 	add x19, x19, #1
@@ -305,21 +263,18 @@ buf:
 	.space 8
 `
 	rt := newRT(t)
-	applyCfg(rt.CPU, cfgFull)
 	p := blockedDeadlock(t, rt, src, 1)
-	if rt.CPU.Stat.SBEnters == 0 {
-		t.Fatal("hot loop never entered a superblock; the snapshot point is not downstream of traced code")
+	if rt.CPU.Stat.ChainHits == 0 {
+		t.Fatal("hot loop never followed a chain link; the snapshot point is not downstream of chained code")
 	}
 	snap, err := rt.Snapshot(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rtFull := newRT(t)
-	applyCfg(rtFull.CPU, cfgFull)
 	rtSlow := newRT(t)
-	applyCfg(rtSlow.CPU, cfgSlow)
-	for name, dst := range map[string]*Runtime{"same": rt, "full": rtFull, "slow": rtSlow} {
+	rtSlow.CPU.SetFastpath(false)
+	for name, dst := range map[string]*Runtime{"same": rt, "fast": newRT(t), "slow": rtSlow} {
 		q, err := dst.Restore(snap)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

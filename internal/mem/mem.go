@@ -324,8 +324,8 @@ func (as *AddrSpace) WriteAt(b []byte, addr uint64) *Fault {
 // WriteForce copies b to addr ignoring permissions (loader use only; the
 // pages must exist). Because it can rewrite pages mapped read/exec — the
 // one way text changes without a mapping mutation — it bumps the epoch so
-// decoded-block caches, chain links, and superblocks built over the old
-// bytes are dropped.
+// decoded-block caches and chain links built over the old bytes are
+// dropped.
 func (as *AddrSpace) WriteForce(b []byte, addr uint64) *Fault {
 	defer as.invalidate()
 	for len(b) > 0 {

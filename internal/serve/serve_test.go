@@ -193,6 +193,13 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		t.Errorf("unparseable image source: code=%d resp=%+v", hr.StatusCode, ir)
 	}
 
+	// A section size no slot could hold → 400 bad_request, refused by the
+	// assembler before it allocates (`.space N` once allocated N bytes).
+	resp, code = postJob(t, ts, &JobRequest{Source: "_start:\n\tret\n.data\nbuf:\n\t.space 1099511627776\n"})
+	if code != http.StatusBadRequest || resp.ErrorKind != "bad_request" || !strings.Contains(resp.Error, "section exceeds") {
+		t.Errorf("oversized section: code=%d resp=%+v", code, resp)
+	}
+
 	// Over-quota tenant → 429 quota; the frozen clock never refills, so
 	// the second request must be rejected while the first succeeds.
 	resp, code = postJob(t, ts, &JobRequest{Image: "hello", Tenant: "metered"})
