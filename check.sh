@@ -28,11 +28,13 @@ echo '== IPC suite under race (conformance, stress, pipelines, snapshot regressi
 go test -race -run 'TestIPC|TestRing|TestStream|TestDgram|TestPipeline|TestSnapshotBlocked|TestYield' \
     ./internal/lfirt ./internal/pool
 
-echo '== transition suite under race (vectored calls, handoff, wake coalescing)'
-go test -race -run 'TestVSubmit|TestHandoff|TestWake|TestCallTableSync' ./internal/lfirt
+echo '== transition suite under race (vectored calls, handoff, wake coalescing and order, cross-slot blocks)'
+go test -race -run 'TestVSubmit|TestHandoff|TestWake|TestCallTableSync|TestWakeOrderDeterministic|TestWaitReapsLowestPID|TestCrossSlotBlocks' ./internal/lfirt
 
-echo '== transition micro-bench smoke (direct handoff <= 1.5x bare yield)'
+echo '== transition micro-bench smoke (direct handoff <= 1.5x bare yield; no allocation per runtime call)'
 go test -count=1 -run TestTransitionRatios ./internal/bench
+# Not under -race: the detector allocates on its own account.
+go test -count=1 -run TestTransitionAllocs ./internal/lfirt
 
 echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x)'
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .

@@ -40,6 +40,11 @@
 //     lands between them), so TrapBudget lands on the same instruction as
 //     the slow loop.
 //
+// The block cache is keyed by sandbox slot as well as in-slot offset
+// (bcIndex): sandboxes that run code at the same offset — a yield pair, two
+// clones of one image — keep their blocks, and with them their chain links,
+// across every switch.
+//
 // All caches here (block cache, chain links, page-translation caches, the
 // slow path's icache) are guarded by the AddrSpace epoch, which bumps on
 // any mapping mutation or host-side forced write. The chained inner loop
@@ -58,6 +63,11 @@ import (
 const (
 	// bcacheSize is the number of direct-mapped block cache entries.
 	bcacheSize = 512
+	// bcSlotStride spaces the sandbox slots' images of one in-slot offset
+	// across the block cache: bcacheSize over the golden ratio, odd, so
+	// any run of consecutive slots lands on distinct, well-separated
+	// entries.
+	bcSlotStride = 317
 	// maxBlockInsts caps block length so one block cannot monopolise
 	// a budget slice's granularity beyond a page of straight-line code.
 	maxBlockInsts = 512
@@ -102,6 +112,12 @@ func (e *bcEntry) reset(pc uint64) {
 	e.chainPC = [chainWays]uint64{}
 	e.chainTo = [chainWays]*bcEntry{}
 	e.chainClk = 0
+}
+
+// bcIndex is the block cache entry for pc: the word offset displaced by
+// the slot number (pc>>32) times bcSlotStride.
+func bcIndex(pc uint64) uint64 {
+	return (pc>>2 + (pc>>32)*bcSlotStride) & (bcacheSize - 1)
 }
 
 // chainNext returns the already-validated successor block for pc, or nil.
@@ -319,7 +335,7 @@ func (c *CPU) runBlocks(maxInstrs uint64) *Trap {
 			return &Trap{Kind: TrapMemFault, PC: pc,
 				Fault: &mem.Fault{Addr: pc, Access: mem.AccessExec, Size: 4}}
 		}
-		e := &c.bcache[(pc>>2)&(bcacheSize-1)]
+		e := &c.bcache[bcIndex(pc)]
 		if e.pc != pc || len(e.insts) == 0 {
 			c.Stat.BlockMisses++
 			if tr := c.decodeBlock(pc, e); tr != nil {

@@ -465,3 +465,27 @@ _start:
 		t.Errorf("tpidr roundtrip = %#x", c.X[1])
 	}
 }
+
+// TestBlockIndexSpreadsSlots pins the slot half of the block cache key:
+// the same in-slot offset in slots 1..256 (a yield pair, clones of one
+// image) lands on 256 different entries, so co-scheduled sandboxes do not
+// evict each other's blocks, while within one slot consecutive words still
+// map to consecutive entries.
+func TestBlockIndexSpreadsSlots(t *testing.T) {
+	for _, off := range []uint64{textBase, textBase + 4, textBase + 0x7fc} {
+		seen := map[uint64]uint64{}
+		for slot := uint64(1); slot <= 256; slot++ {
+			i := bcIndex(slot<<32 | off)
+			if prev, dup := seen[i]; dup {
+				t.Fatalf("offset %#x: slots %d and %d share block cache entry %d", off, prev, slot, i)
+			}
+			seen[i] = slot
+		}
+	}
+	const pc = 7<<32 | textBase
+	for w := uint64(1); w < bcacheSize; w++ {
+		if got, want := bcIndex(pc+4*w), (bcIndex(pc)+w)%bcacheSize; got != want {
+			t.Fatalf("word %d of slot 7 maps to entry %d, want %d", w, got, want)
+		}
+	}
+}

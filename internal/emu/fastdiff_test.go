@@ -581,7 +581,7 @@ buf:
 	if tr := probe.Run(0); tr.Kind != TrapBRK {
 		t.Fatalf("probe trap = %v, want brk", tr)
 	}
-	block := probe.bcache[(entry>>2)&(bcacheSize-1)].insts
+	block := probe.bcache[bcIndex(entry)].insts
 	if uint64(len(block)) != probe.Instrs+1 {
 		t.Fatalf("program is %d instructions but its first block has %d; want one block",
 			probe.Instrs+1, len(block))

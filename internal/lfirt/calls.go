@@ -2,6 +2,7 @@ package lfirt
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"lfi/internal/core"
 	"lfi/internal/mem"
@@ -14,6 +15,15 @@ import (
 // itself (no confused deputy).
 
 const maxIOSize = 1 << 20
+
+// scratch returns the runtime's staging buffer resized to n bytes, grown
+// on demand. Its contents are dead once the call that asked for it
+// returns: every FD.write arm copies and an io.Writer may not retain its
+// argument.
+func (rt *Runtime) scratch(n uint64) []byte {
+	rt.iobuf = slices.Grow(rt.iobuf[:0], int(n))
+	return rt.iobuf[:n]
+}
 
 // maskPtr forces a sandbox-supplied pointer into the sandbox.
 func (p *Proc) maskPtr(ptr uint64) uint64 { return p.Base | (ptr & 0xffffffff) }
@@ -187,7 +197,7 @@ func (rt *Runtime) sysWrite(p *Proc, fdn, ptr, n uint64) int64 {
 	if n > maxIOSize {
 		n = maxIOSize
 	}
-	buf := make([]byte, n)
+	buf := rt.scratch(n)
 	if f := rt.AS.ReadAt(buf, p.maskPtr(ptr)); f != nil {
 		return -EFAULT
 	}
@@ -203,7 +213,7 @@ func (rt *Runtime) doRead(p *Proc, fd *FD, ptr, n uint64) int64 {
 	if n > maxIOSize {
 		n = maxIOSize
 	}
-	buf := make([]byte, n)
+	buf := rt.scratch(n)
 	r := fd.read(buf)
 	if r <= 0 {
 		return r
@@ -328,16 +338,15 @@ func (rt *Runtime) sysFork(p *Proc) action {
 	}
 
 	child := &Proc{
-		PID:      rt.nextPID,
-		Slot:     slot,
-		Base:     childBase,
-		State:    ProcReady,
-		fds:      p.fds.clone(),
-		brk:      p.brk,
-		mmap:     p.mmap,
-		parent:   p,
-		children: make(map[int]*Proc),
-		segHi:    p.segHi,
+		PID:    rt.nextPID,
+		Slot:   slot,
+		Base:   childBase,
+		State:  ProcReady,
+		fds:    p.fds.clone(),
+		brk:    p.brk,
+		mmap:   p.mmap,
+		parent: p,
+		segHi:  p.segHi,
 	}
 	rt.nextPID++
 
@@ -357,8 +366,8 @@ func (rt *Runtime) sysFork(p *Proc) action {
 	child.Regs.SP = rebase(child.Regs.SP)
 	child.Regs.PC = rebase(child.Regs.X[30])
 
-	p.children[child.PID] = child
-	rt.procs[child.PID] = child
+	p.children = append(p.children, child)
+	rt.procs = append(rt.procs, child)
 	rt.ready = append(rt.ready, child)
 	return rt.resume(p, uint64(child.PID))
 }
@@ -367,10 +376,10 @@ func (rt *Runtime) sysWait(p *Proc, statusPtr uint64) action {
 	if len(p.children) == 0 {
 		return rt.resume(p, errRet(ECHILD))
 	}
-	for pid, c := range p.children {
+	for _, c := range p.children {
 		if c.State == ProcZombie {
 			rt.reap(p, c, statusPtr)
-			return rt.resume(p, uint64(pid))
+			return rt.resume(p, uint64(c.PID))
 		}
 	}
 	// Block until a child exits.
@@ -389,16 +398,16 @@ func (rt *Runtime) reap(p, c *Proc, statusPtr uint64) {
 		binary.LittleEndian.PutUint32(b[:], uint32(c.Exit))
 		rt.AS.WriteAt(b[:], p.maskPtr(statusPtr))
 	}
-	delete(p.children, c.PID)
-	delete(rt.procs, c.PID)
+	p.children = slices.DeleteFunc(p.children, func(q *Proc) bool { return q == c })
+	rt.removeProc(c)
 }
 
 // completeWait finishes a blocked wait() when a child has become a zombie.
 func (rt *Runtime) completeWait(p *Proc) {
-	for pid, c := range p.children {
+	for _, c := range p.children {
 		if c.State == ProcZombie {
 			rt.reap(p, c, p.waitStatus)
-			p.Regs.X[0] = uint64(pid)
+			p.Regs.X[0] = uint64(c.PID)
 			rt.makeReady(p)
 			return
 		}
@@ -421,7 +430,7 @@ func (rt *Runtime) sysYield(p *Proc, target uint64) action {
 
 	var t *Proc
 	if target != 0 {
-		t = rt.procs[int(int32(uint32(target)))]
+		t = rt.proc(int(int32(uint32(target))))
 		if t == nil || (t.State != ProcReady && t.State != ProcRunning) {
 			return rt.resume(p, errRet(ESRCH))
 		}
@@ -471,7 +480,7 @@ func (rt *Runtime) sysPipe(p *Proc, ptr uint64) int64 {
 }
 
 func (rt *Runtime) sysKill(p *Proc, pid uint64) int64 {
-	t := rt.procs[int(int32(uint32(pid)))]
+	t := rt.proc(int(int32(uint32(pid))))
 	if t == nil || t == p {
 		return -ESRCH
 	}

@@ -221,26 +221,33 @@ func (fd *FD) read(p []byte) int64 {
 	return -EBADF
 }
 
-// fdTable is a per-process descriptor table.
+// fdTable is a per-process descriptor table: slot n holds descriptor n,
+// nil when closed. Every walk is in descriptor order, so the order in
+// which closeAll delivers EOF/EPIPE to peers is the same on every run.
 type fdTable struct {
-	fds map[int]*FD
+	fds [maxFDs]*FD
 }
 
 const maxFDs = 256
 
 func newFDTable(stdout, stderr io.Writer) *fdTable {
-	t := &fdTable{fds: make(map[int]*FD)}
+	t := &fdTable{}
 	t.fds[0] = &FD{kind: fdConsole, refs: 1, console: io.Discard} // stdin: empty console
 	t.fds[1] = &FD{kind: fdConsole, refs: 1, console: stdout}
 	t.fds[2] = &FD{kind: fdConsole, refs: 1, console: stderr}
 	return t
 }
 
-func (t *fdTable) get(n int) *FD { return t.fds[n] }
+func (t *fdTable) get(n int) *FD {
+	if uint(n) >= maxFDs {
+		return nil
+	}
+	return t.fds[n]
+}
 
 func (t *fdTable) alloc(fd *FD) int {
-	for n := 0; n < maxFDs; n++ {
-		if _, ok := t.fds[n]; !ok {
+	for n := range t.fds {
+		if t.fds[n] == nil {
 			t.fds[n] = fd
 			fd.incref()
 			return n
@@ -250,12 +257,12 @@ func (t *fdTable) alloc(fd *FD) int {
 }
 
 func (t *fdTable) close(n int) int64 {
-	fd, ok := t.fds[n]
-	if !ok {
+	fd := t.get(n)
+	if fd == nil {
 		return -EBADF
 	}
 	fd.decref()
-	delete(t.fds, n)
+	t.fds[n] = nil
 	return 0
 }
 
@@ -263,7 +270,7 @@ func (t *fdTable) close(n int) int64 {
 // the host-side pipeline wiring (Runtime.ConnectPipe/FeedInput) before
 // a process starts.
 func (t *fdTable) replace(n int, fd *FD) {
-	if old, ok := t.fds[n]; ok {
+	if old := t.fds[n]; old != nil {
 		old.decref()
 	}
 	t.fds[n] = fd
@@ -272,18 +279,21 @@ func (t *fdTable) replace(n int, fd *FD) {
 
 // clone duplicates the table for fork: descriptions are shared.
 func (t *fdTable) clone() *fdTable {
-	nt := &fdTable{fds: make(map[int]*FD, len(t.fds))}
-	for n, fd := range t.fds {
-		fd.incref()
-		nt.fds[n] = fd
+	nt := &fdTable{fds: t.fds}
+	for _, fd := range &nt.fds {
+		if fd != nil {
+			fd.incref()
+		}
 	}
 	return nt
 }
 
 func (t *fdTable) closeAll() {
-	for n, fd := range t.fds {
-		fd.decref()
-		delete(t.fds, n)
+	for n, fd := range &t.fds {
+		if fd != nil {
+			fd.decref()
+			t.fds[n] = nil
+		}
 	}
 }
 

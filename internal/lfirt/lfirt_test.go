@@ -9,7 +9,7 @@ import (
 	"lfi/internal/progs"
 )
 
-func build(t *testing.T, src string) []byte {
+func build(t testing.TB, src string) []byte {
 	t.Helper()
 	res, err := progs.Build(src, core.Options{Opt: core.O2})
 	if err != nil {

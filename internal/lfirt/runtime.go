@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"debug/elf"
 
@@ -134,7 +135,7 @@ type Proc struct {
 	waitingFD  int       // fd the proc blocks on (blockRead/Recv/Accept)
 	waitStatus uint64    // status pointer of a blocked wait()
 
-	children map[int]*Proc
+	children []*Proc // in PID order, so wait() reaps the lowest-PID zombie
 
 	// Segments recorded for fork.
 	segHi uint64 // highest mapped sandbox-relative offset (exclusive)
@@ -165,7 +166,10 @@ type Runtime struct {
 
 	hostBase uint64
 
-	procs   map[int]*Proc
+	// procs is the process table in PID order (nextPID only rises, so
+	// appending keeps it sorted). Every scheduler scan walks it front to
+	// back, which makes wake order a function of the PIDs alone.
+	procs   []*Proc
 	nextPID int
 	slots   map[int]bool // allocated slots
 	maxSlot int
@@ -199,6 +203,10 @@ type Runtime struct {
 	ipc    *ipcState
 	stdout bytes.Buffer
 	stderr bytes.Buffer
+
+	// iobuf stages the bytes of one write or read between guest memory
+	// and a descriptor; see scratch.
+	iobuf []byte
 
 	// Statistics.
 	Switches  uint64 // context switches
@@ -252,7 +260,6 @@ func New(cfg Config) *Runtime {
 		AS:           as,
 		CPU:          cpu,
 		hostBase:     core.SlotBase(core.MaxSandboxes - 1),
-		procs:        make(map[int]*Proc),
 		nextPID:      1,
 		slots:        make(map[int]bool),
 		maxSlot:      cfg.MaxSlots,
@@ -326,8 +333,26 @@ func (rt *Runtime) console(per, global *bytes.Buffer) io.Writer {
 	return io.MultiWriter(per, global)
 }
 
-// Procs returns the live process table (for inspection).
-func (rt *Runtime) Procs() map[int]*Proc { return rt.procs }
+// Procs returns the live process table in PID order (for inspection).
+func (rt *Runtime) Procs() []*Proc { return rt.procs }
+
+// proc returns the live process with the given PID, or nil.
+func (rt *Runtime) proc(pid int) *Proc {
+	i, ok := slices.BinarySearchFunc(rt.procs, pid, func(p *Proc, pid int) int { return p.PID - pid })
+	if !ok {
+		return nil
+	}
+	return rt.procs[i]
+}
+
+// removeProc drops p from the process table. The table is rebuilt, not
+// shifted in place, so a scan walking the old one still sees every entry
+// once; the dead entry it sees is a zombie, which every scan skips.
+func (rt *Runtime) removeProc(p *Proc) {
+	if i := slices.Index(rt.procs, p); i >= 0 {
+		rt.procs = append(rt.procs[:i:i], rt.procs[i+1:]...)
+	}
+}
 
 // allocSlot reserves a free sandbox slot. Slot 0 stays unmapped (null
 // pages must not alias a sandbox) and the final slot belongs to the
@@ -433,19 +458,18 @@ func (rt *Runtime) LoadExecutable(exe *elfobj.Executable) (*Proc, error) {
 
 	// Stack: below the trailing guard region.
 	stackTop := base + core.StackTopOff
-	if err := rt.AS.Map(stackTop-rt.cfg.StackSize, rt.cfg.StackSize, mem.PermRW); err != nil {
+	if err := rt.AS.MapZero(stackTop-rt.cfg.StackSize, rt.cfg.StackSize, mem.PermRW); err != nil {
 		return nil, fmt.Errorf("lfirt: mapping stack: %w", err)
 	}
 
 	p := &Proc{
-		PID:      rt.nextPID,
-		Slot:     slot,
-		Base:     base,
-		State:    ProcReady,
-		brk:      rt.pageUp(segHi),
-		mmap:     core.SandboxSize / 2, // mmap arena in the upper half
-		children: make(map[int]*Proc),
-		segHi:    rt.pageUp(segHi),
+		PID:   rt.nextPID,
+		Slot:  slot,
+		Base:  base,
+		State: ProcReady,
+		brk:   rt.pageUp(segHi),
+		mmap:  core.SandboxSize / 2, // mmap arena in the upper half
+		segHi: rt.pageUp(segHi),
 	}
 	p.fds = newFDTable(rt.console(&p.stdout, &rt.stdout), rt.console(&p.stderr, &rt.stderr))
 	rt.nextPID++
@@ -459,7 +483,7 @@ func (rt *Runtime) LoadExecutable(exe *elfobj.Executable) (*Proc, error) {
 	p.Regs.X[24] = base + exe.Entry
 	p.Regs.X[30] = base + exe.Entry
 
-	rt.procs[p.PID] = p
+	rt.procs = append(rt.procs, p)
 	rt.ready = append(rt.ready, p)
 	return p, nil
 }
@@ -512,11 +536,11 @@ func (rt *Runtime) kill(p *Proc, status int) {
 	for _, c := range p.children {
 		c.parent = nil
 		if c.State == ProcZombie {
-			delete(rt.procs, c.PID)
+			rt.removeProc(c)
 		}
 	}
 	if p.parent == nil {
-		delete(rt.procs, p.PID)
+		rt.removeProc(p)
 	}
 }
 

@@ -3,6 +3,7 @@ package lfirt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lfi/internal/core"
 	"lfi/internal/emu"
@@ -147,7 +148,9 @@ func (rt *Runtime) pickNext() *Proc {
 		rt.reclaimHandoff()
 		for len(rt.ready) > 0 {
 			p := rt.ready[0]
-			rt.ready = rt.ready[1:]
+			// Shift down in place, not ready[1:]: a queue that only
+			// advances through its array reallocates every few pops.
+			rt.ready = slices.Delete(rt.ready, 0, 1)
 			if p.State == ProcReady {
 				return p
 			}
@@ -216,9 +219,11 @@ func (rt *Runtime) blockSwitch(p *Proc) action {
 
 // wakeBlocked retries fd-blocked processes — readers whose pipes now
 // have data or EOF, receivers whose channels filled or lost their peer,
-// accepters with a pending connection, batches parked mid-RTVSubmit.
-// wait()-blocked processes are woken by kill() directly. The scan runs
-// only when the wake hint is armed; completions are coalesced.
+// accepters with a pending connection, batches parked mid-RTVSubmit —
+// in PID order, so which of several waiters on one pipe or port wakes
+// first is the same on every run. wait()-blocked processes are woken by
+// kill() directly. The scan runs only when the wake hint is armed;
+// completions are coalesced.
 func (rt *Runtime) wakeBlocked() {
 	if !rt.wakeHint {
 		return

@@ -96,15 +96,14 @@ func (rt *Runtime) Restore(s *Snapshot) (*Proc, error) {
 	rt.AS.WriteForce(b[:], base+core.CtxHeapBaseOff)
 
 	p := &Proc{
-		PID:      rt.nextPID,
-		Slot:     slot,
-		Base:     base,
-		State:    ProcReady,
-		brk:      s.brk,
-		mmap:     s.mmap,
-		children: make(map[int]*Proc),
-		segHi:    s.segHi,
-		parked:   true,
+		PID:    rt.nextPID,
+		Slot:   slot,
+		Base:   base,
+		State:  ProcReady,
+		brk:    s.brk,
+		mmap:   s.mmap,
+		segHi:  s.segHi,
+		parked: true,
 	}
 	p.fds = newFDTable(rt.console(&p.stdout, &rt.stdout), rt.console(&p.stderr, &rt.stderr))
 	rt.nextPID++
@@ -152,7 +151,7 @@ func (rt *Runtime) Restore(s *Snapshot) (*Proc, error) {
 		p.Regs.X[0] = errRet(EPIPE)
 	}
 
-	rt.procs[p.PID] = p
+	rt.procs = append(rt.procs, p)
 	return p, nil
 }
 

@@ -94,34 +94,56 @@ func (ipc *ipcState) depthGauge(id int) *obs.Gauge {
 	return ipc.reg.Gauge(fmt.Sprintf("rt.chan.%d.%d.depth", ipc.obsTag, id))
 }
 
-// chanRing is one direction of a bounded byte channel. Deposits are
-// all-or-nothing; depth is mirrored into an obs gauge when one exists.
+// chanRing is one direction of a bounded byte channel: a fixed-capacity
+// ring buffer, so a deposit and a receive cost their bytes and nothing
+// else. Deposits are all-or-nothing; depth is mirrored into an obs gauge
+// when one exists.
 type chanRing struct {
-	data  []byte
-	cap   int
+	buf   []byte // len(buf) is the capacity
+	head  int    // index of the oldest queued byte
+	n     int    // bytes queued
 	depth *obs.Gauge
 }
 
 func (ipc *ipcState) newRing(capacity int) *chanRing {
 	ipc.chanSeq++
-	return &chanRing{cap: capacity, depth: ipc.depthGauge(ipc.chanSeq - 1)}
+	return &chanRing{buf: make([]byte, capacity), depth: ipc.depthGauge(ipc.chanSeq - 1)}
 }
 
-func (r *chanRing) len() int  { return len(r.data) }
-func (r *chanRing) free() int { return r.cap - len(r.data) }
+func (r *chanRing) len() int  { return r.n }
+func (r *chanRing) free() int { return len(r.buf) - r.n }
 
-func (r *chanRing) push(p []byte) {
-	r.data = append(r.data, p...)
-	r.depth.Set(int64(len(r.data)))
+// span returns the k ring bytes that start off bytes past the oldest
+// queued one, in two segments; the second is empty unless the run wraps.
+// span(0, k) is the front of the queue, span(len(), k) the free space
+// behind it. The caller copies through the segments first and calls
+// commit or consume only if the guest side of the copy succeeded, so a
+// faulting send deposits nothing and a faulting recv loses nothing.
+func (r *chanRing) span(off, k int) (a, b []byte) {
+	start := r.head + off
+	if start >= len(r.buf) {
+		start -= len(r.buf)
+	}
+	if end := start + k; end > len(r.buf) {
+		return r.buf[start:], r.buf[:end-len(r.buf)]
+	}
+	return r.buf[start : start+k], nil
 }
 
-// peek copies up to len(p) bytes without consuming them (so a faulting
-// destination pointer cannot lose data), returning the count.
-func (r *chanRing) peek(p []byte) int { return copy(p, r.data) }
+// commit queues the k bytes just written behind the queued data.
+func (r *chanRing) commit(k int) {
+	r.n += k
+	r.depth.Set(int64(r.n))
+}
 
-func (r *chanRing) consume(n int) {
-	r.data = r.data[n:]
-	r.depth.Set(int64(len(r.data)))
+// consume drops the k oldest bytes.
+func (r *chanRing) consume(k int) {
+	r.head += k
+	if r.head >= len(r.buf) {
+		r.head -= len(r.buf)
+	}
+	r.n -= k
+	r.depth.Set(int64(r.n))
 }
 
 // msgq is a bounded queue of framed datagrams owned by a bound dgram
@@ -366,69 +388,90 @@ func (rt *Runtime) sysAccept(p *Proc, fdn uint64) action {
 	return rt.resume(p, uint64(n))
 }
 
-// doSend deposits the message, returning bytes sent or -errno, plus a
-// predicate matching sockets whose blocked readers the deposit can
-// satisfy (nil when nothing was deposited).
-func (rt *Runtime) doSend(p *Proc, fd *FD, ptr, n uint64) (int64, func(*sock) bool) {
+// sendDst names the receive side a deposit landed on — the bound dgram
+// socket that owns the queue, or one side of a connection — so the sender
+// can find a receiver blocked on it. The zero value means nothing was
+// deposited.
+type sendDst struct {
+	dgram *sock
+	conn  *sconn
+	side  int
+}
+
+// reads reports whether a receive on r drains what was deposited at d.
+func (d sendDst) reads(r *sock) bool {
+	if d.dgram != nil {
+		return r == d.dgram
+	}
+	return d.conn != nil && r.conn == d.conn && r.side == d.side
+}
+
+// doSend deposits the message, returning bytes sent or -errno, plus where
+// the deposit landed (zero when nothing was deposited).
+func (rt *Runtime) doSend(p *Proc, fd *FD, ptr, n uint64) (int64, sendDst) {
 	s := fd.sock
 	if s == nil {
-		return -ENOTSOCK, nil
+		return -ENOTSOCK, sendDst{}
 	}
 	if n > maxIOSize {
-		return -EMSGSIZE, nil
+		return -EMSGSIZE, sendDst{}
 	}
 	switch s.typ {
 	case SockDgram:
 		dst := s.peer
 		if dst == nil {
-			return -ENOTCONN, nil
+			return -ENOTCONN, sendDst{}
 		}
 		if dst.closed || dst.q == nil {
-			return -EPIPE, nil
+			return -EPIPE, sendDst{}
 		}
 		if int(n) > dst.q.cap {
-			return -EMSGSIZE, nil
+			return -EMSGSIZE, sendDst{}
 		}
 		if dst.q.bytes+int(n) > dst.q.cap {
-			return -EAGAIN, nil
+			return -EAGAIN, sendDst{}
 		}
-		msg := make([]byte, n)
+		msg := make([]byte, n) // owned by the queue until received
 		if n > 0 {
 			if f := rt.AS.ReadAt(msg, p.maskPtr(ptr)); f != nil {
-				return -EFAULT, nil
+				return -EFAULT, sendDst{}
 			}
 		}
 		dst.q.push(msg)
 		rt.markWake()
-		return int64(n), func(r *sock) bool { return r == dst }
+		return int64(n), sendDst{dgram: dst}
 	default: // SockStream, SockRing
 		if s.conn == nil {
 			if s.typ == SockStream && s.port != 0 {
-				return -EINVAL, nil // a listener does not carry data
+				return -EINVAL, sendDst{} // a listener does not carry data
 			}
-			return -ENOTCONN, nil // incl. a not-yet-paired passive ring
+			return -ENOTCONN, sendDst{} // incl. a not-yet-paired passive ring
 		}
 		c, dstSide := s.conn, 1-s.side
 		if !c.open[dstSide] {
-			return -EPIPE, nil
+			return -EPIPE, sendDst{}
 		}
 		ring := c.buf[dstSide]
-		if int(n) > ring.cap {
-			return -EMSGSIZE, nil
+		if int(n) > len(ring.buf) {
+			return -EMSGSIZE, sendDst{}
 		}
 		if n == 0 {
-			return 0, nil
+			return 0, sendDst{}
 		}
 		if int(n) > ring.free() {
-			return -EAGAIN, nil
+			return -EAGAIN, sendDst{}
 		}
-		buf := make([]byte, n)
-		if f := rt.AS.ReadAt(buf, p.maskPtr(ptr)); f != nil {
-			return -EFAULT, nil
+		a, b := ring.span(ring.len(), int(n))
+		addr := p.maskPtr(ptr)
+		if f := rt.AS.ReadAt(a, addr); f != nil {
+			return -EFAULT, sendDst{}
 		}
-		ring.push(buf)
+		if f := rt.AS.ReadAt(b, addr+uint64(len(a))); f != nil {
+			return -EFAULT, sendDst{}
+		}
+		ring.commit(int(n))
 		rt.markWake()
-		return int64(n), func(r *sock) bool { return r.conn == c && r.side == dstSide }
+		return int64(n), sendDst{conn: c, side: dstSide}
 	}
 }
 
@@ -489,9 +532,13 @@ func (rt *Runtime) doRecv(p *Proc, fd *FD, ptr, n uint64) int64 {
 		if n == 0 {
 			return 0
 		}
-		buf := make([]byte, n)
-		k := ring.peek(buf)
-		if f := rt.AS.WriteAt(buf[:k], p.maskPtr(ptr)); f != nil {
+		k := min(int(n), ring.len())
+		a, b := ring.span(0, k)
+		addr := p.maskPtr(ptr)
+		if f := rt.AS.WriteAt(a, addr); f != nil {
+			return -EFAULT
+		}
+		if f := rt.AS.WriteAt(b, addr+uint64(len(a))); f != nil {
 			return -EFAULT
 		}
 		ring.consume(k)
@@ -526,7 +573,7 @@ func (rt *Runtime) sysSend(p *Proc, fdn, ptr, n uint64) action {
 	if fd == nil {
 		return rt.resume(p, errRet(EBADF))
 	}
-	sent, match := rt.doSend(p, fd, ptr, n)
+	sent, dst := rt.doSend(p, fd, ptr, n)
 	if sent < 0 {
 		if sent == -EAGAIN {
 			rt.ipc.mBackpressure.Inc()
@@ -535,11 +582,11 @@ func (rt *Runtime) sysSend(p *Proc, fdn, ptr, n uint64) action {
 	}
 	rt.ipc.mSends.Inc()
 	rt.tracer.Record(obs.Event{Kind: obs.EvSend, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(sent)})
-	if sent == 0 || match == nil {
+	if sent == 0 {
 		return rt.resume(p, uint64(sent))
 	}
 
-	t := rt.findRecvWaiter(match)
+	t := rt.findRecvWaiter(dst)
 	if t == nil || !rt.completeWaiter(t) {
 		return rt.resume(p, uint64(sent))
 	}
@@ -581,24 +628,19 @@ func (rt *Runtime) completeWaiter(t *Proc) bool {
 }
 
 // findRecvWaiter returns the lowest-PID process blocked in RTRecv — or
-// parked mid-RTVSubmit on a recv op — against a socket the predicate
-// matches (lowest-PID keeps handoff deterministic under multiple
-// consumers).
-func (rt *Runtime) findRecvWaiter(match func(*sock) bool) *Proc {
-	var best *Proc
+// parked mid-RTVSubmit on a recv op — against a socket that reads what
+// was deposited at dst: the first match in the PID-ordered table, which
+// keeps handoff deterministic under multiple consumers.
+func (rt *Runtime) findRecvWaiter(dst sendDst) *Proc {
 	for _, q := range rt.procs {
 		if q.State != ProcBlocked || (q.block != blockRecv && q.block != blockVSubmit) {
 			continue
 		}
-		fd := q.fds.get(q.waitingFD)
-		if fd == nil || fd.sock == nil || !match(fd.sock) {
-			continue
-		}
-		if best == nil || q.PID < best.PID {
-			best = q
+		if fd := q.fds.get(q.waitingFD); fd != nil && fd.sock != nil && dst.reads(fd.sock) {
+			return q
 		}
 	}
-	return best
+	return nil
 }
 
 // block parks p in the scheduler mid-call: the return point is staged,

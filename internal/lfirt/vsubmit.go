@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"lfi/internal/core"
+	"lfi/internal/mem"
 	"lfi/internal/obs"
 )
 
@@ -125,7 +126,7 @@ func (rt *Runtime) vsend(p *Proc, fdn int, ptr, n uint64) int64 {
 	if fd == nil {
 		return -EBADF
 	}
-	sent, match := rt.doSend(p, fd, ptr, n)
+	sent, dst := rt.doSend(p, fd, ptr, n)
 	if sent < 0 {
 		if sent == -EAGAIN {
 			rt.ipc.mBackpressure.Inc()
@@ -134,8 +135,8 @@ func (rt *Runtime) vsend(p *Proc, fdn int, ptr, n uint64) int64 {
 	}
 	rt.ipc.mSends.Inc()
 	rt.tracer.Record(obs.Event{Kind: obs.EvSend, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(sent)})
-	if sent > 0 && match != nil {
-		if t := rt.findRecvWaiter(match); t != nil && rt.completeWaiter(t) {
+	if sent > 0 {
+		if t := rt.findRecvWaiter(dst); t != nil && rt.completeWaiter(t) {
 			rt.ipc.mHandoffs.Inc()
 			rt.setHandback(t)
 		}
@@ -197,15 +198,11 @@ func (rt *Runtime) sysVSubmit(p *Proc, ring, n uint64) action {
 	if off+size > core.SandboxSize {
 		return rt.resume(p, errRet(EFAULT))
 	}
-	// Validate the whole ring once per batch: read it and write it back
-	// unchanged, which proves every slot readable *and* writable up
-	// front — a ring overlapping an unmapped guard region fails here,
-	// before any op runs, and no later status write can fault.
-	buf := make([]byte, size)
-	if f := rt.AS.ReadAt(buf, p.maskPtr(ring)); f != nil {
-		return rt.resume(p, errRet(EFAULT))
-	}
-	if f := rt.AS.WriteAt(buf, p.maskPtr(ring)); f != nil {
+	// Validate the whole ring once per batch: every page it touches must
+	// be mapped readable and writable. A ring overlapping an unmapped
+	// guard region or read-only text fails here, before any op runs, and
+	// no later slot read or status write can fault.
+	if !rt.AS.Mapped(p.maskPtr(ring), size, mem.PermRW) {
 		return rt.resume(p, errRet(EFAULT))
 	}
 	rt.ipc.mVSubmits.Inc()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lfi/internal/core"
+	"lfi/internal/mem"
 	"lfi/internal/obs"
 	"lfi/internal/progs"
 	"lfi/internal/workloads"
@@ -232,6 +233,84 @@ func TestVSubmitConformance(t *testing.T) {
 			}
 			if s := loadRun(t, rt, "_start:\n"+progs.ExitCode(42)); s != 42 {
 				t.Errorf("runtime corrupted: followup sandbox exited %d, want 42", s)
+			}
+		})
+	}
+}
+
+// TestVSubmitRingCheck pins the whole-ring validation that runs before any
+// op: every page under the ring must be mapped readable and writable. The
+// host plants the pages at the sandbox's otherwise unmapped 1GiB mark. In
+// the two failing layouts slot 0 sits on a good page and holds a write to
+// stdout, so a check that let the batch start would show as output or as
+// an overwritten status word; a demand-zero page nobody has touched is as
+// good as a committed one.
+func TestVSubmitRingCheck(t *testing.T) {
+	const arena = 0x4000_0000
+	ps := uint64(core.DefaultPageSize)
+	demandZero := func(rt *Runtime, addr uint64) error {
+		return rt.AS.RestoreRange(addr, []mem.PageImage{{Perm: mem.PermRW}})
+	}
+	committed := func(perm mem.Perm) func(*Runtime, uint64) error {
+		return func(rt *Runtime, addr uint64) error { return rt.AS.Map(addr, ps, perm) }
+	}
+	// straddle submits two slots from the last 64 bytes of the arena's
+	// first page: slot 0 a one-byte write to stdout with a sentinel where
+	// its status goes, slot 1 on whatever follows. It exits with the
+	// call's errno, or 99 if the sentinel was overwritten.
+	straddle := vprog(`	movz x9, #0x4000, lsl #16
+	movk x9, #0x3fc0
+` + la("x10", "vbuf") + `	mov w12, #88
+	strb w12, [x10]
+	mov x11, #1
+` + vslotInit(0, core.VOpWrite, "x11", 1, 0) + fmt.Sprintf(`	movz x13, #0x5555
+	str x13, [x9, #%d]
+	mov x0, x9
+	mov x1, #2
+`, core.VOffStatus) + progs.RTCall(core.RTVSubmit) + fmt.Sprintf(`	ldr x12, [x9, #%d]
+	movz x13, #0x5555
+	cmp x12, x13
+	b.ne fail
+`, core.VOffStatus) + negExit)
+	// zeroRing submits the arena's first 64 bytes, never written, as one
+	// slot: all zeros is a nop. It exits with the completed count.
+	zeroRing := vprog(`	movz x0, #0x4000, lsl #16
+	mov x1, #1
+` + progs.RTCall(core.RTVSubmit))
+
+	for _, tc := range []struct {
+		name  string
+		src   string
+		pages []func(*Runtime, uint64) error // arena pages in order; nil leaves a hole
+		want  int
+	}{
+		{"last-slot-on-read-only-text", straddle, []func(*Runtime, uint64) error{committed(mem.PermRW), committed(mem.PermRX)}, EFAULT},
+		{"last-slot-on-unmapped-guard", straddle, []func(*Runtime, uint64) error{committed(mem.PermRW), nil}, EFAULT},
+		{"untouched-demand-zero-page", zeroRing, []func(*Runtime, uint64) error{demandZero}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRT(t)
+			p, err := rt.Load(build(t, tc.src))
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			for i, mapPage := range tc.pages {
+				if mapPage == nil {
+					continue
+				}
+				if err := mapPage(rt, p.Base+arena+uint64(i)*ps); err != nil {
+					t.Fatalf("arena page %d: %v", i, err)
+				}
+			}
+			status, err := rt.RunProc(p)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if status != tc.want {
+				t.Errorf("exit status = %d, want %d (99 = status word overwritten)", status, tc.want)
+			}
+			if out := p.Stdout(); len(out) != 0 {
+				t.Errorf("stdout = %q: slot 0 ran although the ring check must fail the batch first", out)
 			}
 		})
 	}

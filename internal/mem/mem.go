@@ -58,6 +58,9 @@ func (a Access) String() string {
 	}
 }
 
+// accessPerm is the permission each kind of access needs.
+var accessPerm = [...]Perm{AccessRead: PermRead, AccessWrite: PermWrite, AccessExec: PermExec}
+
 // Fault describes a memory access violation. It plays the role of a
 // hardware exception: the emulator converts it into a trap that kills the
 // offending sandbox.
@@ -93,12 +96,10 @@ type AddrSpace struct {
 	pageShift uint
 	pages     map[uint64]*page
 
-	// One-entry lookup caches, split by access kind. They make the
-	// emulator's hot loop independent of map performance for sequential
-	// access patterns.
-	lastRead  cachedPage
-	lastWrite cachedPage
-	lastExec  cachedPage
+	// Direct-mapped lookup caches, one per Access kind. An entry holds a
+	// page that grants its kind's permission, so a hit needs neither the
+	// page map nor a permission check. invalidate drops every entry.
+	cache [AccessExec + 1][lookupCacheSize]cachedPage
 
 	// epoch counts mapping mutations (Map/Unmap/Protect/CopyRange/
 	// RestoreRange). External caches keyed on page identity — the
@@ -107,10 +108,25 @@ type AddrSpace struct {
 	epoch uint64
 }
 
+// cachedPage is one lookup cache entry; valid iff pg != nil (page index 0
+// is a real page).
 type cachedPage struct {
 	idx uint64
 	pg  *page
 }
+
+const (
+	// lookupCacheSize is the number of entries per lookup cache: a few
+	// pages for each of a handful of co-scheduled sandboxes, and still a
+	// 3KiB clear in invalidate.
+	lookupCacheSize = 64
+	// lookupSlotStride displaces each 4GiB slot's pages in the cache, so
+	// two sandboxes touching the same in-slot page (a ring pair's
+	// buffers, a fork's stacks) hit different entries: lookupCacheSize
+	// over the golden ratio, odd, which keeps consecutive slots distinct
+	// and well separated.
+	lookupSlotStride = 39
+)
 
 // NewAddrSpace creates an empty address space with the given page size
 // (must be a power of two; 0 selects 16KiB, the Apple ARM64 page size).
@@ -129,9 +145,6 @@ func NewAddrSpace(pageSize uint64) *AddrSpace {
 		pageSize:  pageSize,
 		pageShift: shift,
 		pages:     make(map[uint64]*page),
-		lastRead:  cachedPage{idx: ^uint64(0)},
-		lastWrite: cachedPage{idx: ^uint64(0)},
-		lastExec:  cachedPage{idx: ^uint64(0)},
 	}
 }
 
@@ -139,9 +152,7 @@ func NewAddrSpace(pageSize uint64) *AddrSpace {
 func (as *AddrSpace) PageSize() uint64 { return as.pageSize }
 
 func (as *AddrSpace) invalidate() {
-	as.lastRead = cachedPage{idx: ^uint64(0)}
-	as.lastWrite = cachedPage{idx: ^uint64(0)}
-	as.lastExec = cachedPage{idx: ^uint64(0)}
+	as.cache = [len(as.cache)][lookupCacheSize]cachedPage{}
 	as.epoch++
 }
 
@@ -183,6 +194,19 @@ func (as *AddrSpace) aligned(addr, size uint64) error {
 // Map creates pages over [addr, addr+size) with the given permissions.
 // Mapping over an existing page fails.
 func (as *AddrSpace) Map(addr, size uint64, perm Perm) error {
+	return as.mapPages(addr, size, perm, true)
+}
+
+// MapZero is Map with demand-zero pages: each gets its backing store on
+// first access, like the zero pages of a restored snapshot. It is the call
+// for a mapping that stays mostly untouched — an 8MiB stack of which a
+// process uses a few pages — which then costs its page table entries and
+// nothing else to map, fork, snapshot or release.
+func (as *AddrSpace) MapZero(addr, size uint64, perm Perm) error {
+	return as.mapPages(addr, size, perm, false)
+}
+
+func (as *AddrSpace) mapPages(addr, size uint64, perm Perm, commit bool) error {
 	if err := as.aligned(addr, size); err != nil {
 		return err
 	}
@@ -193,17 +217,21 @@ func (as *AddrSpace) Map(addr, size uint64, perm Perm) error {
 			return fmt.Errorf("mem: page %#x already mapped", (first+i)<<as.pageShift)
 		}
 	}
-	// Back the whole mapping with one slab, sliced per page. The slab is
-	// virtual until touched (the OS demand-zeroes it 4KiB at a time), so
-	// sparse mappings — 8MiB stacks of which a process uses a few pages —
-	// cost nothing; but the per-page allocation and 16KiB zeroing that
-	// lazy materialization used to do inside the emulator's load/store
-	// path now happen here, attributable to the map call that created the
-	// mapping instead of to whatever emulated instruction touched the
-	// page first.
-	slab := make([]byte, size)
+	// A committed mapping is backed by one slab, sliced per page, so the
+	// per-page allocation and 16KiB zeroing that first-touch
+	// materialization does inside the emulator's load/store path happen
+	// here instead, attributable to the map call that created the mapping
+	// rather than to whatever emulated instruction touched the page first.
+	var slab []byte
+	if commit {
+		slab = make([]byte, size)
+	}
 	for i := uint64(0); i < n; i++ {
-		as.pages[first+i] = &page{perm: perm, data: slab[i<<as.pageShift : (i+1)<<as.pageShift : (i+1)<<as.pageShift]}
+		pg := &page{perm: perm}
+		if commit {
+			pg.data = slab[i<<as.pageShift : (i+1)<<as.pageShift : (i+1)<<as.pageShift]
+		}
+		as.pages[first+i] = pg
 	}
 	as.invalidate()
 	return nil
@@ -287,21 +315,12 @@ func (as *AddrSpace) MappedBytes() uint64 {
 
 func (as *AddrSpace) lookup(addr uint64, acc Access) (*page, *Fault) {
 	idx := addr >> as.pageShift
-	var cache *cachedPage
-	var need Perm
-	switch acc {
-	case AccessRead:
-		cache, need = &as.lastRead, PermRead
-	case AccessWrite:
-		cache, need = &as.lastWrite, PermWrite
-	default:
-		cache, need = &as.lastExec, PermExec
-	}
-	if cache.idx == idx {
+	cache := &as.cache[acc][(idx+(addr>>32)*lookupSlotStride)&(lookupCacheSize-1)]
+	if cache.idx == idx && cache.pg != nil {
 		return cache.pg, nil
 	}
 	pg, ok := as.pages[idx]
-	if !ok || pg.perm&need == 0 {
+	if !ok || pg.perm&accessPerm[acc] == 0 {
 		return nil, &Fault{Addr: addr, Access: acc, Size: 1}
 	}
 	if pg.data == nil {
@@ -313,12 +332,32 @@ func (as *AddrSpace) lookup(addr uint64, acc Access) (*page, *Fault) {
 
 // ReadAt copies len(b) bytes from addr, honoring read permissions.
 func (as *AddrSpace) ReadAt(b []byte, addr uint64) *Fault {
-	return as.copyAcross(b, addr, AccessRead, func(dst, src []byte) { copy(dst, src) })
+	for len(b) > 0 {
+		pg, f := as.lookup(addr, AccessRead)
+		if f != nil {
+			f.Size = len(b)
+			return f
+		}
+		n := copy(b, pg.data[addr&(as.pageSize-1):])
+		b = b[n:]
+		addr += uint64(n)
+	}
+	return nil
 }
 
 // WriteAt copies b to addr, honoring write permissions.
 func (as *AddrSpace) WriteAt(b []byte, addr uint64) *Fault {
-	return as.copyAcross(b, addr, AccessWrite, func(src, dst []byte) { copy(dst, src) })
+	for len(b) > 0 {
+		pg, f := as.lookup(addr, AccessWrite)
+		if f != nil {
+			f.Size = len(b)
+			return f
+		}
+		n := copy(pg.data[addr&(as.pageSize-1):], b)
+		b = b[n:]
+		addr += uint64(n)
+	}
+	return nil
 }
 
 // WriteForce copies b to addr ignoring permissions (loader use only; the
@@ -339,25 +378,6 @@ func (as *AddrSpace) WriteForce(b []byte, addr uint64) *Fault {
 		}
 		off := addr & (as.pageSize - 1)
 		n := copy(pg.data[off:], b)
-		b = b[n:]
-		addr += uint64(n)
-	}
-	return nil
-}
-
-func (as *AddrSpace) copyAcross(b []byte, addr uint64, acc Access, move func(ext, pg []byte)) *Fault {
-	for len(b) > 0 {
-		pg, f := as.lookup(addr, acc)
-		if f != nil {
-			f.Size = len(b)
-			return f
-		}
-		off := addr & (as.pageSize - 1)
-		n := int(as.pageSize - off)
-		if n > len(b) {
-			n = len(b)
-		}
-		move(b[:n], pg.data[off:off+uint64(n)])
 		b = b[n:]
 		addr += uint64(n)
 	}

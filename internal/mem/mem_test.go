@@ -331,3 +331,84 @@ func TestSnapshotRestoreRange(t *testing.T) {
 		t.Error("restore over mapped pages succeeded")
 	}
 }
+
+// TestLookupCacheAcrossSlots drives the direct-mapped lookup caches the
+// way a sandbox pair drives them: the same in-slot page in two 4GiB
+// slots, plus a page whose index collides with the first in the cache.
+// Every access must reach its own page, and a permission change must be
+// seen through entries primed before it.
+func TestLookupCacheAcrossSlots(t *testing.T) {
+	as := NewAddrSpace(16384)
+	const off = 0x40000
+	pages := []uint64{
+		1<<32 | off,
+		2<<32 | off,
+		1<<32 | off + lookupCacheSize*16384, // same cache entry as the first
+	}
+	for i, a := range pages {
+		if err := as.Map(a, 16384, PermRW); err != nil {
+			t.Fatal(err)
+		}
+		if f := as.Write(a, uint64(i+1), 8); f != nil {
+			t.Fatal(f)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for i, a := range pages {
+			if v, f := as.Read(a, 8); f != nil || v != uint64(i+1) {
+				t.Fatalf("round %d: read %#x = %d, %v; want %d", round, a, v, f, i+1)
+			}
+		}
+	}
+	if err := as.Protect(pages[1], 16384, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	if f := as.Write(pages[1], 9, 8); f == nil {
+		t.Error("stale cache: write succeeded after protect(read)")
+	}
+	if f := as.Write(pages[0], 9, 8); f != nil {
+		t.Errorf("write to the untouched slot faulted: %v", f)
+	}
+}
+
+// TestMapZero checks demand-zero mappings: they read as zeros, accept
+// writes, snapshot untouched pages without data, and fork like any other.
+func TestMapZero(t *testing.T) {
+	as := NewAddrSpace(4096)
+	base := uint64(0x100000)
+	if err := as.MapZero(base, 4*4096, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MapZero(base, 4096, PermRW); err == nil {
+		t.Error("MapZero over a mapped page succeeded")
+	}
+	if !as.Mapped(base, 4*4096, PermRW) {
+		t.Error("demand-zero pages do not count as mapped")
+	}
+	if v, f := as.Read(base+4096+8, 8); f != nil || v != 0 {
+		t.Errorf("untouched page read %d, %v; want 0", v, f)
+	}
+	if f := as.WriteAt([]byte("hello"), base+2*4096-2); f != nil {
+		t.Fatal(f)
+	}
+	snap, err := as.SnapshotRange(base, 4*4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := 0
+	for _, pi := range snap {
+		if pi.Data != nil {
+			dirty++
+		}
+	}
+	if len(snap) != 4 || dirty != 2 {
+		t.Errorf("snapshot has %d pages, %d with data; want 4 and 2", len(snap), dirty)
+	}
+	if err := as.CopyRange(base, base+0x100000, 4*4096); err != nil {
+		t.Fatal(err)
+	}
+	var buf [5]byte
+	if f := as.ReadAt(buf[:], base+0x100000+2*4096-2); f != nil || string(buf[:]) != "hello" {
+		t.Errorf("forked copy reads %q, %v", buf[:], f)
+	}
+}
