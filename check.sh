@@ -21,8 +21,12 @@ go build ./...
 echo '== go test ./...'
 go test ./...
 
-echo '== go test -race ./internal/pool ./internal/lfirt ./internal/obs ./internal/emu'
-go test -race ./internal/pool ./internal/lfirt ./internal/obs ./internal/emu
+echo '== go test -race ./internal/pool ./internal/lfirt ./internal/obs ./internal/emu ./internal/mem'
+go test -race ./internal/pool ./internal/lfirt ./internal/obs ./internal/emu ./internal/mem
+
+echo '== page-sharing suite under race (snapshot bytes immutable, no residue, no recycled backing, exact round trip)'
+go test -race -count=1 -run 'TestSnapshotBytesImmutable|TestRecycledPageNoResidue|TestSharedBackingNeverRecycled|TestSnapshotRoundTripExact' \
+    ./internal/mem ./internal/lfirt
 
 echo '== IPC suite under race (conformance, stress, pipelines, snapshot regressions)'
 go test -race -run 'TestIPC|TestRing|TestStream|TestDgram|TestPipeline|TestSnapshotBlocked|TestYield' \
@@ -31,10 +35,10 @@ go test -race -run 'TestIPC|TestRing|TestStream|TestDgram|TestPipeline|TestSnaps
 echo '== transition suite under race (vectored calls, handoff, wake coalescing and order, cross-slot blocks)'
 go test -race -run 'TestVSubmit|TestHandoff|TestWake|TestCallTableSync|TestWakeOrderDeterministic|TestWaitReapsLowestPID|TestCrossSlotBlocks' ./internal/lfirt
 
-echo '== transition micro-bench smoke (direct handoff <= 1.5x bare yield; no allocation per runtime call)'
+echo '== transition micro-bench smoke (direct handoff <= 1.5x bare yield; no allocation per runtime call; no page per warm cycle)'
 go test -count=1 -run TestTransitionRatios ./internal/bench
 # Not under -race: the detector allocates on its own account.
-go test -count=1 -run TestTransitionAllocs ./internal/lfirt
+go test -count=1 -run 'TestTransitionAllocs|TestWarmCycleAllocs' ./internal/lfirt
 
 echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x)'
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .

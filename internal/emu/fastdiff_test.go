@@ -5,6 +5,7 @@ package emu
 // the exact instruction at which every trap (including TrapBudget) lands.
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -131,8 +132,12 @@ func lockstep(t *testing.T, src string) *Trap {
 	t.Helper()
 	slow := loadProgram(t, src)
 	slow.SetFastpath(false)
-	fast := loadProgram(t, src)
+	return lockstepOn(t, slow, loadProgram(t, src))
+}
 
+// lockstepOn is lockstep on two machines the caller built alike.
+func lockstepOn(t *testing.T, slow, fast *CPU) *Trap {
+	t.Helper()
 	// Prime slice sizes defeat any alignment with block boundaries.
 	slices := []uint64{1, 2, 3, 5, 7, 11, 13, 17, 23, 97, 251, 1021}
 	var final *Trap
@@ -641,5 +646,73 @@ loop:
 	})
 	if allocs != 0 {
 		t.Errorf("Run budget slice allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// TestDiffRestoredClone runs the two executors on clones of one snapshot.
+// A clone's pages are references to the snapshot's bytes until first touch
+// gives a writable page its own; the loop's load–store–load on one restored
+// data page must read the snapshot's value, then its own stores, on both
+// paths and at every slice boundary, and nothing may reach the snapshot —
+// or the machine it was taken from, which runs on the same bytes.
+func TestDiffRestoredClone(t *testing.T) {
+	const src = `
+_start:
+	adrp x1, val
+	add x1, x1, :lo12:val
+	mov x3, #300
+loop:
+	ldr x4, [x1]
+	add x4, x4, #3
+	str x4, [x1]
+	ldr x5, [x1]
+	add x0, x0, x5
+	stp x4, x5, [sp, #-16]!
+	ldr x6, [sp], #16
+	add x0, x0, x6
+	subs x3, x3, #1
+	b.ne loop
+	brk #0
+.data
+val:
+	.quad 0x1111
+`
+	origin := loadProgram(t, src)
+	pages, err := origin.Mem.SnapshotRange(0, 0x900000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := make([][]byte, len(pages))
+	for i, pi := range pages {
+		saved[i] = append([]byte(nil), pi.Data...)
+	}
+	clone := func() *CPU {
+		as := mem.NewAddrSpace(16384)
+		if err := as.RestoreRange(0, pages); err != nil {
+			t.Fatal(err)
+		}
+		c := New(as)
+		c.PC, c.SP = origin.PC, origin.SP
+		c.Timing = NewTiming(ModelM1())
+		return c
+	}
+	slow, fast := clone(), clone()
+	slow.SetFastpath(false)
+	if tr := lockstepOn(t, slow, fast); tr.Kind != TrapBRK {
+		t.Fatalf("trap = %v, want brk", tr)
+	}
+	// The cold-loaded machine reaches the same state on its own.
+	if tr := origin.Run(0); tr.Kind != TrapBRK {
+		t.Fatalf("origin trap = %v, want brk", tr)
+	}
+	compareCPUs(t, origin, fast, "clone against the machine snapshotted")
+	compareMem(t, origin, fast, "clone against the machine snapshotted")
+	if want := uint64(2 * (300*0x1111 + 3*300*301/2)); fast.X[0] != want {
+		t.Errorf("x0 = %#x, want %#x", fast.X[0], want)
+	}
+	for i, pi := range pages {
+		if !bytes.Equal(pi.Data, saved[i]) {
+			t.Errorf("snapshot page %#x changed while its clones ran", pi.Off)
+		}
 	}
 }

@@ -316,25 +316,18 @@ func (rt *Runtime) sysMunmap(p *Proc, addr, length uint64) int64 {
 }
 
 // sysFork implements single-address-space fork (§5.3): the child lands in
-// a fresh slot, its memory is copied region by region, and every
-// address-bearing register is rebased by replacing the top 32 bits.
+// a fresh slot, gets the parent's resident pages — shared where nobody can
+// write them, copied where the parent has — and every address-bearing
+// register is rebased by replacing the top 32 bits.
 func (rt *Runtime) sysFork(p *Proc) action {
 	slot, err := rt.allocSlot()
 	if err != nil {
 		return rt.resume(p, errRet(ENOMEM))
 	}
 	childBase := core.SlotBase(slot)
-
-	// Copy all mapped regions of the parent's slot.
-	for _, r := range rt.AS.Regions() {
-		if r.Addr < p.Base || r.Addr >= p.Base+core.SandboxSize {
-			continue
-		}
-		off := r.Addr - p.Base
-		if err := rt.AS.CopyRange(r.Addr, childBase+off, r.Size); err != nil {
-			rt.freeSlot(slot)
-			return rt.resume(p, errRet(ENOMEM))
-		}
+	if err := rt.AS.CopyRange(p.Base, childBase, core.SandboxSize); err != nil {
+		rt.releaseSlot(slot) // drop the half-built child with its slot
+		return rt.resume(p, errRet(ENOMEM))
 	}
 
 	child := &Proc{

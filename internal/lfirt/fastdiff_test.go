@@ -289,3 +289,59 @@ buf:
 		}
 	}
 }
+
+// TestDiffRestoredClone runs a restored clone under both executors. Its
+// pages start as references to the snapshot's bytes and get their own on
+// first touch, under whichever executor's translation caches; shareSrc's
+// load–store–load on one restored page, its stores to every other page and
+// its fork must leave registers, memory, instruction and cycle counts
+// bit-identical, and equal to a cold load's.
+func TestDiffRestoredClone(t *testing.T) {
+	elf := build(t, shareSrc)
+	newModelRT := func(fastpath bool) *Runtime {
+		cfg := DefaultConfig()
+		cfg.StackSize = 1 << 20 // shareSrc walks a 64-page stack
+		cfg.Model = emu.ModelM1()
+		rt := New(cfg)
+		rt.CPU.SetFastpath(fastpath)
+		return rt
+	}
+	origin := newModelRT(true)
+	op, err := origin.Load(elf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := origin.Snapshot(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type end struct {
+		instrs uint64
+		cycles float64
+		regs   Regs
+		mem    [32]byte
+	}
+	park := func(rt *Runtime, p *Proc) end {
+		t.Helper()
+		if err := runToPark(rt, p); err != nil {
+			t.Fatal(err)
+		}
+		return end{rt.CPU.Instrs, rt.CPU.Timing.Cycles(), p.Regs, memDigest(rt, p)}
+	}
+	clone := func(fastpath bool) end {
+		t.Helper()
+		rt := newModelRT(fastpath)
+		p, err := rt.Restore(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return park(rt, p)
+	}
+	slow, fast, cold := clone(false), clone(true), park(origin, op)
+	if slow != fast {
+		t.Errorf("restored clone diverges between executors:\nslow=%+v\nfast=%+v", slow, fast)
+	}
+	if fast != cold {
+		t.Errorf("restored clone diverges from the cold-loaded original:\nclone=%+v\ncold=%+v", fast, cold)
+	}
+}

@@ -527,7 +527,7 @@ func (rt *Runtime) kill(p *Proc, status int) {
 	rt.markWake()
 	// Unmap the sandbox except when a parent may still wait on us — the
 	// memory can go either way; release it eagerly.
-	rt.releaseMemory(p)
+	rt.releaseSlot(p.Slot)
 	// Wake a parent blocked in wait().
 	if p.parent != nil && p.parent.State == ProcBlocked && p.parent.block == blockChild {
 		rt.completeWait(p.parent)
@@ -544,12 +544,12 @@ func (rt *Runtime) kill(p *Proc, status int) {
 	}
 }
 
-func (rt *Runtime) releaseMemory(p *Proc) {
-	// Unmap every mapped page in the slot. UnmapRange walks the page
-	// table once rather than building (and sorting) a region list, which
-	// matters in serving loops where sandboxes are killed per request.
-	_ = rt.AS.UnmapRange(p.Base, core.SandboxSize)
-	rt.freeSlot(p.Slot)
+// releaseSlot unmaps whatever the slot holds and frees its number. Unmap
+// visits the slot's own pages only, so a serving loop that kills a sandbox
+// per request pays for that sandbox, not for the clones parked beside it.
+func (rt *Runtime) releaseSlot(slot int) {
+	_ = rt.AS.Unmap(core.SlotBase(slot), core.SandboxSize)
+	rt.freeSlot(slot)
 }
 
 // ExitStatus returns a finished process's status.

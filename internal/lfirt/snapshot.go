@@ -9,19 +9,22 @@ import (
 )
 
 // Sandbox snapshot/restore: the serving-path counterpart of fork (§5.3).
-// fork copies a live sandbox into a sibling slot of the same address
-// space; Restore copies a *saved* sandbox into a fresh slot — of this
+// fork clones a live sandbox into a sibling slot of the same address
+// space; Restore clones a *saved* sandbox into a fresh slot — of this
 // runtime or any other with the same page size — rebasing the
 // address-bearing registers exactly the way fork does. Because LFI guards
 // replace the top 32 bits of every sandboxed pointer at each use, a
 // sandbox image is position-independent across slots, which is what makes
 // a snapshot restorable anywhere.
 
-// Snapshot is an immutable copy of one process: every mapped page of its
+// Snapshot is an immutable image of one process: every mapped page of its
 // sandbox (stored base-relative, with all-zero pages deduplicated) plus
 // the register file and the per-process runtime state. A snapshot may be
-// restored any number of times, concurrently into different runtimes —
-// restores copy, they never alias.
+// restored any number of times, concurrently into different runtimes.
+// Restored pages alias the snapshot's bytes — every tenant running the
+// image reads the same text — which is safe because mem never lets a page
+// write bytes it shares: it gets private ones first (the sharing invariant,
+// stated on mem's page type).
 type Snapshot struct {
 	pages    []mem.PageImage
 	regs     Regs
@@ -39,7 +42,8 @@ type Snapshot struct {
 // Pages reports how many pages the snapshot holds (for diagnostics).
 func (s *Snapshot) Pages() int { return len(s.pages) }
 
-// Snapshot captures p's current state. The process must be quiescent —
+// Snapshot captures p's current state, taking its pages' bytes rather than
+// copying them; p runs on, under the same invariant. It must be quiescent —
 // not currently executing — and must not have forked children (their
 // shared descriptors cannot be saved coherently). Snapshotting a process
 // right after LoadExecutable, before it runs, always satisfies both.
@@ -67,8 +71,9 @@ func (rt *Runtime) Snapshot(p *Proc) (*Snapshot, error) {
 	}, nil
 }
 
-// Restore materializes a snapshot into a fresh sandbox slot and returns
-// the new process. The process is *parked*: it exists in the process
+// Restore maps a snapshot into a fresh sandbox slot, by reference — its
+// cost follows the snapshot's page count, not its bytes — and returns the
+// new process. The process is *parked*: it exists in the process
 // table with its memory mapped and registers staged, but is not scheduled
 // until Start — which is what lets a serving pool keep warm, pre-restored
 // sandboxes waiting for requests. Restore skips verification: the pages
@@ -85,8 +90,7 @@ func (rt *Runtime) Restore(s *Snapshot) (*Proc, error) {
 	}
 	base := core.SlotBase(slot)
 	if err := rt.AS.RestoreRange(base, s.pages); err != nil {
-		_ = rt.AS.UnmapRange(base, core.SandboxSize) // drop any partial restore
-		rt.freeSlot(slot)
+		rt.releaseSlot(slot) // drop any partial restore
 		return nil, fmt.Errorf("lfirt: restore: %w", err)
 	}
 	// The context heap-base word in the call-table page still holds the

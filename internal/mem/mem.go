@@ -8,7 +8,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Perm is a page permission bitmask.
@@ -81,30 +81,63 @@ const AddrWidth = 48
 // MaxAddr is the first address beyond the usable address space.
 const MaxAddr = uint64(1) << AddrWidth
 
-// page is one mapped page. data == nil means demand-zero: the page reads
-// as zeros and gets its backing store on first access (materialized in
-// lookup/WriteForce). Fresh stacks and sparse heaps therefore cost
-// nothing to map, copy (fork), snapshot, or restore until touched.
+// page is one mapped page, in one of three states:
+//
+//	demand-zero  data == nil            reads as zeros, owns no bytes
+//	aliased      data != nil, shared    data is a Snapshot's backing (or a
+//	                                    fork sibling's page): read in place
+//	private      data != nil, !shared   data belongs to this page alone
+//
+// The sharing invariant: bytes reachable from a Snapshot are never written
+// after Snapshot returns; a page whose bytes are shared grants no path —
+// lookup(…, AccessWrite), PageSlice(…, AccessWrite), WriteAt, Write,
+// WriteForce — that yields those bytes writable; the page gets private
+// bytes first.
+//
+// It holds because first touch decides a page's bytes for good: lookup
+// gives a demand-zero page zeros and a shared page *with* write permission
+// a private copy before anyone sees a slice of it; a shared page without
+// write permission (text, rodata, the call table) is served in place and
+// only WriteForce can write it, which privatizes first. Nothing can hold a
+// slice of an untouched page, so first touch needs no epoch bump.
 type page struct {
-	perm Perm
-	data []byte
+	perm   Perm
+	shared bool
+	data   []byte
+}
+
+// extent is a run of consecutively mapped pages inside one 4GiB slot.
+type extent struct {
+	first uint64 // page index of pages[0]
+	pages []page
 }
 
 // AddrSpace is a sparse page-mapped address space.
 type AddrSpace struct {
 	pageSize  uint64
 	pageShift uint
-	pages     map[uint64]*page
+	slotShift uint // page index >> slotShift = 4GiB slot number
+
+	// slots is the page table: per slot, its extents sorted and disjoint.
+	// Snapshot, restore, fork and release walk one slot's extents, so they
+	// cost that sandbox's pages however many other sandboxes are mapped.
+	slots map[uint64][]extent
+
+	// free holds the private buffers of unmapped pages, at most freePages,
+	// for the next first touch or fork copy: a sandbox restored, run and
+	// released in a loop allocates no page. No shared buffer enters it.
+	free [][]byte
 
 	// Direct-mapped lookup caches, one per Access kind. An entry holds a
-	// page that grants its kind's permission, so a hit needs neither the
-	// page map nor a permission check. invalidate drops every entry.
+	// page that grants its kind's permission and already has its bytes, so
+	// a hit needs neither the page table nor a permission check.
+	// invalidate drops every entry.
 	cache [AccessExec + 1][lookupCacheSize]cachedPage
 
-	// epoch counts mapping mutations (Map/Unmap/Protect/CopyRange/
-	// RestoreRange). External caches keyed on page identity — the
-	// emulator's decoded-block and translation caches — revalidate by
-	// comparing epochs instead of being flushed explicitly.
+	// epoch counts mapping mutations (Map/Unmap/CopyRange/RestoreRange),
+	// WriteForce and SnapshotRange. External caches keyed on page identity
+	// — the emulator's decoded-block and translation caches — revalidate
+	// by comparing epochs instead of being flushed explicitly.
 	epoch uint64
 }
 
@@ -126,6 +159,10 @@ const (
 	// over the golden ratio, odd, which keeps consecutive slots distinct
 	// and well separated.
 	lookupSlotStride = 39
+	// freePages caps the free list (1MiB at the default page size): a
+	// serving job dirties a handful of pages; the surplus of a large
+	// sandbox goes to the collector.
+	freePages = 64
 )
 
 // NewAddrSpace creates an empty address space with the given page size
@@ -144,7 +181,8 @@ func NewAddrSpace(pageSize uint64) *AddrSpace {
 	return &AddrSpace{
 		pageSize:  pageSize,
 		pageShift: shift,
-		pages:     make(map[uint64]*page),
+		slotShift: 32 - shift,
+		slots:     make(map[uint64][]extent),
 	}
 }
 
@@ -156,20 +194,23 @@ func (as *AddrSpace) invalidate() {
 	as.epoch++
 }
 
-// Epoch returns the mapping-mutation counter. Any Map, Unmap, UnmapRange,
-// Protect, CopyRange, or RestoreRange bumps it, as does WriteForce — the
-// host-side escape hatch that can rewrite text in place under a read/exec
-// mapping. Sandbox-initiated page *contents* changes (ordinary stores) do
-// not: sandboxed code cannot write executable pages, so they cannot
-// invalidate decoded text. A cache of page translations or decoded text is
-// coherent as long as the epoch it was filled under is still current.
+// Epoch returns the mapping-mutation counter. Any Map, MapZero, Unmap,
+// CopyRange, or RestoreRange bumps it, as do WriteForce — the host-side
+// escape hatch that can rewrite text in place under a read/exec mapping —
+// and SnapshotRange, which turns the pages it saves into shared ones.
+// Sandbox-initiated page *contents* changes (ordinary stores) do not:
+// sandboxed code cannot write executable pages, so they cannot invalidate
+// decoded text. Nor does first touch: no slice of an untouched page exists
+// to go stale. A cache of page translations or decoded text is coherent as
+// long as the epoch it was filled under is still current.
 func (as *AddrSpace) Epoch() uint64 { return as.epoch }
 
 // PageSlice returns the backing bytes of the mapped page containing addr,
-// provided the page grants acc, materializing demand-zero pages. The slice
-// aliases the page (writes through it are visible to all readers) and stays
-// valid until the next epoch bump, so callers may cache it keyed by page
-// index while Epoch() is unchanged.
+// provided the page grants acc, giving the page its bytes on first touch.
+// The slice aliases the page (writes through it are visible to all readers)
+// and stays valid until the next epoch bump, so callers may cache it keyed
+// by page index while Epoch() is unchanged. A slice obtained for
+// AccessWrite is never a shared backing (see page).
 func (as *AddrSpace) PageSlice(addr uint64, acc Access) ([]byte, *Fault) {
 	pg, f := as.lookup(addr, acc)
 	if f != nil {
@@ -210,13 +251,6 @@ func (as *AddrSpace) mapPages(addr, size uint64, perm Perm, commit bool) error {
 	if err := as.aligned(addr, size); err != nil {
 		return err
 	}
-	first := addr >> as.pageShift
-	n := size >> as.pageShift
-	for i := uint64(0); i < n; i++ {
-		if _, ok := as.pages[first+i]; ok {
-			return fmt.Errorf("mem: page %#x already mapped", (first+i)<<as.pageShift)
-		}
-	}
 	// A committed mapping is backed by one slab, sliced per page, so the
 	// per-page allocation and 16KiB zeroing that first-touch
 	// materialization does inside the emulator's load/store path happen
@@ -226,66 +260,127 @@ func (as *AddrSpace) mapPages(addr, size uint64, perm Perm, commit bool) error {
 	if commit {
 		slab = make([]byte, size)
 	}
-	for i := uint64(0); i < n; i++ {
-		pg := &page{perm: perm}
+	pages := make([]page, size>>as.pageShift)
+	for i := range pages {
+		pages[i].perm = perm
 		if commit {
-			pg.data = slab[i<<as.pageShift : (i+1)<<as.pageShift : (i+1)<<as.pageShift]
+			pages[i].data, slab = slab[:as.pageSize:as.pageSize], slab[as.pageSize:]
 		}
-		as.pages[first+i] = pg
 	}
 	as.invalidate()
+	return as.install(addr>>as.pageShift, pages)
+}
+
+// touching returns the position of the first extent that ends beyond page
+// index idx: the one holding idx if it is mapped, else the place an extent
+// starting at idx belongs.
+func touching(exts []extent, idx uint64) int {
+	lo, hi := 0, len(exts)
+	for lo < hi {
+		m := (lo + hi) / 2
+		if exts[m].first+uint64(len(exts[m].pages)) > idx {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// find returns the page with index idx, or nil if it is unmapped.
+func (as *AddrSpace) find(idx uint64) *page {
+	exts := as.slots[idx>>as.slotShift]
+	if i := touching(exts, idx); i < len(exts) && exts[i].first <= idx {
+		return &exts[i].pages[idx-exts[i].first]
+	}
 	return nil
 }
 
-// Unmap removes pages over [addr, addr+size). Unmapped pages are skipped.
+// slotEnd clips the page range [first, last) to first's slot.
+func (as *AddrSpace) slotEnd(first, last uint64) uint64 {
+	return min(last, (first>>as.slotShift+1)<<as.slotShift)
+}
+
+// walk calls f, in address order, with every run of mapped pages in the
+// page range [first, last); idx is the index of pages[0]. f must not map
+// or unmap.
+func (as *AddrSpace) walk(first, last uint64, f func(idx uint64, pages []page)) {
+	for first < last {
+		end := as.slotEnd(first, last)
+		exts := as.slots[first>>as.slotShift]
+		for i := touching(exts, first); i < len(exts) && exts[i].first < end; i++ {
+			e := exts[i]
+			lo, hi := max(first, e.first), min(end, e.first+uint64(len(e.pages)))
+			f(lo, e.pages[lo-e.first:hi-e.first])
+		}
+		first = end
+	}
+}
+
+// firstMapped returns the lowest mapped page index in [first, last).
+func (as *AddrSpace) firstMapped(first, last uint64) (idx uint64, ok bool) {
+	as.walk(first, last, func(i uint64, _ []page) {
+		if !ok {
+			idx, ok = i, true
+		}
+	})
+	return idx, ok
+}
+
+// install enters pages into the page table at page index first, one extent
+// per slot touched. It fails, entering nothing, if a target page is mapped.
+func (as *AddrSpace) install(first uint64, pages []page) error {
+	if idx, ok := as.firstMapped(first, first+uint64(len(pages))); ok {
+		return fmt.Errorf("mem: page %#x already mapped", idx<<as.pageShift)
+	}
+	for len(pages) > 0 {
+		n := as.slotEnd(first, first+uint64(len(pages))) - first
+		s := first >> as.slotShift
+		exts := as.slots[s]
+		as.slots[s] = slices.Insert(exts, touching(exts, first), extent{first, pages[:n]})
+		first, pages = first+n, pages[n:]
+	}
+	return nil
+}
+
+// Unmap removes the mapped pages of [addr, addr+size); unmapped pages are
+// skipped. It visits only the extents the range touches — releasing a whole
+// 4GiB sandbox slot costs the pages that sandbox mapped — and hands the
+// private buffers it frees to the free list.
 func (as *AddrSpace) Unmap(addr, size uint64) error {
 	if err := as.aligned(addr, size); err != nil {
 		return err
 	}
 	first := addr >> as.pageShift
-	n := size >> as.pageShift
-	for i := uint64(0); i < n; i++ {
-		delete(as.pages, first+i)
-	}
-	as.invalidate()
-	return nil
-}
-
-// UnmapRange unmaps every mapped page in [addr, addr+size) with a single
-// pass over the page table. Unlike Unmap it does not probe each page
-// index in the range, so it is the right call for sparse ranges — e.g.
-// releasing a whole 4GiB sandbox slot of which only a few hundred pages
-// were ever mapped.
-func (as *AddrSpace) UnmapRange(addr, size uint64) error {
-	if err := as.aligned(addr, size); err != nil {
-		return err
-	}
-	first := addr >> as.pageShift
-	last := (addr + size) >> as.pageShift
-	for idx := range as.pages {
-		if idx >= first && idx < last {
-			delete(as.pages, idx)
+	last := first + size>>as.pageShift
+	for first < last {
+		end := as.slotEnd(first, last)
+		s := first >> as.slotShift
+		exts := as.slots[s]
+		i := touching(exts, first)
+		j := i
+		var keep []extent // what the range leaves of the extents at its two ends
+		for ; j < len(exts) && exts[j].first < end; j++ {
+			e := exts[j]
+			lo, hi := max(first, e.first)-e.first, min(end, e.first+uint64(len(e.pages)))-e.first
+			for k := lo; k < hi; k++ {
+				pg := &e.pages[k]
+				if pg.data != nil && !pg.shared && len(as.free) < freePages {
+					as.free = append(as.free, pg.data)
+				}
+				*pg = page{} // the slab may outlive this page; its bytes need not
+			}
+			if lo > 0 {
+				keep = append(keep, extent{e.first, e.pages[:lo]})
+			}
+			if hi < uint64(len(e.pages)) {
+				keep = append(keep, extent{e.first + hi, e.pages[hi:]})
+			}
 		}
-	}
-	as.invalidate()
-	return nil
-}
-
-// Protect changes permissions over [addr, addr+size). All pages must be
-// mapped.
-func (as *AddrSpace) Protect(addr, size uint64, perm Perm) error {
-	if err := as.aligned(addr, size); err != nil {
-		return err
-	}
-	first := addr >> as.pageShift
-	n := size >> as.pageShift
-	for i := uint64(0); i < n; i++ {
-		if _, ok := as.pages[first+i]; !ok {
-			return fmt.Errorf("mem: page %#x not mapped", (first+i)<<as.pageShift)
+		if j > i {
+			as.slots[s] = slices.Replace(exts, i, j, keep...)
 		}
-	}
-	for i := uint64(0); i < n; i++ {
-		as.pages[first+i].perm = perm
+		first = end
 	}
 	as.invalidate()
 	return nil
@@ -300,17 +395,30 @@ func (as *AddrSpace) Mapped(addr, size uint64, perm Perm) bool {
 	first := addr >> as.pageShift
 	last := (addr + size - 1) >> as.pageShift
 	for i := first; i <= last; i++ {
-		pg, ok := as.pages[i]
-		if !ok || pg.perm&perm != perm {
+		pg := as.find(i)
+		if pg == nil || pg.perm&perm != perm {
 			return false
 		}
 	}
 	return true
 }
 
-// MappedBytes returns the total number of mapped bytes.
-func (as *AddrSpace) MappedBytes() uint64 {
-	return uint64(len(as.pages)) << as.pageShift
+// buffer returns a page-sized buffer no other page references, holding
+// src's bytes (zeros for a nil src). A recycled buffer is wholly
+// overwritten — every src is a page long, RestoreRange checks — or cleared,
+// so nothing of its previous owner survives.
+func (as *AddrSpace) buffer(src []byte) []byte {
+	var b []byte
+	if n := len(as.free); n > 0 {
+		b, as.free = as.free[n-1], as.free[:n-1]
+		if src == nil {
+			clear(b)
+		}
+	} else {
+		b = make([]byte, as.pageSize)
+	}
+	copy(b, src)
+	return b
 }
 
 func (as *AddrSpace) lookup(addr uint64, acc Access) (*page, *Fault) {
@@ -319,12 +427,14 @@ func (as *AddrSpace) lookup(addr uint64, acc Access) (*page, *Fault) {
 	if cache.idx == idx && cache.pg != nil {
 		return cache.pg, nil
 	}
-	pg, ok := as.pages[idx]
-	if !ok || pg.perm&accessPerm[acc] == 0 {
+	pg := as.find(idx)
+	if pg == nil || pg.perm&accessPerm[acc] == 0 {
 		return nil, &Fault{Addr: addr, Access: acc, Size: 1}
 	}
-	if pg.data == nil {
-		pg.data = make([]byte, as.pageSize) // first touch materializes
+	// First touch: zeros for a demand-zero page, a private copy for a
+	// shared page that could ever be written — before any slice of it exists.
+	if pg.data == nil || pg.shared && pg.perm&PermWrite != 0 {
+		pg.data, pg.shared = as.buffer(pg.data), false
 	}
 	cache.idx, cache.pg = idx, pg
 	return pg, nil
@@ -361,20 +471,20 @@ func (as *AddrSpace) WriteAt(b []byte, addr uint64) *Fault {
 }
 
 // WriteForce copies b to addr ignoring permissions (loader use only; the
-// pages must exist). Because it can rewrite pages mapped read/exec — the
-// one way text changes without a mapping mutation — it bumps the epoch so
+// pages must exist). A shared page gets private bytes first, whatever its
+// permissions. Because it can rewrite pages mapped read/exec — the one way
+// text changes without a mapping mutation — it bumps the epoch so
 // decoded-block caches and chain links built over the old bytes are
 // dropped.
 func (as *AddrSpace) WriteForce(b []byte, addr uint64) *Fault {
 	defer as.invalidate()
 	for len(b) > 0 {
-		idx := addr >> as.pageShift
-		pg, ok := as.pages[idx]
-		if !ok {
+		pg := as.find(addr >> as.pageShift)
+		if pg == nil {
 			return &Fault{Addr: addr, Access: AccessWrite, Size: len(b)}
 		}
-		if pg.data == nil {
-			pg.data = make([]byte, as.pageSize)
+		if pg.data == nil || pg.shared {
+			pg.data, pg.shared = as.buffer(pg.data), false
 		}
 		off := addr & (as.pageSize - 1)
 		n := copy(pg.data[off:], b)
@@ -457,10 +567,13 @@ func (as *AddrSpace) Fetch32(addr uint64) (uint32, *Fault) {
 	return 0, &Fault{Addr: addr, Access: AccessExec, Size: 4}
 }
 
-// CopyRange copies size bytes of mapped content (and permissions) from
-// srcBase to dstBase, mapping destination pages as needed. It implements
-// the memory side of single-address-space fork: unmapped source pages stay
-// unmapped at the destination.
+// CopyRange gives dstBase a copy of the mapped pages (and permissions) of
+// [srcBase, srcBase+size): the memory side of single-address-space fork.
+// It walks the source's mapped pages only; unmapped source pages stay
+// unmapped at the destination and demand-zero pages stay demand-zero. A
+// page nobody can write — no write permission, or still aliasing a
+// snapshot — is shared by reference; a private writable page is copied.
+// On error the destination may hold a partial copy (callers unmap it).
 func (as *AddrSpace) CopyRange(srcBase, dstBase, size uint64) error {
 	if err := as.aligned(srcBase, size); err != nil {
 		return err
@@ -468,40 +581,47 @@ func (as *AddrSpace) CopyRange(srcBase, dstBase, size uint64) error {
 	if err := as.aligned(dstBase, size); err != nil {
 		return err
 	}
-	n := size >> as.pageShift
 	src := srcBase >> as.pageShift
 	dst := dstBase >> as.pageShift
-	for i := uint64(0); i < n; i++ {
-		spg, ok := as.pages[src+i]
-		if !ok {
-			continue
+	var runs []extent // built first: install may move the extents walk reads
+	as.walk(src, src+size>>as.pageShift, func(idx uint64, pages []page) {
+		cp := slices.Clone(pages)
+		for i := range cp {
+			switch pg := &cp[i]; {
+			case pg.data == nil:
+			case pg.shared || pg.perm&PermWrite == 0:
+				pg.shared, pages[i].shared = true, true
+			default:
+				pg.data = as.buffer(pg.data)
+			}
 		}
-		if _, ok := as.pages[dst+i]; ok {
-			return fmt.Errorf("mem: destination page %#x already mapped", (dst+i)<<as.pageShift)
-		}
-		npg := &page{perm: spg.perm}
-		if spg.data != nil {
-			npg.data = append([]byte(nil), spg.data...)
-		}
-		as.pages[dst+i] = npg
-	}
+		runs = append(runs, extent{idx - src + dst, cp})
+	})
 	as.invalidate()
+	for _, r := range runs {
+		if err := as.install(r.first, r.pages); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 // PageImage is one saved page of a snapshot: its offset from the snapshot
 // base, its permissions, and its contents. Data is nil for an all-zero
 // page, so snapshots of mostly-untouched sandboxes (fresh stacks, sparse
-// heaps) stay small and restore without copying.
+// heaps) stay small. Data is immutable: restored pages alias it.
 type PageImage struct {
 	Off  uint64
 	Perm Perm
 	Data []byte
 }
 
-// SnapshotRange copies out every mapped page in [base, base+size) as a
-// base-relative PageImage list. The result shares nothing with the address
-// space: it is immutable and may be restored concurrently into other
+// SnapshotRange saves every mapped page in [base, base+size) as a
+// base-relative PageImage list in address order, walking mapped pages
+// only. It takes each non-zero page's bytes rather than copying them and
+// marks the page shared, so the address space keeps running on them under
+// the sharing invariant (a writable page copies itself on its next touch)
+// and the result is immutable: it may be restored concurrently into other
 // AddrSpaces (the memory half of sandbox snapshot/restore, which reuses
 // the same single-address-space copy idea as fork).
 func (as *AddrSpace) SnapshotRange(base, size uint64) ([]PageImage, error) {
@@ -509,47 +629,52 @@ func (as *AddrSpace) SnapshotRange(base, size uint64) ([]PageImage, error) {
 		return nil, err
 	}
 	first := base >> as.pageShift
-	n := size >> as.pageShift
 	var out []PageImage
-	for i := uint64(0); i < n; i++ {
-		pg, ok := as.pages[first+i]
-		if !ok {
-			continue
+	as.walk(first, first+size>>as.pageShift, func(idx uint64, pages []page) {
+		for i := range pages {
+			pg := &pages[i]
+			pi := PageImage{Off: (idx + uint64(i) - first) << as.pageShift, Perm: pg.perm}
+			if pg.data != nil && !allZero(pg.data) {
+				pi.Data, pg.shared = pg.data, true
+			}
+			out = append(out, pi)
 		}
-		pi := PageImage{Off: i << as.pageShift, Perm: pg.perm}
-		if pg.data != nil && !allZero(pg.data) {
-			pi.Data = append([]byte(nil), pg.data...)
-		}
-		out = append(out, pi)
-	}
+	})
+	// Writable pages that just became shared may be in a write cache.
+	as.invalidate()
 	return out, nil
 }
 
-// RestoreRange maps the snapshot's pages at base and fills their contents.
+// RestoreRange maps the snapshot's pages at base by reference: it copies
+// no page bytes and allocates one descriptor slab for the whole restore.
 // The target pages must be unmapped; on error the address space may hold a
 // partial restore (callers unmap the whole range to recover).
 func (as *AddrSpace) RestoreRange(base uint64, pages []PageImage) error {
 	if base%as.pageSize != 0 {
 		return fmt.Errorf("mem: restore base %#x not page aligned", base)
 	}
+	as.invalidate()
+	slab := make([]page, len(pages))
 	for i := range pages {
 		pi := &pages[i]
-		addr := base + pi.Off
-		if pi.Off%as.pageSize != 0 || addr >= MaxAddr {
+		if pi.Off%as.pageSize != 0 || base+pi.Off >= MaxAddr {
 			return fmt.Errorf("mem: bad snapshot page offset %#x", pi.Off)
 		}
-		idx := addr >> as.pageShift
-		if _, ok := as.pages[idx]; ok {
-			return fmt.Errorf("mem: restore target page %#x already mapped", addr)
+		if pi.Data != nil && uint64(len(pi.Data)) != as.pageSize {
+			return fmt.Errorf("mem: snapshot page %#x holds %d bytes, not a page", pi.Off, len(pi.Data))
 		}
-		npg := &page{perm: pi.Perm} // zero pages restore demand-zero
-		if pi.Data != nil {
-			npg.data = make([]byte, as.pageSize)
-			copy(npg.data, pi.Data)
-		}
-		as.pages[idx] = npg
+		slab[i] = page{perm: pi.Perm, shared: pi.Data != nil, data: pi.Data}
 	}
-	as.invalidate()
+	for i := 0; i < len(pages); {
+		j := i + 1
+		for j < len(pages) && pages[j].Off == pages[j-1].Off+as.pageSize {
+			j++
+		}
+		if err := as.install((base+pages[i].Off)>>as.pageShift, slab[i:j]); err != nil {
+			return err
+		}
+		i = j
+	}
 	return nil
 }
 
@@ -566,32 +691,4 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// Region describes one contiguous run of identically-permissioned pages.
-type Region struct {
-	Addr uint64
-	Size uint64
-	Perm Perm
-}
-
-// Regions returns the mapped regions in address order, coalescing adjacent
-// pages with equal permissions. Useful for debugging and tests.
-func (as *AddrSpace) Regions() []Region {
-	idxs := make([]uint64, 0, len(as.pages))
-	for idx := range as.pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	var out []Region
-	for _, idx := range idxs {
-		pg := as.pages[idx]
-		addr := idx << as.pageShift
-		if n := len(out); n > 0 && out[n-1].Addr+out[n-1].Size == addr && out[n-1].Perm == pg.perm {
-			out[n-1].Size += as.pageSize
-			continue
-		}
-		out = append(out, Region{Addr: addr, Size: as.pageSize, Perm: pg.perm})
-	}
-	return out
 }

@@ -1,11 +1,16 @@
 package mem
 
 import (
+	"bytes"
+	"cmp"
+	"crypto/sha256"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestMapUnmapProtect(t *testing.T) {
+func TestMapUnmapPerms(t *testing.T) {
 	as := NewAddrSpace(0)
 	ps := as.PageSize()
 	if ps != 16*1024 {
@@ -23,11 +28,9 @@ func TestMapUnmapProtect(t *testing.T) {
 	if as.Mapped(0x100000000, 4*ps, PermExec) {
 		t.Error("range should not be executable")
 	}
-	if err := as.Protect(0x100000000, ps, PermRX); err != nil {
-		t.Fatal(err)
-	}
+	remap(t, as, 0x100000000, ps, PermRX)
 	if !as.Mapped(0x100000000, ps, PermExec) {
-		t.Error("protect to rx failed")
+		t.Error("remap to rx failed")
 	}
 	if err := as.Unmap(0x100000000, 2*ps); err != nil {
 		t.Fatal(err)
@@ -37,6 +40,17 @@ func TestMapUnmapProtect(t *testing.T) {
 	}
 	if !as.Mapped(0x100000000+2*ps, 2*ps, PermRW) {
 		t.Error("later pages must remain")
+	}
+}
+
+// remap changes a range's permissions the only way there is: Unmap + Map.
+func remap(t *testing.T, as *AddrSpace, addr, size uint64, perm Perm) {
+	t.Helper()
+	if err := as.Unmap(addr, size); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Map(addr, size, perm); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -101,9 +115,7 @@ func TestPermissionFaults(t *testing.T) {
 	if _, f := as.Read(0x0, 8); f == nil {
 		t.Error("read of unmapped page must fault")
 	}
-	if err := as.Protect(0x1000, 4096, PermRX); err != nil {
-		t.Fatal(err)
-	}
+	remap(t, as, 0x1000, 4096, PermRX)
 	if _, f := as.Fetch32(0x1000); f != nil {
 		t.Errorf("fetch from rx page: %v", f)
 	}
@@ -125,11 +137,9 @@ func TestCacheInvalidation(t *testing.T) {
 	if _, f := as.Read(0x1000, 8); f != nil {
 		t.Fatal(f)
 	}
-	if err := as.Protect(0x1000, 4096, PermNone); err != nil {
-		t.Fatal(err)
-	}
+	remap(t, as, 0x1000, 4096, PermNone)
 	if _, f := as.Read(0x1000, 8); f == nil {
-		t.Error("stale cache: read succeeded after protect(none)")
+		t.Error("stale cache: read succeeded after remap to none")
 	}
 	if err := as.Unmap(0x1000, 4096); err != nil {
 		t.Fatal(err)
@@ -202,30 +212,7 @@ func TestCopyRangeFork(t *testing.T) {
 	}
 }
 
-func TestRegions(t *testing.T) {
-	as := NewAddrSpace(4096)
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(as.Map(0x1000, 8192, PermRW))
-	must(as.Map(0x3000, 4096, PermRX))
-	must(as.Map(0x10000, 4096, PermRW))
-	rs := as.Regions()
-	want := []Region{
-		{0x1000, 8192, PermRW},
-		{0x3000, 4096, PermRX},
-		{0x10000, 4096, PermRW},
-	}
-	if len(rs) != len(want) {
-		t.Fatalf("regions = %+v", rs)
-	}
-	for i := range want {
-		if rs[i] != want[i] {
-			t.Errorf("region %d = %+v, want %+v", i, rs[i], want[i])
-		}
-	}
+func TestPermString(t *testing.T) {
 	if PermRW.String() != "rw-" || PermRX.String() != "r-x" || PermNone.String() != "---" {
 		t.Error("Perm.String broken")
 	}
@@ -360,11 +347,9 @@ func TestLookupCacheAcrossSlots(t *testing.T) {
 			}
 		}
 	}
-	if err := as.Protect(pages[1], 16384, PermRead); err != nil {
-		t.Fatal(err)
-	}
+	remap(t, as, pages[1], 16384, PermRead)
 	if f := as.Write(pages[1], 9, 8); f == nil {
-		t.Error("stale cache: write succeeded after protect(read)")
+		t.Error("stale cache: write succeeded after remap to read-only")
 	}
 	if f := as.Write(pages[0], 9, 8); f != nil {
 		t.Errorf("write to the untouched slot faulted: %v", f)
@@ -410,5 +395,263 @@ func TestMapZero(t *testing.T) {
 	var buf [5]byte
 	if f := as.ReadAt(buf[:], base+0x100000+2*4096-2); f != nil || string(buf[:]) != "hello" {
 		t.Errorf("forked copy reads %q, %v", buf[:], f)
+	}
+}
+
+// The sharing tests: a Snapshot's bytes are immutable whatever the address
+// spaces that alias them do, and a recycled page buffer carries nothing
+// from its previous owner. DESIGN.md "Memory: shared backing, private
+// pages, the free list" names the clause each one discharges.
+
+// digest hashes a page list: offsets, permissions, nil-ness and bytes.
+func digest(pages []PageImage) [sha256.Size]byte {
+	h := sha256.New()
+	for _, pi := range pages {
+		fmt.Fprintf(h, "%#x %v %v\n", pi.Off, pi.Perm, pi.Data == nil)
+		h.Write(pi.Data)
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// image builds a snapshot of the given shape in a scratch address space:
+// one page per perm, a perm's page filled with fill+i (0 leaves the page
+// demand-zero), with a one-page hole after the first page.
+func image(t *testing.T, fill byte, perms ...Perm) []PageImage {
+	t.Helper()
+	as := NewAddrSpace(4096)
+	for i, perm := range perms {
+		addr := uint64(i) * 4096
+		if i > 0 {
+			addr += 4096
+		}
+		if err := as.MapZero(addr, 4096, perm); err != nil {
+			t.Fatal(err)
+		}
+		if fill != 0 {
+			if f := as.WriteForce(bytes.Repeat([]byte{fill + byte(i)}, 4096), addr); f != nil {
+				t.Fatal(f)
+			}
+		}
+	}
+	snap, err := as.SnapshotRange(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// scribble writes v over every writable page of [base, base+size) through
+// each write path in turn, and forces it over every other mapped page.
+func scribble(t *testing.T, as *AddrSpace, base, size uint64, v byte) {
+	t.Helper()
+	fill := bytes.Repeat([]byte{v}, int(as.PageSize()))
+	for n, addr := 0, base; addr < base+size; n, addr = n+1, addr+as.PageSize() {
+		switch {
+		case !as.Mapped(addr, 1, PermNone):
+		case !as.Mapped(addr, 1, PermWrite):
+			if f := as.WriteForce(fill, addr); f != nil {
+				t.Fatal(f)
+			}
+		case n%3 == 0:
+			if f := as.WriteAt(fill, addr); f != nil {
+				t.Fatal(f)
+			}
+		case n%3 == 1:
+			for off := uint64(0); off < as.PageSize(); off += 8 {
+				if f := as.Write(addr+off, uint64(v)*0x0101010101010101, 8); f != nil {
+					t.Fatal(f)
+				}
+			}
+		default:
+			b, f := as.PageSlice(addr, AccessWrite)
+			if f != nil {
+				t.Fatal(f)
+			}
+			copy(b, fill)
+		}
+	}
+}
+
+func TestRecycledPageNoResidue(t *testing.T) {
+	as := NewAddrSpace(4096)
+	const slot = uint64(1) << 32
+	// One tenant dirties more private pages than the free list holds.
+	if err := as.MapZero(slot, (freePages+8)*4096, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	scribble(t, as, slot, (freePages+8)*4096, 0xA5)
+	if err := as.Unmap(slot, 1<<32); err != nil {
+		t.Fatal(err)
+	}
+	if len(as.free) != freePages {
+		t.Fatalf("free list holds %d buffers after release, want the cap %d", len(as.free), freePages)
+	}
+	// The next tenant's pages come out of that list: restored writable
+	// pages by copy, fresh and forked ones besides, until it is drained.
+	snap := image(t, 0x10, PermRW, PermRW, PermRead)
+	want := map[uint64]byte{0: 0x10, 2 * 4096: 0x11, 3 * 4096: 0x12}
+	if err := as.RestoreRange(slot, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MapZero(slot+0x100000, freePages*4096, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	// A private page for the fork to copy.
+	if f := as.WriteAt(bytes.Repeat([]byte{0x77}, 4096), slot+2*4096); f != nil {
+		t.Fatal(f)
+	}
+	want[2*4096] = 0x77
+	if err := as.CopyRange(slot, 2*slot, 4*4096); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	check := func(base, off uint64) {
+		if f := as.ReadAt(buf, base+off); f != nil {
+			t.Fatal(f)
+		}
+		for i, b := range buf {
+			if b != want[off] {
+				t.Fatalf("page %#x byte %d reads %#x, want %#x: residue of the previous tenant", base+off, i, b, want[off])
+			}
+		}
+	}
+	for _, pi := range snap {
+		check(slot, pi.Off)
+		check(2*slot, pi.Off)
+	}
+	for off := uint64(0x100000); len(as.free) > 0; off += 4096 {
+		check(slot, off)
+	}
+}
+
+func TestSharedBackingNeverRecycled(t *testing.T) {
+	first := image(t, 0x40, PermRX, PermRW, PermRead)
+	want := digest(first)
+	as := NewAddrSpace(4096)
+	const slot = uint64(1) << 32
+	if err := as.RestoreRange(slot, first); err != nil {
+		t.Fatal(err)
+	}
+	if _, f := as.Fetch32(slot); f != nil { // touch only text: aliased in place
+		t.Fatal(f)
+	}
+	if b, f := as.PageSlice(slot, AccessExec); f != nil || &b[0] != &first[0].Data[0] {
+		t.Fatalf("text page does not alias the snapshot (fault %v)", f)
+	}
+	if err := as.CopyRange(slot, 2*slot, 4*4096); err != nil { // a fork shares them on
+		t.Fatal(err)
+	}
+	if err := as.Unmap(slot, 2<<32); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range as.free {
+		for _, pi := range first {
+			if pi.Data != nil && &b[0] == &pi.Data[0] {
+				t.Fatalf("free list holds the backing of snapshot page %#x", pi.Off)
+			}
+		}
+	}
+	// Another image in the same slot, written everywhere by every path.
+	if err := as.RestoreRange(slot, image(t, 0x60, PermRW, PermRX, PermRW)); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MapZero(slot+0x100000, 8*4096, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	scribble(t, as, slot, 0x100000+8*4096, 0xEE)
+	// And the first image again, written the same way while it is shared.
+	if err := as.RestoreRange(2*slot, first); err != nil {
+		t.Fatal(err)
+	}
+	scribble(t, as, 2*slot, 4*4096, 0xDD)
+	if digest(first) != want {
+		t.Fatal("snapshot bytes changed under writes to address spaces that shared them")
+	}
+
+	// A fork shares a page no snapshot ever held — cold-loaded text — the
+	// same way; releasing the parent must not recycle what the child reads.
+	text := bytes.Repeat([]byte{0x5A}, 4096)
+	if err := as.Map(3*slot, 4096, PermRX); err != nil {
+		t.Fatal(err)
+	}
+	if f := as.WriteForce(text, 3*slot); f != nil {
+		t.Fatal(f)
+	}
+	if err := as.CopyRange(3*slot, 4*slot, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Unmap(3*slot, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MapZero(3*slot, (freePages+1)*4096, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	scribble(t, as, 3*slot, (freePages+1)*4096, 0xBB)
+	got := make([]byte, 4096)
+	if f := as.ReadAt(got, 4*slot); f != nil || !bytes.Equal(got, text) {
+		t.Fatalf("forked child's text changed after its parent was released (fault %v)", f)
+	}
+}
+
+func TestSnapshotRoundTripExact(t *testing.T) {
+	snap := image(t, 0x20, PermRX, PermRW, PermRead, PermRW)
+	snap = append(snap, image(t, 0, PermRW)...) // a demand-zero page, at the hole
+	snap[len(snap)-1].Off = 4096
+	slices.SortFunc(snap, func(a, b PageImage) int { return cmp.Compare(a.Off, b.Off) })
+	want := digest(snap)
+
+	as := NewAddrSpace(4096)
+	const slot = uint64(3) << 32
+	same := func(what string, base uint64) {
+		t.Helper()
+		got, err := as.SnapshotRange(base, 1<<32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(snap) {
+			t.Fatalf("%s: %d pages, want %d", what, len(got), len(snap))
+		}
+		for i, pi := range got {
+			w := snap[i]
+			if pi.Off != w.Off || pi.Perm != w.Perm || (pi.Data == nil) != (w.Data == nil) || !bytes.Equal(pi.Data, w.Data) {
+				t.Errorf("%s: page %d = {%#x %v %d bytes}, want {%#x %v %d bytes}", what, i, pi.Off, pi.Perm, len(pi.Data), w.Off, w.Perm, len(w.Data))
+			}
+			if pi.Data != nil && &pi.Data[0] != &w.Data[0] {
+				t.Errorf("%s: page %#x was copied, want the snapshot's own bytes", what, pi.Off)
+			}
+		}
+	}
+	if err := as.RestoreRange(slot, snap); err != nil {
+		t.Fatal(err)
+	}
+	same("fresh restore", slot)
+	if err := as.CopyRange(slot, 2*slot, 1<<32); err != nil {
+		t.Fatal(err)
+	}
+	same("forked child", 2*slot)
+	same("parent after fork", slot)
+
+	// A touched parent forks a child equal to it, byte for byte, and the
+	// two then diverge without either reaching the other or the snapshot.
+	if f := as.WriteAt([]byte("parent"), slot+2*4096+100); f != nil {
+		t.Fatal(f)
+	}
+	if err := as.Unmap(2*slot, 1<<32); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.CopyRange(slot, 2*slot, 1<<32); err != nil {
+		t.Fatal(err)
+	}
+	parent, _ := as.SnapshotRange(slot, 1<<32)
+	child, _ := as.SnapshotRange(2*slot, 1<<32)
+	if digest(parent) != digest(child) || digest(parent) == want {
+		t.Error("forked child of a touched parent does not equal the parent")
+	}
+	scribble(t, as, 2*slot, 8*4096, 0xCC)
+	if again, _ := as.SnapshotRange(slot, 1<<32); digest(again) != digest(parent) {
+		t.Error("writes to the child reached the parent")
+	}
+	if digest(snap) != want {
+		t.Error("snapshot bytes changed")
 	}
 }

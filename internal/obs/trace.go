@@ -76,7 +76,8 @@ type Event struct {
 }
 
 // Span is the end-to-end accounting of one pool job: where its latency
-// went (queue wait, snapshot restore, sandbox run) and how it was served.
+// went (queue wait, snapshot restore, sandbox run, warm-pool refill) and
+// how it was served.
 type Span struct {
 	Job         uint64 `json:"job"`
 	Image       string `json:"image,omitempty"` // image key prefix
@@ -85,6 +86,7 @@ type Span struct {
 	QueueWaitNS int64  `json:"queue_wait_ns"`
 	RestoreNS   int64  `json:"restore_ns"` // 0 on a warm hit
 	RunNS       int64  `json:"run_ns"`
+	RefillNS    int64  `json:"refill_ns"` // restoring the next warm clone, before the reply
 	TotalNS     int64  `json:"total_ns"`
 	WarmHit     bool   `json:"warm_hit"`
 	Cold        bool   `json:"cold,omitempty"`

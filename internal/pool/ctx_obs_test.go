@@ -167,6 +167,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if got := snap.Histograms["pool.latency.restore_ns"].Count; got != 1 {
 		t.Errorf("restore latency observations = %d, want 1 (one warm miss)", got)
 	}
+	// Every job refills the clone it consumed before its ticket resolves.
+	if got := snap.Histograms["pool.latency.refill_ns"].Count; got != jobs {
+		t.Errorf("refill latency observations = %d, want %d (one per job)", got, jobs)
+	}
+	if got := snap.Counters["pool.restores"]; got != jobs+1 {
+		t.Errorf("pool.restores = %d, want %d (one miss + one refill per job)", got, jobs+1)
+	}
 
 	// Per-worker breakdown.
 	st := p.Stats()
@@ -198,6 +205,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 		if i > 0 && !s.WarmHit {
 			t.Errorf("span %d should be a warm hit", i)
+		}
+		if s.RefillNS <= 0 || s.TotalNS < s.RunNS+s.RefillNS {
+			t.Errorf("span %d: refill=%d run=%d total=%d", i, s.RefillNS, s.RunNS, s.TotalNS)
 		}
 	}
 

@@ -21,7 +21,8 @@
 // Every pool carries an observability bundle (internal/obs): counters and
 // latency histograms in a metrics registry, plus a bounded event trace
 // with one Span per job recording where its latency went (queue wait,
-// snapshot restore, sandbox run). See DESIGN.md for the metric schema.
+// snapshot restore, sandbox run, warm-pool refill). See DESIGN.md for the
+// metric schema.
 //
 // This is the usage mode the paper's cheap instantiation enables (§3:
 // 2^16 sandboxes per address space; §5.3: ~50-cycle switches): once
@@ -294,6 +295,7 @@ type poolMetrics struct {
 	plJobs, plStages               *obs.Counter
 	queueDepth, parked             *obs.Gauge
 	queueWait, restore, run, total *obs.Histogram
+	refill                         *obs.Histogram
 }
 
 func newPoolMetrics(reg *obs.Registry) poolMetrics {
@@ -320,6 +322,7 @@ func newPoolMetrics(reg *obs.Registry) poolMetrics {
 		restore:    reg.Histogram("pool.latency.restore_ns", lat),
 		run:        reg.Histogram("pool.latency.run_ns", lat),
 		total:      reg.Histogram("pool.latency.total_ns", lat),
+		refill:     reg.Histogram("pool.latency.refill_ns", lat),
 	}
 }
 
@@ -772,6 +775,9 @@ func (w *worker) serve(t *task) *Result {
 	res.Stderr = append([]byte(nil), last.Stderr()...)
 
 	if !j.Cold {
+		// The refill runs before the ticket resolves, so the request pays
+		// for it: it is timed like the restore of a warm miss.
+		refill := time.Now()
 		seen := make(map[string]bool, len(stages))
 		for _, img := range stages {
 			if !seen[img.Key] {
@@ -779,6 +785,8 @@ func (w *worker) serve(t *task) *Result {
 				w.replenish(img)
 			}
 		}
+		span.RefillNS = time.Since(refill).Nanoseconds()
+		p.m.refill.Observe(uint64(span.RefillNS))
 	}
 	return finish()
 }
