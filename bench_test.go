@@ -1,14 +1,16 @@
 package lfi
 
 // One testing.B benchmark per table and figure of the paper's evaluation
-// (§6), plus ablation benches for the design choices called out in
-// DESIGN.md. Each benchmark runs the corresponding harness and reports the
-// headline numbers as custom metrics, so
+// (§6), plus the simulator's raw speed. Each figure benchmark runs the
+// corresponding harness and reports the headline numbers as custom
+// metrics, so
 //
 //	go test -bench=. -benchmem
 //
 // regenerates the whole evaluation. Workloads run at a reduced scale to
-// keep the suite fast; use cmd/lfi-bench -scale 1 for full-size runs.
+// keep the suite fast; use cmd/lfi-bench -scale 1 for full-size runs. The
+// ablations of the design choices DESIGN.md calls out are in
+// internal/bench.
 
 import (
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"lfi/internal/core"
 	"lfi/internal/emu"
 	"lfi/internal/hwmodel"
+	"lfi/internal/lfirt"
 	"lfi/internal/progs"
 	"lfi/internal/wasmfront"
 	"lfi/internal/workloads"
@@ -188,119 +191,48 @@ func BenchmarkWasmValidator(b *testing.B) {
 	}
 }
 
-// ablationGeomean measures the Fig-3 workloads under a single rewriter
-// configuration and returns the geomean percent over native.
-func ablationGeomean(b *testing.B, model *emu.CoreModel, opts core.Options) float64 {
-	b.Helper()
-	r := &bench.Runner{Model: model, Scale: benchScale}
-	rows := make([]bench.OverheadRow, 0, 14)
-	for _, w := range workloads.All() {
-		src := w.Source(benchScale)
-		native, err := runnerNative(r, src)
+// BenchmarkEmu measures the simulator's raw speed, emulated instructions
+// per second of host time, for each executor on each kernel: "fast" is
+// the predecoded-block fast path, "step" the per-step reference
+// interpreter it must match bit for bit. Only RunProc is timed; building,
+// loading and verifying are not. The benchmark's exec workload measures
+// the fast path at its own scale; no workload runs the per-step
+// interpreter, so this is where the two executors are compared.
+func BenchmarkEmu(b *testing.B) {
+	kernels := workloads.All()
+	elfs := make([][]byte, len(kernels))
+	for i, w := range kernels {
+		res, err := progs.Build(w.Source(benchScale), core.Options{Opt: core.O2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := runnerLFI(r, src, opts)
-		if err != nil {
-			b.Fatal(err)
+		elfs[i] = res.ELF
+	}
+	for _, ex := range []struct {
+		name     string
+		fastpath bool
+	}{{"fast", true}, {"step", false}} {
+		for i, w := range kernels {
+			b.Run(ex.name+"/"+w.Name, func(b *testing.B) {
+				var instrs uint64
+				for n := 0; n < b.N; n++ {
+					b.StopTimer()
+					cfg := lfirt.DefaultConfig()
+					cfg.Model = emu.ModelM1()
+					rt := lfirt.New(cfg)
+					rt.CPU.SetFastpath(ex.fastpath)
+					p, err := rt.Load(elfs[i])
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if status, err := rt.RunProc(p); err != nil || status != 0 {
+						b.Fatalf("exit status %d, err %v", status, err)
+					}
+					instrs += rt.CPU.Instrs
+				}
+				b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "minstr/s")
+			})
 		}
-		rows = append(rows, bench.OverheadRow{
-			Workload:  w.Name,
-			Overheads: map[string]float64{"x": (out/native - 1) * 100},
-		})
-	}
-	return bench.Geomean(rows, "x")
-}
-
-// BenchmarkAblationZeroInstGuard quantifies §4.1's headline optimization:
-// the O0 -> O1 jump from folding guards into addressing modes.
-func BenchmarkAblationZeroInstGuard(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o0 := ablationGeomean(b, emu.ModelM1(), core.Options{Opt: core.O0})
-		o1 := ablationGeomean(b, emu.ModelM1(), core.Options{Opt: core.O1})
-		b.ReportMetric(o0, "pct_O0")
-		b.ReportMetric(o1, "pct_O1")
-		b.ReportMetric(o0-o1, "pct_saved")
 	}
 }
-
-// BenchmarkAblationHoisting quantifies §4.3's redundant guard elimination
-// (O1 vs O2; the paper reports ~1.5%).
-func BenchmarkAblationHoisting(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o1 := ablationGeomean(b, emu.ModelM1(), core.Options{Opt: core.O1})
-		o2 := ablationGeomean(b, emu.ModelM1(), core.Options{Opt: core.O2})
-		b.ReportMetric(o1-o2, "pct_saved")
-	}
-}
-
-// BenchmarkAblationSPOpts quantifies the §4.2 stack-pointer guard
-// elisions by disabling them.
-func BenchmarkAblationSPOpts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		on := ablationGeomean(b, emu.ModelM1(), core.Options{Opt: core.O2})
-		off := ablationGeomean(b, emu.ModelM1(), core.Options{Opt: core.O2, DisableSPOpts: true})
-		b.ReportMetric(off-on, "pct_saved")
-	}
-}
-
-// BenchmarkAblationNoLoads quantifies store/jump-only isolation (§6.1's
-// "pure fault isolation", ~1%).
-func BenchmarkAblationNoLoads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		nl := ablationGeomean(b, emu.ModelM1(), core.Options{Opt: core.O2, NoLoads: true})
-		b.ReportMetric(nl, "pct_no_loads")
-	}
-}
-
-// --- helpers shared by the ablation benches ---
-
-func runnerNative(r *bench.Runner, src string) (float64, error) {
-	res, err := progs.BuildNative(src)
-	if err != nil {
-		return 0, err
-	}
-	return timedRun(r, res.ELF, false, false)
-}
-
-func runnerLFI(r *bench.Runner, src string, opts core.Options) (float64, error) {
-	res, err := progs.Build(src, opts)
-	if err != nil {
-		return 0, err
-	}
-	return timedRun(r, res.ELF, true, opts.NoLoads)
-}
-
-func timedRun(r *bench.Runner, elf []byte, verify, noLoads bool) (float64, error) {
-	cfg := RuntimeConfig{Machine: MachineM1, DisableVerification: !verify, NoLoads: noLoads}
-	rt := NewRuntime(cfg)
-	p, err := rt.Load(elf)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := rt.RunProcess(p); err != nil {
-		return 0, err
-	}
-	return rt.Cycles(), nil
-}
-
-// benchEmu measures the simulator's raw execution rate over the workload
-// suite, reporting emulated instructions per second of host time.
-func benchEmu(b *testing.B, fastpath bool) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.EmuThroughput("m1", emu.ModelM1(), benchScale, fastpath)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.Total.InstrsPerSec/1e6, "minstr/s")
-		b.ReportMetric(rep.Total.NSPerInstr, "ns/instr")
-	}
-}
-
-// BenchmarkEmuFastpath measures the predecoded-block dispatch loop.
-func BenchmarkEmuFastpath(b *testing.B) { benchEmu(b, true) }
-
-// BenchmarkEmuSlowpath measures the per-step reference interpreter, the
-// baseline the fast path is required to beat by ≥1.5×.
-func BenchmarkEmuSlowpath(b *testing.B) { benchEmu(b, false) }

@@ -40,7 +40,7 @@ go test -count=1 -run TestTransitionRatios ./internal/bench
 # Not under -race: the detector allocates on its own account.
 go test -count=1 -run 'TestTransitionAllocs|TestWarmCycleAllocs' ./internal/lfirt
 
-echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x)'
+echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor on each kernel)'
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .
 
 echo '== toolchain: golden ELF + alloc bound'
@@ -72,9 +72,6 @@ go test -count=1 -run 'TestDecodeAllocBound' ./internal/wasmfront
 echo '== wasm fuzz smoke (FuzzWasmTranslate, 5000 executions)'
 go test -run '^$' -fuzz '^FuzzWasmTranslate$' -fuzztime 5000x ./internal/fuzz
 
-echo '== wasm bench smoke (lfi-bench -wasm -smoke)'
-go run ./cmd/lfi-bench -wasm -smoke
-
 echo '== serve race suite (go test -race ./internal/serve)'
 go test -race ./internal/serve
 
@@ -103,6 +100,17 @@ fi
 kill -TERM "$servepid"
 wait "$servepid" || true
 rm -rf "$bindir"
+
+echo '== emulator hot loops in the ./benchmark binary, address mod 64 (printed, not gated: exec/transitions move ~4% with it)'
+nmdir=$(mktemp -d)
+go build -o "$nmdir/benchmark" ./benchmark
+go tool nm -n "$nmdir/benchmark" | while read -r addr _ name; do
+    case "$name" in
+    'lfi/internal/emu.(*CPU).exec' | 'lfi/internal/emu.(*CPU).runBlocks')
+        echo "$name 0x$addr: $((0x$addr % 64)) mod 64" ;;
+    esac
+done
+rm -rf "$nmdir"
 
 echo '== non-test Go lines outside benchmark/ (ROADMAP aim 2: this figure should fall)'
 git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l

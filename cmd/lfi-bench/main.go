@@ -1,7 +1,9 @@
 // lfi-bench regenerates the tables and figures of the paper's evaluation
 // (§6) on the simulated machines. Each figure prints the same rows/series
 // the paper reports: percent runtime increase over native code (running in
-// the LFI environment, per the paper's methodology).
+// the LFI environment, per the paper's methodology). Every number it
+// prints is modelled — a pure function of the source — so the output is
+// the same on every host; host time is measured by ./benchmark.
 //
 // Usage:
 //
@@ -11,22 +13,14 @@
 //	lfi-bench -table 4                    # Table 4 (Wasm geomeans)
 //	lfi-bench -table 5 -machine m1        # Table 5 (microbenchmarks)
 //	lfi-bench -table codesize             # §6.3 code size
-//	lfi-bench -throughput                 # §5.2 verifier throughput
-//	lfi-bench -pool                       # serving throughput (cold vs restore)
-//	lfi-bench -emu -json BENCH_emu.json   # raw simulator throughput
-//	lfi-bench -all                        # everything
-//
-// -cpuprofile/-memprofile write pprof profiles of whatever ran, so hot-path
-// work starts from evidence instead of guesses.
+//	lfi-bench -wasm -json BENCH_wasm.json # Wasm frontend vs engine models
+//	lfi-bench -all                        # every paper table and figure
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 
 	"lfi/internal/bench"
 	"lfi/internal/emu"
@@ -38,48 +32,13 @@ func main() {
 	table := flag.String("table", "", "table to regenerate (4, 5, or codesize)")
 	machine := flag.String("machine", "m1", "machine model: m1 or t2a")
 	scale := flag.Float64("scale", 0.3, "workload scale (1.0 = full size)")
-	throughput := flag.Bool("throughput", false, "measure verifier/validator throughput")
-	poolBench := flag.Bool("pool", false, "measure serving throughput: cold load vs snapshot restore")
-	poolWorkers := flag.Int("pool-workers", 4, "worker runtimes for -pool")
-	poolJobs := flag.Int("pool-jobs", 400, "jobs to serve for -pool")
 	coremark := flag.Bool("coremark", false, "run the CoreMark-like kernel (artifact A.6.3)")
 	chart := flag.Bool("chart", false, "render figures as ASCII bar charts")
-	all := flag.Bool("all", false, "regenerate everything on both machines")
-	emuBench := flag.Bool("emu", false, "measure raw simulator throughput per workload")
+	all := flag.Bool("all", false, "regenerate every paper table and figure on both machines")
 	wasmBench := flag.Bool("wasm", false, "compare wasmfront-on-LFI against the Wasm engine models on the sample modules")
-	smoke := flag.Bool("smoke", false, "with -wasm: tiny iteration counts for CI")
-	jsonPath := flag.String("json", "", "with -emu/-wasm: also write the report to this file (e.g. BENCH_wasm.json)")
-	slowpath := flag.Bool("slowpath", false, "with -emu: use the per-step interpreter instead of the block fast path")
-	metrics := flag.Bool("metrics", false, "with -emu/-pool: also report observability counters (caches, latency quantiles)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
+	jsonPath := flag.String("json", "", "with -wasm: also write the report to this file (e.g. BENCH_wasm.json)")
 	flag.Parse()
 	chartMode = *chart
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal("cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal("cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal("memprofile: %v", err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal("memprofile: %v", err)
-			}
-		}()
-	}
 
 	if *all {
 		for _, m := range []string{"t2a", "m1"} {
@@ -99,10 +58,6 @@ func main() {
 		runTable5("t2a")
 		fmt.Println()
 		runCoreMark("m1", *scale)
-		fmt.Println()
-		runThroughput()
-		fmt.Println()
-		runPool(*poolWorkers, *poolJobs, *metrics)
 		return
 	}
 
@@ -135,85 +90,18 @@ func main() {
 	default:
 		fatal("unknown table %q", *table)
 	}
-	if *throughput {
-		runThroughput()
-		done = true
-	}
 	if *coremark {
 		runCoreMark(*machine, *scale)
 		done = true
 	}
-	if *poolBench {
-		runPool(*poolWorkers, *poolJobs, *metrics)
-		done = true
-	}
-	if *emuBench {
-		runEmu(*machine, *scale, !*slowpath, *jsonPath, *metrics)
-		done = true
-	}
 	if *wasmBench {
-		wasmScale := *scale
-		if *smoke {
-			wasmScale = 0.005
-		}
-		runWasmBench(*machine, wasmScale, *jsonPath)
+		runWasmBench(*machine, *scale, *jsonPath)
 		done = true
 	}
 	if !done {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func runEmu(machine string, scale float64, fastpath bool, jsonPath string, metrics bool) {
-	coreModel, _ := model(machine)
-	rep, err := bench.EmuThroughput(machine, coreModel, scale, fastpath)
-	if err != nil {
-		fatal("emu throughput: %v", err)
-	}
-	path := "fast path"
-	if !fastpath {
-		path = "per-step interpreter"
-	}
-	fmt.Printf("Simulator throughput — %s model, scale %.2f, %s\n\n", machineTitle(machine), scale, path)
-	fmt.Printf("%-16s %12s %14s %12s %12s %10s\n",
-		"workload", "instrs", "cycles", "minstr/s", "mcycle/s", "ns/instr")
-	rows := append(append([]bench.EmuRow{}, rep.Workloads...), rep.Total)
-	for i := range rows {
-		r := &rows[i]
-		fmt.Printf("%-16s %12d %14.0f %12.2f %12.2f %10.1f\n",
-			r.Workload, r.Instrs, r.Cycles,
-			r.InstrsPerSec/1e6, r.CyclesPerSec/1e6, r.NSPerInstr)
-	}
-	if metrics {
-		s := rep.Emu
-		fmt.Printf("\nEmulator caches and dispatch\n")
-		fmt.Printf("%-24s %12d hits %12d misses (%.2f%% hit)\n",
-			"block cache", s.BlockHits, s.BlockMisses, hitPct(s.BlockHits, s.BlockMisses))
-		fmt.Printf("%-24s %12d hits %12d misses (%.2f%% hit)\n",
-			"translation cache (rd)", s.TCReadHits, s.TCReadMisses, hitPct(s.TCReadHits, s.TCReadMisses))
-		fmt.Printf("%-24s %12d hits %12d misses (%.2f%% hit)\n",
-			"translation cache (wr)", s.TCWriteHits, s.TCWriteMisses, hitPct(s.TCWriteHits, s.TCWriteMisses))
-		fmt.Printf("%-24s %12d fast %12d slow, %d decode flushes\n",
-			"dispatches", s.FastRuns, s.SlowRuns, s.Flushes)
-		fmt.Printf("%-24s %12d hits %12d misses (%.2f%% hit)\n",
-			"chain links", s.ChainHits, s.ChainMisses, hitPct(s.ChainHits, s.ChainMisses))
-		fmt.Printf("%-24s %12d pairs %11d accesses\n",
-			"fused idioms", s.FusedPairs, s.FusedAccesses)
-	}
-	if jsonPath != "" {
-		if err := rep.WriteJSON(jsonPath); err != nil {
-			fatal("emu throughput: %v", err)
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
-}
-
-func hitPct(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return 100 * float64(hits) / float64(hits+misses)
 }
 
 func fatal(format string, args ...any) {
@@ -366,55 +254,6 @@ func runTable5(machine string) {
 			lx = fmt.Sprintf("%.0fns", r.LinuxNS)
 		}
 		fmt.Printf("%-10s %9.0fns %10s %10s\n", r.Benchmark, r.LFInS, lx, gv)
-	}
-}
-
-func runThroughput() {
-	lfiMBps, wasmMBps, err := bench.Throughput()
-	if err != nil {
-		fatal("throughput: %v", err)
-	}
-	fmt.Println("Verifier throughput (§5.2, host wall clock)")
-	fmt.Printf("%-24s %10.1f MB/s\n", "LFI verifier", lfiMBps)
-	fmt.Printf("%-24s %10.1f MB/s\n", "Wasm validator", wasmMBps)
-	fmt.Println(strings.TrimSpace(`
-Note: the paper reports 34 MB/s (Rust verifier) vs 3 MB/s (WABT validator)
-on M1 hardware; absolute numbers here reflect this Go implementation.`))
-}
-
-// runPool measures sandbox serving throughput: the same job stream with a
-// full ELF load (parse+verify+load) per request vs a snapshot restore per
-// request (host wall clock; no timing model).
-func runPool(workers, jobs int, metrics bool) {
-	r, err := bench.PoolThroughput(workers, jobs)
-	if err != nil {
-		fatal("pool: %v", err)
-	}
-	fmt.Printf("Sandbox serving throughput (%d workers, %d jobs, host wall clock)\n", r.Workers, r.Jobs)
-	fmt.Printf("%-28s %12.1f µs/job %12.0f jobs/s\n", "cold load per request", r.ColdNSPerJob/1e3, r.ColdJobsPerSec)
-	fmt.Printf("%-28s %12.1f µs/job %12.0f jobs/s\n", "snapshot restore per request", r.WarmNSPerJob/1e3, r.WarmJobsPerSec)
-	fmt.Printf("%-28s %12.1fx            (warm-hit rate %.0f%%)\n", "restore speedup", r.Speedup, 100*r.WarmHitRate)
-	if metrics && r.Metrics != nil {
-		fmt.Printf("\nWarm-run latency quantiles (registry histograms)\n")
-		fmt.Printf("%-28s %10s %10s %10s %10s\n", "histogram", "count", "p50", "p95", "p99")
-		for _, name := range []string{
-			"pool.latency.queue_wait_ns", "pool.latency.restore_ns",
-			"pool.latency.run_ns", "pool.latency.total_ns",
-		} {
-			h, ok := r.Metrics.Histograms[name]
-			if !ok {
-				continue
-			}
-			fmt.Printf("%-28s %10d %9.1fµs %9.1fµs %9.1fµs\n", name, h.Count,
-				float64(h.Quantile(0.50))/1e3, float64(h.Quantile(0.95))/1e3, float64(h.Quantile(0.99))/1e3)
-		}
-		fmt.Printf("\nWarm-run counters\n")
-		for _, name := range []string{
-			"pool.jobs.completed", "pool.warm.hits", "pool.warm.misses",
-			"pool.restores", "pool.warm.evictions", "rt.host_calls", "rt.preempts",
-		} {
-			fmt.Printf("%-28s %12d\n", name, r.Metrics.Counters[name])
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ package lfi
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -159,6 +160,59 @@ func TestRewriteStdinStdout(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("reserved-register input accepted:\n%s", out)
 	}
+}
+
+// TestPaperTablesGolden regenerates every modelled table lfi-bench prints,
+// and the Wasm frontend report, and byte-compares them with the committed
+// copies. Both are pure functions of the source, so a digit that moves is
+// a change to a program or to the model, never host noise.
+func TestPaperTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bench := buildTools(t, "lfi-bench")["lfi-bench"]
+	out, err := exec.Command(bench, "-all", "-scale", "0.2").Output()
+	if err != nil {
+		t.Fatalf("lfi-bench -all: %v", err)
+	}
+	diffGolden(t, "testdata/paper_tables.golden", out)
+
+	report := filepath.Join(t.TempDir(), "wasm.json")
+	if out, err := exec.Command(bench, "-wasm", "-json", report).CombinedOutput(); err != nil {
+		t.Fatalf("lfi-bench -wasm: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffGolden(t, "BENCH_wasm.json", got)
+}
+
+// diffGolden reports the first line where got departs from the file.
+func diffGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Errorf("%s: line %d is %q, want %q", path, i+1, gl, wl)
+			return
+		}
+	}
+	t.Errorf("%s: %d lines, want %d", path, len(g), len(w))
 }
 
 // TestServeHTTPEndpoints runs the real lfi-serve binary with -http :0

@@ -2,25 +2,22 @@
 // the paper's evaluation (§6): it builds each workload for each system,
 // runs it on the timed simulator, verifies that all systems compute the
 // same results, and reports percent overheads over native code running in
-// the LFI environment — exactly the paper's methodology (§6.1).
+// the LFI environment — exactly the paper's methodology (§6.1). Every
+// number it reports is modelled cycles, a pure function of the source;
+// host time is measured by ./benchmark.
 package bench
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"lfi/internal/arm64"
 	"lfi/internal/core"
-	"lfi/internal/elfobj"
 	"lfi/internal/emu"
 	"lfi/internal/hwmodel"
 	"lfi/internal/lfirt"
 	"lfi/internal/progs"
-	"lfi/internal/verifier"
 	"lfi/internal/wasmbase"
-	"lfi/internal/wasmfront"
 	"lfi/internal/workloads"
 )
 
@@ -85,9 +82,9 @@ func (r *Runner) runLFI(src string, opts core.Options) (*RunOutcome, error) {
 	return r.runELF(res.ELF, true, opts.NoLoads)
 }
 
-// runWasm transforms, runs, and applies the codegen factor of a Wasm
-// engine model.
-func (r *Runner) runWasm(src string, sys *wasmbase.System) (*RunOutcome, error) {
+// buildWasm inserts a Wasm engine model's instrumentation into src and
+// builds the result unguarded.
+func buildWasm(src string, sys *wasmbase.System) (*progs.BuildResult, error) {
 	f, err := arm64.ParseFile(src)
 	if err != nil {
 		return nil, err
@@ -96,7 +93,14 @@ func (r *Runner) runWasm(src string, sys *wasmbase.System) (*RunOutcome, error) 
 	if err != nil {
 		return nil, err
 	}
-	res, err := progs.BuildNative(nf.String())
+	return progs.BuildNative(nf.String())
+}
+
+// runWasm runs src under a Wasm engine model: the model's instrumentation
+// is inserted, the result runs unguarded, and its cycle count is
+// multiplied by the engine's codegen factor.
+func (r *Runner) runWasm(src string, sys *wasmbase.System) (*RunOutcome, error) {
+	res, err := buildWasm(src, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -136,34 +140,42 @@ func Geomean(rows []OverheadRow, system string) float64 {
 // Fig3Systems are the configurations of Figure 3, in legend order.
 var Fig3Systems = []string{"LFI O0", "LFI O1", "LFI O2", "LFI O2, no loads"}
 
+// fig3Row runs src natively and under each Figure 3 configuration, checks
+// that every configuration prints what native does, and reports each
+// configuration's overhead over native.
+func (r *Runner) fig3Row(name, src string) (OverheadRow, error) {
+	row := OverheadRow{Workload: name, Overheads: map[string]float64{}}
+	native, err := r.runNative(src)
+	if err != nil {
+		return row, fmt.Errorf("%s native: %w", name, err)
+	}
+	for i, opts := range []core.Options{
+		{Opt: core.O0},
+		{Opt: core.O1},
+		{Opt: core.O2},
+		{Opt: core.O2, NoLoads: true},
+	} {
+		sys := Fig3Systems[i]
+		out, err := r.runLFI(src, opts)
+		if err != nil {
+			return row, fmt.Errorf("%s %s: %w", name, sys, err)
+		}
+		if out.Checksum != native.Checksum {
+			return row, fmt.Errorf("%s %s: checksum mismatch", name, sys)
+		}
+		row.Overheads[sys] = pct(out.Cycles, native.Cycles)
+	}
+	return row, nil
+}
+
 // Fig3 measures the optimization-level overheads of Figure 3 on the
 // runner's machine model, for every workload.
 func (r *Runner) Fig3() ([]OverheadRow, error) {
 	var rows []OverheadRow
 	for _, w := range workloads.All() {
-		src := w.Source(r.Scale)
-		native, err := r.runNative(src)
+		row, err := r.fig3Row(w.Name, w.Source(r.Scale))
 		if err != nil {
-			return nil, fmt.Errorf("%s native: %w", w.Name, err)
-		}
-		row := OverheadRow{Workload: w.Name, Overheads: map[string]float64{}}
-		for _, cfg := range []struct {
-			name string
-			opts core.Options
-		}{
-			{"LFI O0", core.Options{Opt: core.O0}},
-			{"LFI O1", core.Options{Opt: core.O1}},
-			{"LFI O2", core.Options{Opt: core.O2}},
-			{"LFI O2, no loads", core.Options{Opt: core.O2, NoLoads: true}},
-		} {
-			out, err := r.runLFI(src, cfg.opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", w.Name, cfg.name, err)
-			}
-			if out.Checksum != native.Checksum {
-				return nil, fmt.Errorf("%s %s: checksum mismatch", w.Name, cfg.name)
-			}
-			row.Overheads[cfg.name] = pct(out.Cycles, native.Cycles)
+			return nil, err
 		}
 		rows = append(rows, row)
 	}
@@ -216,29 +228,9 @@ func (r *Runner) Fig4() ([]OverheadRow, error) {
 // CoreMark measures the artifact's SPEC-free fallback kernel (Appendix
 // A.6.3) under the Figure 3 configurations.
 func (r *Runner) CoreMark() ([]OverheadRow, error) {
-	src := workloads.CoreMark(r.Scale)
-	native, err := r.runNative(src)
+	row, err := r.fig3Row("coremark", workloads.CoreMark(r.Scale))
 	if err != nil {
 		return nil, err
-	}
-	row := OverheadRow{Workload: "coremark", Overheads: map[string]float64{}}
-	for _, cfg := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"LFI O0", core.Options{Opt: core.O0}},
-		{"LFI O1", core.Options{Opt: core.O1}},
-		{"LFI O2", core.Options{Opt: core.O2}},
-		{"LFI O2, no loads", core.Options{Opt: core.O2, NoLoads: true}},
-	} {
-		out, err := r.runLFI(src, cfg.opts)
-		if err != nil {
-			return nil, fmt.Errorf("coremark %s: %w", cfg.name, err)
-		}
-		if out.Checksum != native.Checksum {
-			return nil, fmt.Errorf("coremark %s: checksum mismatch", cfg.name)
-		}
-		row.Overheads[cfg.name] = pct(out.Cycles, native.Cycles)
 	}
 	return []OverheadRow{row}, nil
 }
@@ -297,15 +289,7 @@ func CodeSize(scale float64) ([]CodeSizeRow, error) {
 		// WAMR AOT artifacts carry Wasm-level metadata plus expanded
 		// machine code; model as the per-access instrumentation growth.
 		sys, _ := wasmbase.Get("WAMR")
-		f, err := arm64.ParseFile(src)
-		if err != nil {
-			return nil, err
-		}
-		nf, err := sys.Transform(f)
-		if err != nil {
-			return nil, err
-		}
-		wamr, err := progs.BuildNative(nf.String())
+		wamr, err := buildWasm(src, sys)
 		if err != nil {
 			return nil, err
 		}
@@ -341,186 +325,82 @@ type MicroRow struct {
 	GVisorNS  float64 // 0 when unsupported
 }
 
+// perOp builds srcs at O2, loads them into one runtime in order (passive
+// side first), runs them all to exit and reports modelled ns per op.
+// Every loaded process must exit 0: Runtime.Run returns nil after a trap
+// or a non-zero exit, and a fault, a failed handshake or a short batch
+// would otherwise still print a plausible number.
+func perOp(model *emu.CoreModel, ops float64, srcs ...string) (float64, error) {
+	m := *model
+	cfg := lfirt.DefaultConfig()
+	cfg.Model = &m
+	rt := lfirt.New(cfg)
+	procs := make([]*lfirt.Proc, len(srcs))
+	for i, src := range srcs {
+		res, err := progs.Build(src, core.Options{Opt: core.O2})
+		if err != nil {
+			return 0, err
+		}
+		if procs[i], err = rt.Load(res.ELF); err != nil {
+			return 0, err
+		}
+	}
+	if err := rt.Run(); err != nil {
+		return 0, err
+	}
+	for i, p := range procs {
+		if s := p.ExitStatus(); s != 0 {
+			return 0, fmt.Errorf("program %d of %d exited %d, want 0", i+1, len(procs), s)
+		}
+	}
+	return rt.Tim.Cycles() / ops / model.FreqGHz, nil
+}
+
 // Table5 measures the LFI microbenchmarks in simulation and fills the
 // hardware columns from the calibrated cost models.
 func Table5(model *emu.CoreModel, hw *hwmodel.Machine, n int) ([]MicroRow, error) {
 	if n <= 0 {
 		n = 2000
 	}
-	perOp := func(src string, ops float64) (float64, error) {
-		res, err := progs.Build(src, core.Options{Opt: core.O2})
-		if err != nil {
-			return 0, err
-		}
-		m := *model
-		cfg := lfirt.DefaultConfig()
-		cfg.Model = &m
-		rt := lfirt.New(cfg)
-		if _, err := rt.Load(res.ELF); err != nil {
-			return 0, err
-		}
-		if err := rt.Run(); err != nil {
-			return 0, err
-		}
-		return rt.Tim.Cycles() / ops / model.FreqGHz, nil
-	}
-
-	// pairPerOp runs two sandboxes (passive loaded first) to completion
-	// in one runtime and reports cycles per op in ns. Both sides must
-	// exit 0 — a short batch or failed handshake invalidates the number.
-	pairPerOp := func(name, src1, src2 string, ops float64) (float64, error) {
-		b1, err := progs.Build(src1, core.Options{Opt: core.O2})
-		if err != nil {
-			return 0, fmt.Errorf("%s bench: %w", name, err)
-		}
-		b2, err := progs.Build(src2, core.Options{Opt: core.O2})
-		if err != nil {
-			return 0, fmt.Errorf("%s bench: %w", name, err)
-		}
-		m := *model
-		cfg := lfirt.DefaultConfig()
-		cfg.Model = &m
-		rt := lfirt.New(cfg)
-		p1, err := rt.Load(b1.ELF)
-		if err != nil {
-			return 0, err
-		}
-		p2, err := rt.Load(b2.ELF)
-		if err != nil {
-			return 0, err
-		}
-		if err := rt.Run(); err != nil {
-			return 0, fmt.Errorf("%s bench: %w", name, err)
-		}
-		if s1, s2 := p1.ExitStatus(), p2.ExitStatus(); s1 != 0 || s2 != 0 {
-			return 0, fmt.Errorf("%s bench: exits %d/%d, want 0/0", name, s1, s2)
-		}
-		return rt.Tim.Cycles() / ops / model.FreqGHz, nil
-	}
-
-	syscall, err := perOp(workloads.SyscallLoop(n), float64(n))
-	if err != nil {
-		return nil, fmt.Errorf("syscall bench: %w", err)
-	}
-
-	// Pipe: one parent round trip = one write+read pair on each side.
-	pipeSrc := workloads.PipePing(n)
-	pipeRes, err := progs.Build(pipeSrc, core.Options{Opt: core.O2})
-	if err != nil {
-		return nil, err
-	}
-	m := *model
-	cfg := lfirt.DefaultConfig()
-	cfg.Model = &m
-	rt := lfirt.New(cfg)
-	if _, err := rt.Load(pipeRes.ELF); err != nil {
-		return nil, err
-	}
-	if err := rt.Run(); err != nil {
-		return nil, fmt.Errorf("pipe bench: %w", err)
-	}
-	pipe := rt.Tim.Cycles() / float64(2*n) / model.FreqGHz
-
-	// Yield: two sandboxes ping-ponging directly.
-	yield, err := pairPerOp("yield", workloads.YieldPing(n, 2), workloads.YieldPing(n, 1), float64(2*n))
-	if err != nil {
-		return nil, err
-	}
-
-	// IPC: a ring-channel ping-pong between two sandboxes. Each of the
-	// 2n hops is a send handed directly to the blocked receiver, so the
-	// delta over the yield row is the channel bookkeeping per message.
-	ipc, err := pairPerOp("ipc", workloads.RingPingPassive(n), workloads.RingPingActive(n), float64(2*n))
-	if err != nil {
-		return nil, err
-	}
-
-	// Direct handoff: the same ping-pong through RTVSubmit at batch 1 —
-	// one trap per message instead of one per send plus one per recv,
-	// with the send→recv handoff and blocked-side hand-back replacing
-	// every scheduler pass.
-	handoff, err := pairPerOp("direct handoff",
-		workloads.VSubmitPing(n, 1, false), workloads.VSubmitPing(n, 1, true), float64(2*n))
-	if err != nil {
-		return nil, err
-	}
-
-	// Vectored IPC: batch 8 — 16 messages per trap, amortizing the
-	// transition cost across the batch. The denominator counts messages
-	// (a send plus its matching recv), like the scalar ipc row.
 	const vbatch = 8
-	vectored, err := pairPerOp("vectored ipc",
-		workloads.VSubmitPing(n, vbatch, false), workloads.VSubmitPing(n, vbatch, true),
-		float64(2*vbatch*n))
-	if err != nil {
-		return nil, err
+	micro := []struct {
+		name  string
+		ops   int
+		srcs  []string
+		linux float64
+	}{
+		{"syscall", n, []string{workloads.SyscallLoop(n)}, hw.LinuxSyscallNS()},
+		// Pipe: one parent round trip = one write+read pair on each side.
+		{"pipe", 2 * n, []string{workloads.PipePing(n)}, hw.LinuxPipeNS()},
+		// Yield: two sandboxes ping-ponging directly.
+		{"yield", 2 * n, []string{workloads.YieldPing(n, 2), workloads.YieldPing(n, 1)}, 0},
+		// IPC: a ring-channel ping-pong between two sandboxes. Each of
+		// the 2n hops is a send handed directly to the blocked receiver,
+		// so the delta over the yield row is the channel bookkeeping per
+		// message.
+		{"ipc", 2 * n, []string{workloads.RingPingPassive(n), workloads.RingPingActive(n)}, hw.LinuxPipeNS()},
+		// Direct handoff: the same ping-pong through RTVSubmit at batch
+		// 1 — one trap per message instead of one per send plus one per
+		// recv, with the send→recv handoff and blocked-side hand-back
+		// replacing every scheduler pass.
+		{"direct handoff", 2 * n, []string{workloads.VSubmitPing(n, 1, false), workloads.VSubmitPing(n, 1, true)}, 0},
+		// Vectored IPC: batch 8 — 16 messages per trap, amortizing the
+		// transition cost across the batch. The denominator counts
+		// messages (a send plus its matching recv), like the scalar ipc
+		// row.
+		{"vectored ipc", 2 * vbatch * n, []string{workloads.VSubmitPing(n, vbatch, false), workloads.VSubmitPing(n, vbatch, true)}, 0},
 	}
-
-	rows := []MicroRow{
-		{Benchmark: "syscall", LFInS: syscall, LinuxNS: hw.LinuxSyscallNS()},
-		{Benchmark: "pipe", LFInS: pipe, LinuxNS: hw.LinuxPipeNS()},
-		{Benchmark: "yield", LFInS: yield},
-		{Benchmark: "ipc", LFInS: ipc, LinuxNS: hw.LinuxPipeNS()},
-		{Benchmark: "direct handoff", LFInS: handoff},
-		{Benchmark: "vectored ipc", LFInS: vectored},
+	rows := make([]MicroRow, len(micro))
+	for i, p := range micro {
+		ns, err := perOp(model, float64(p.ops), p.srcs...)
+		if err != nil {
+			return nil, fmt.Errorf("%s bench: %w", p.name, err)
+		}
+		rows[i] = MicroRow{Benchmark: p.name, LFInS: ns, LinuxNS: p.linux}
 	}
 	if g, ok := hw.GVisorSyscallNS(); ok {
 		rows[0].GVisorNS = g
 		rows[1].GVisorNS, _ = hw.GVisorPipeNS()
 	}
 	return rows, nil
-}
-
-// Throughput measures the LFI verifier and the Wasm reader (wasmfront.Decode:
-// validation plus the IR the translator consumes) on comparably sized
-// inputs, in MB/s of real wall-clock time.
-func Throughput() (lfiMBps, wasmMBps float64, err error) {
-	// A large verified LFI text segment: repeat a workload body.
-	w, _ := workloads.Get("502.gcc")
-	res, err := progs.Build(w.Source(1), core.Options{Opt: core.O2})
-	if err != nil {
-		return 0, 0, err
-	}
-	// Concatenate the text many times over to get a multi-MB segment.
-	exeText, err := extractText(res.ELF)
-	if err != nil {
-		return 0, 0, err
-	}
-	big := make([]byte, 0, 4<<20)
-	for len(big) < 4<<20 {
-		big = append(big, exeText...)
-	}
-	cfg := verifier.DefaultConfig()
-	cfg.TextOff = core.MinCodeOffset
-	start := time.Now()
-	if _, err := verifier.Verify(big, cfg); err != nil {
-		return 0, 0, fmt.Errorf("verifier rejected benchmark input: %w", err)
-	}
-	lfiMBps = float64(len(big)) / time.Since(start).Seconds() / 1e6
-
-	mod := wasmfront.SampleThroughput(64, 64<<10)
-	start = time.Now()
-	if _, err := wasmfront.Decode(mod); err != nil {
-		return 0, 0, fmt.Errorf("wasm reader rejected benchmark input: %w", err)
-	}
-	wasmMBps = float64(len(mod)) / time.Since(start).Seconds() / 1e6
-	return lfiMBps, wasmMBps, nil
-}
-
-func extractText(elfBytes []byte) ([]byte, error) {
-	exe, err := elfobj.Unmarshal(elfBytes)
-	if err != nil {
-		return nil, err
-	}
-	seg, err := exe.TextSegment()
-	if err != nil {
-		return nil, err
-	}
-	return seg.Data, nil
-}
-
-// SortRows orders rows by SPEC number (they are generated in order, but
-// callers may merge sets).
-func SortRows(rows []OverheadRow) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Workload < rows[j].Workload })
 }

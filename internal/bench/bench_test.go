@@ -5,6 +5,7 @@ import (
 
 	"lfi/internal/emu"
 	"lfi/internal/hwmodel"
+	"lfi/internal/progs"
 )
 
 const testScale = 0.05
@@ -150,14 +151,31 @@ func TestTable5Shape(t *testing.T) {
 	}
 }
 
-func TestThroughputShape(t *testing.T) {
-	lfiMBps, wasmMBps, err := Throughput()
-	if err != nil {
-		t.Fatal(err)
+// TestPerOpRequiresCleanExit: Runtime.Run returns nil after a trap or a
+// non-zero exit, so a Table 5 program that fails must be caught by its
+// exit status, or it would still print a plausible ns/op.
+func TestPerOpRequiresCleanExit(t *testing.T) {
+	const fault = `
+_start:
+	mov x1, #0x100000
+	movk x1, #0x4000, lsl #16   // far into the unmapped middle of the slot
+	ldr x0, [x1]
+`
+	exit0 := "_start:\n" + progs.ExitCode(0)
+	for _, tc := range []struct {
+		name string
+		srcs []string
+	}{
+		{"exit 1", []string{"_start:\n" + progs.ExitCode(1)}},
+		{"fault", []string{fault + progs.Exit()}},
+		{"fault in the second of two", []string{exit0, fault + progs.Exit()}},
+	} {
+		if ns, err := perOp(emu.ModelM1(), 1, tc.srcs...); err == nil {
+			t.Errorf("%s: perOp = %.1f ns, want an error", tc.name, ns)
+		}
 	}
-	t.Logf("verifier %.1f MB/s, wasm validator %.1f MB/s", lfiMBps, wasmMBps)
-	if lfiMBps <= 0 || wasmMBps <= 0 {
-		t.Fatal("throughput not measured")
+	if _, err := perOp(emu.ModelM1(), 1, exit0, exit0); err != nil {
+		t.Errorf("two clean exits: %v", err)
 	}
 }
 

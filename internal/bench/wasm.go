@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"os"
 
-	"lfi/internal/arm64"
 	"lfi/internal/core"
-	"lfi/internal/progs"
 	"lfi/internal/wasmbase"
 	"lfi/internal/wasmfront"
 )
@@ -132,7 +130,7 @@ func (r *Runner) WasmCompare(machine string) (*WasmReport, error) {
 			add(cfg.name, out)
 		}
 		for _, sys := range wasmbase.Systems() {
-			out, err := r.runWasmModel(asm, sys)
+			out, err := r.runWasm(asm, sys)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", w.Name, sys.Name, err)
 			}
@@ -148,30 +146,6 @@ func (r *Runner) WasmCompare(machine string) (*WasmReport, error) {
 		rep.Geomean[sys] = Geomean(rows, sys)
 	}
 	return rep, nil
-}
-
-// runWasmModel runs asm under a wasmbase engine model: the model's
-// instrumentation is inserted, the result runs unguarded, and its cycle
-// count is multiplied by the engine's codegen factor.
-func (r *Runner) runWasmModel(asm string, sys *wasmbase.System) (*RunOutcome, error) {
-	f, err := arm64.ParseFile(asm)
-	if err != nil {
-		return nil, err
-	}
-	nf, err := sys.Transform(f)
-	if err != nil {
-		return nil, err
-	}
-	res, err := progs.BuildNative(nf.String())
-	if err != nil {
-		return nil, err
-	}
-	out, err := r.runELF(res.ELF, false, false)
-	if err != nil {
-		return nil, err
-	}
-	out.Cycles *= sys.CodegenFactor
-	return out, nil
 }
 
 // Rows converts the report to OverheadRow form for the shared printer.
