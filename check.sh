@@ -21,8 +21,13 @@ go build ./...
 echo '== go test ./...'
 go test ./...
 
-echo '== go test -race ./internal/pool ./internal/lfirt ./internal/obs ./internal/emu ./internal/mem'
-go test -race ./internal/pool ./internal/lfirt ./internal/obs ./internal/emu ./internal/mem
+# internal/serve is here because its handlers run sandboxes on their own
+# goroutines, on runtimes leased from the shard pools.
+echo '== go test -race ./internal/pool ./internal/serve ./internal/lfirt ./internal/obs ./internal/emu ./internal/mem'
+go test -race ./internal/pool ./internal/serve ./internal/lfirt ./internal/obs ./internal/emu ./internal/mem
+
+echo '== worker hand-off under race, 20 runs (a worker handed to a caller whose context just fired is never lost)'
+go test -race -count=20 -run 'TestHandoffToCanceledWaiter' ./internal/pool
 
 echo '== page-sharing suite under race (snapshot bytes immutable, no residue, no recycled backing, exact round trip, failed loads free their slot)'
 go test -race -count=1 -run 'TestSnapshotBytesImmutable|TestRecycledPageNoResidue|TestSharedBackingNeverRecycled|TestSnapshotRoundTripExact|TestLoadFailureReleasesSlot' \
@@ -71,9 +76,6 @@ go test -count=1 -run 'TestDecodeAllocBound' ./internal/wasmfront
 
 echo '== wasm fuzz smoke (FuzzWasmTranslate, 5000 executions)'
 go test -run '^$' -fuzz '^FuzzWasmTranslate$' -fuzztime 5000x ./internal/fuzz
-
-echo '== serve race suite (go test -race ./internal/serve)'
-go test -race ./internal/serve
 
 echo '== serve smoke (lfi-serve -listen + lfi-loadgen -smoke)'
 bindir=$(mktemp -d)

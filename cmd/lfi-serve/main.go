@@ -1,7 +1,7 @@
 // lfi-serve runs a stream of sandbox execution jobs through a serving
 // pool: programs are compiled/verified once into cached images, workers
-// keep warm snapshot-restored sandboxes, and a bounded queue applies
-// admission control. Each job's exit status and captured output are
+// keep warm snapshot-restored sandboxes, and one caller goroutine per
+// worker runs the jobs. Each job's exit status and captured output are
 // reported individually, followed by aggregate throughput statistics.
 //
 // Job specs are assembly sources (.s) or prebuilt sandbox ELFs; jobs are
@@ -22,8 +22,7 @@
 //	          [prog.s|prog.elf ...]
 //
 //	lfi-serve -listen addr [-bin addr] [-shards n] [-tenants spec]
-//	          [-max-pending n] [-workers n] [-queue n] [-budget n]
-//	          [prog.s|prog.elf ...]
+//	          [-workers n] [-queue n] [-budget n] [prog.s|prog.elf ...]
 //
 // With -listen, lfi-serve is a network server instead of a batch
 // driver: jobs arrive as POST /v1/jobs (sync, async, or streaming),
@@ -32,7 +31,9 @@
 // second observability port. -bin adds a second listener speaking the
 // length-prefixed binary protocol for the hot path. -shards routes jobs
 // across that many independent pools by image hash; -tenants declares
-// QoS contracts as name[:weight[:rate[:burst]]],... Arguments
+// QoS contracts as name[:weight[:rate[:burst]]],... -queue bounds each
+// tenant's requests waiting for a worker on one shard; beyond it they
+// are shed with 503 overloaded. Arguments
 // pre-register images under their base names (demo images with none).
 // The server drains gracefully on SIGINT/SIGTERM: queued jobs are
 // rejected, in-flight jobs finish, then the process exits.
@@ -57,6 +58,8 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -69,7 +72,7 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 4, "concurrent worker runtimes (per shard in serve mode)")
-	queue := flag.Int("queue", 0, "submission queue depth (0 = 4x workers)")
+	queue := flag.Int("queue", 0, "jobs waiting for a worker before admission control rejects (0 = 4x workers; with -listen: per tenant per shard, 0 = 256)")
 	budget := flag.Uint64("budget", 0, "per-job instruction budget (0 = 50M)")
 	warm := flag.Int("warm", 0, "pre-restored sandboxes kept per image per worker (0 = 1)")
 	jobs := flag.Int("jobs", 32, "total jobs to serve")
@@ -83,7 +86,6 @@ func main() {
 	binAddr := flag.String("bin", "", "with -listen: also speak the binary protocol on this address")
 	shards := flag.Int("shards", 1, "with -listen: independent pools to route across")
 	tenants := flag.String("tenants", "", "with -listen: tenant QoS as name[:weight[:rate[:burst]]],...")
-	maxPending := flag.Int("max-pending", 0, "with -listen: per-tenant per-shard queue bound (0 = 256)")
 	flag.Parse()
 
 	if *listen != "" {
@@ -93,16 +95,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lfi-serve: -http ignored with -listen; /metrics and /statusz share the -listen address")
 		}
 		runServe(serveOptions{
-			listen:     *listen,
-			binAddr:    *binAddr,
-			shards:     *shards,
-			tenants:    *tenants,
-			maxPending: *maxPending,
-			workers:    *workers,
-			queue:      *queue,
-			budget:     *budget,
-			warm:       *warm,
-			args:       flag.Args(),
+			listen:  *listen,
+			binAddr: *binAddr,
+			shards:  *shards,
+			tenants: *tenants,
+			workers: *workers,
+			queue:   *queue,
+			budget:  *budget,
+			warm:    *warm,
+			args:    flag.Args(),
 		})
 		return
 	}
@@ -145,41 +146,28 @@ func main() {
 		return lfi.Job{Image: images[i%len(images)], Cold: *cold}, names[i%len(names)]
 	}
 
-	type pending struct {
-		idx    int
-		name   string
-		ticket *lfi.JobTicket
-	}
+	// One caller per worker pulls job indices, so a worker is always free
+	// for the next job and nothing waits in the pool's queue.
 	results := make([]*lfi.JobResult, *jobs)
-	queueFull := 0
+	var next atomic.Int64
+	var wg sync.WaitGroup
 	start := time.Now()
-	inflight := make([]pending, 0, *jobs)
-	for i := 0; i < *jobs; i++ {
-		job, name := makeJob(i)
-		for {
-			t, err := p.Submit(job)
-			if errors.Is(err, lfi.ErrQueueFull) {
-				// Admission control pushed back: drain the oldest
-				// in-flight job, then resubmit.
-				queueFull++
-				if len(inflight) > 0 {
-					pd := inflight[0]
-					inflight = inflight[1:]
-					results[pd.idx] = pd.ticket.Wait()
+	for range p.Stats().Workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < *jobs; i = int(next.Add(1)) - 1 {
+				job, _ := makeJob(i)
+				res, err := p.Execute(job)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "lfi-serve:", err)
+					os.Exit(1)
 				}
-				continue
+				results[i] = res
 			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "lfi-serve:", err)
-				os.Exit(1)
-			}
-			inflight = append(inflight, pending{idx: i, name: name, ticket: t})
-			break
-		}
+		}()
 	}
-	for _, pd := range inflight {
-		results[pd.idx] = pd.ticket.Wait()
-	}
+	wg.Wait()
 	elapsed := time.Since(start)
 
 	failed := false
@@ -223,8 +211,8 @@ func main() {
 	fmt.Printf("\nserved %d jobs in %v (%.0f jobs/s) across %d workers\n",
 		st.Completed, elapsed.Round(time.Microsecond),
 		float64(st.Completed)/elapsed.Seconds(), *workers)
-	fmt.Printf("warm hits %d/%d, restores %d, cold loads %d, deadline kills %d, queue-full backoffs %d\n",
-		st.WarmHits, st.Completed, st.Restores, st.ColdLoads, st.Deadlines, queueFull)
+	fmt.Printf("warm hits %d/%d, restores %d, cold loads %d, deadline kills %d\n",
+		st.WarmHits, st.Completed, st.Restores, st.ColdLoads, st.Deadlines)
 	if st.Pipelines > 0 {
 		fmt.Printf("pipelines %d, stages %d\n", st.Pipelines, st.Stages)
 	}
@@ -240,11 +228,10 @@ func main() {
 
 // serveOptions collects the serve-mode flags.
 type serveOptions struct {
-	listen, binAddr, tenants string
-	shards, maxPending       int
-	workers, queue, warm     int
-	budget                   uint64
-	args                     []string
+	listen, binAddr, tenants     string
+	shards, workers, queue, warm int
+	budget                       uint64
+	args                         []string
 }
 
 // runServe is the network serving mode: a sharded serve.Server behind
@@ -266,12 +253,11 @@ func runServe(o serveOptions) {
 		Shards: o.shards,
 		Pool: pool.Config{
 			Workers:      o.workers,
-			QueueDepth:   o.queue,
 			Budget:       o.budget,
 			WarmPerImage: o.warm,
 		},
 		Tenants:    tcs,
-		MaxPending: o.maxPending,
+		MaxPending: o.queue,
 	})
 	if err := registerImages(s, o.args); err != nil {
 		fail(err)

@@ -62,8 +62,8 @@ func (o FaultOptions) withDefaults() FaultOptions {
 
 // FaultReport summarizes a fault-injection run.
 type FaultReport struct {
-	Submitted int // jobs admitted across all pool rounds
-	Resolved  int // tickets that resolved with an allowed outcome
+	Submitted int // jobs submitted across all pool rounds
+	Resolved  int // jobs that resolved with an allowed outcome
 	Kills     int // processes killed mid-run in the snapshot driver
 	Restores  int // snapshot restores after a kill
 	IPCFaults int // echo peers killed or canceled mid-IPC
@@ -104,7 +104,7 @@ spin:
 // InjectFaults drives the serving layer through hostile schedules: pools
 // closed while jobs are queued and running, contexts canceled at random
 // points, and processes killed mid-run then restored from snapshots. The
-// invariants: every admitted ticket resolves with an outcome from the
+// invariants: every admitted job resolves with an outcome from the
 // documented failure taxonomy, and a restore after any kill replays the
 // original execution exactly.
 func InjectFaults(opts FaultOptions) *FaultReport {
@@ -125,7 +125,7 @@ func InjectFaults(opts FaultOptions) *FaultReport {
 	return rep
 }
 
-// poolRound hammers one pool with concurrent submitters while the pool is
+// poolRound hammers one pool with concurrent callers while the pool is
 // closed underneath them at a random point.
 func poolRound(seed int64, rep *FaultReport) {
 	rng := rand.New(rand.NewSource(seed))
@@ -185,34 +185,30 @@ func poolRound(seed int64, rep *FaultReport) {
 					img, budget = spin, 50_000 // runaway job, deadline-killed
 				}
 				ctx, cancel := context.WithCancel(context.Background())
-				tk, err := p.SubmitCtx(ctx, pool.Job{Image: img, Budget: budget})
-				if err != nil {
-					if !errors.Is(err, pool.ErrQueueFull) && !errors.Is(err, pool.ErrClosed) {
-						report("submit: unexpected error %v", err)
-					}
-					cancel()
-					continue
-				}
 				count()
 				if srng.Intn(3) == 0 {
-					go cancel() // cancellation racing dispatch and execution
+					go cancel() // cancellation racing the lease and execution
 				} else {
 					defer cancel()
 				}
-				res := waitOrHang(tk, report)
-				if res == nil {
+				res, err := doOrHang(p, ctx, pool.Job{Image: img, Budget: budget}, report)
+				if errors.Is(err, errHung) {
 					return
+				}
+				if res != nil {
+					err = res.Err
 				}
 				var dl *lfirt.ErrDeadline
 				switch {
-				case res.Err == nil,
-					errors.Is(res.Err, pool.ErrClosed),
-					errors.Is(res.Err, pool.ErrCanceled),
-					errors.As(res.Err, &dl):
+				case err == nil,
+					errors.Is(err, pool.ErrQueueFull),
+					errors.Is(err, pool.ErrClosed),
+					errors.Is(err, pool.ErrCanceled),
+					errors.As(err, &dl):
 				default:
-					report("result outside failure taxonomy: %v", res.Err)
+					report("result outside failure taxonomy: %v", err)
 				}
-				if res.Err == nil && img == quick && res.Status != 7 {
+				if err == nil && img == quick && res.Status != 7 {
 					report("successful job returned status %d, want 7", res.Status)
 				}
 				mu.Lock()
@@ -229,8 +225,8 @@ func poolRound(seed int64, rep *FaultReport) {
 	} else if st.Submitted != st.Completed {
 		report("submitted %d != completed %d after close", st.Submitted, st.Completed)
 	}
-	if _, err := p.Submit(pool.Job{Image: quick}); !errors.Is(err, pool.ErrClosed) {
-		report("submit after close: %v, want ErrClosed", err)
+	if _, err := p.Do(pool.Job{Image: quick}); !errors.Is(err, pool.ErrClosed) {
+		report("job after close: %v, want ErrClosed", err)
 	}
 
 	mu.Lock()
@@ -240,18 +236,26 @@ func poolRound(seed int64, rep *FaultReport) {
 	mu.Unlock()
 }
 
-// waitOrHang resolves a ticket with a hang detector: a ticket that never
+// errHung is doOrHang's verdict on a job that never resolved.
+var errHung = errors.New("job did not resolve within 30s")
+
+// doOrHang runs one job under a hang detector: a job that never
 // resolves is the worst serving-layer bug, so it is reported rather than
 // deadlocking the harness.
-func waitOrHang(tk *pool.Ticket, report func(string, ...any)) *pool.Result {
-	done := make(chan *pool.Result, 1)
-	go func() { done <- tk.Wait() }()
+func doOrHang(p *pool.Pool, ctx context.Context, j pool.Job, report func(string, ...any)) (*pool.Result, error) {
+	var res *pool.Result
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err = p.DoCtx(ctx, j)
+	}()
 	select {
-	case res := <-done:
-		return res
+	case <-done:
+		return res, err
 	case <-time.After(30 * time.Second):
-		report("ticket did not resolve within 30s")
-		return nil
+		report("%v", errHung)
+		return nil, errHung
 	}
 }
 

@@ -153,8 +153,8 @@ func serveRound(seed int64, rep *FaultReport) {
 		}
 	}
 	for _, sh := range st.Shards {
-		if sh.Queued != 0 || sh.Pool.QueueDepth != 0 {
-			report("shard %d queues not drained: router %d, pool %d", sh.Shard, sh.Queued, sh.Pool.QueueDepth)
+		if sh.Pool.QueueDepth != 0 {
+			report("shard %d queue not drained: %d parked", sh.Shard, sh.Pool.QueueDepth)
 		}
 		if sh.Pool.Submitted != sh.Pool.Completed {
 			report("shard %d: submitted %d != completed %d after close", sh.Shard, sh.Pool.Submitted, sh.Pool.Completed)

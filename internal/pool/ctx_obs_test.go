@@ -75,21 +75,21 @@ func TestDoCtxDeadline(t *testing.T) {
 	}
 }
 
-func TestSubmitCtxAlreadyDone(t *testing.T) {
+func TestDoCtxAlreadyDone(t *testing.T) {
 	p := New(Config{Workers: 1})
 	defer p.Close()
 	img := mustImage(t, p, tenantSrc(1))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.SubmitCtx(ctx, Job{Image: img}); !errors.Is(err, ErrCanceled) {
-		t.Errorf("submit with done context: %v, want ErrCanceled", err)
+	if _, err := p.DoCtx(ctx, Job{Image: img}); !errors.Is(err, ErrCanceled) {
+		t.Errorf("DoCtx with done context: %v, want ErrCanceled", err)
 	}
 }
 
-// TestCanceledBeforeDequeue parks a worker on a long job, queues a
-// second job, cancels it while queued, and checks it is skipped with
-// ctx.Err() — without the sandbox ever starting.
+// TestCanceledBeforeDequeue holds the single worker with a long job,
+// parks a second caller, cancels it while parked, and checks it leaves
+// with ctx.Err() — without the sandbox ever starting.
 func TestCanceledBeforeDequeue(t *testing.T) {
 	p := New(Config{Workers: 1, QueueDepth: 4})
 	defer p.Close()
@@ -97,24 +97,36 @@ func TestCanceledBeforeDequeue(t *testing.T) {
 	quick := mustImage(t, p, tenantSrc(2))
 
 	// Occupy the single worker (bounded by its budget).
-	busy, err := p.Submit(Job{Image: spin, Budget: 5_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	busy := make(chan struct{})
+	go func() {
+		defer close(busy)
+		p.Do(Job{Image: spin, Budget: 5_000_000})
+	}()
+	waitFor(t, func() bool { return p.Stats().Workers[0].Busy })
+
 	ctx, cancel := context.WithCancel(context.Background())
-	queued, err := p.SubmitCtx(ctx, Job{Image: quick})
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		res *Result
+		err error
 	}
+	queued := make(chan outcome, 1)
+	go func() {
+		res, err := p.DoCtx(ctx, Job{Image: quick})
+		queued <- outcome{res, err}
+	}()
+	waitFor(t, func() bool { return p.QueueDepth() == 1 })
 	cancel()
-	res := queued.Wait()
-	if !errors.Is(res.Err, ErrCanceled) || !errors.Is(res.Err, context.Canceled) {
-		t.Errorf("queued job error = %v, want ErrCanceled wrapping context.Canceled", res.Err)
+	out := <-queued
+	if !errors.Is(out.err, ErrCanceled) || !errors.Is(out.err, context.Canceled) {
+		t.Errorf("parked job error = %v, want ErrCanceled wrapping context.Canceled", out.err)
 	}
-	if res.Instrs != 0 {
-		t.Errorf("skipped job retired %d instructions", res.Instrs)
+	if out.res != nil {
+		t.Errorf("parked job ran: %+v", out.res)
 	}
-	busy.Wait()
+	<-busy
+	if st := p.Stats(); st.QueueDepth != 0 || st.Submitted != st.Completed || st.Canceled != 1 {
+		t.Errorf("stats after canceled waiter: %+v", st)
+	}
 }
 
 // TestObservabilityEndToEnd drives jobs through a pool and checks that

@@ -155,13 +155,13 @@ func TestPipelineValidation(t *testing.T) {
 	defer p.Close()
 	f := mustImage(t, p, filterSrc)
 
-	if _, err := p.Submit(Job{}); err == nil {
+	if _, err := p.Do(Job{}); err == nil {
 		t.Error("empty job accepted")
 	}
-	if _, err := p.Submit(Job{Image: f, Images: []*Image{f}}); err == nil {
+	if _, err := p.Do(Job{Image: f, Images: []*Image{f}}); err == nil {
 		t.Error("job with both Image and Images accepted")
 	}
-	if _, err := p.Submit(Job{Images: []*Image{f, nil}}); err == nil {
+	if _, err := p.Do(Job{Images: []*Image{f, nil}}); err == nil {
 		t.Error("pipeline with nil stage accepted")
 	}
 }

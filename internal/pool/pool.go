@@ -6,17 +6,22 @@
 //   - a warm pool: each worker keeps pre-restored, parked sandboxes per
 //     image, so serving a request is Start + run — no ELF parsing, no
 //     verification, no page-by-page loading on the request path;
-//   - a concurrent executor: N workers, each owning an independent
-//     lfirt.Runtime, fed from a bounded submission queue with
-//     reject-when-full admission control. Every job gets an instruction
-//     budget; runaways are killed and reported as *lfirt.ErrDeadline
-//     without disturbing the worker.
+//   - a concurrent executor: N workers, each an independent
+//     lfirt.Runtime with its warm clones. A worker is a resource, not a
+//     goroutine: DoCtx leases a free one and serves the job on the
+//     caller's own goroutine. With none free the caller parks in the
+//     pool's one waiter queue (weighted-fair across Job.Tenant, bounded
+//     per tenant by QueueDepth, ErrQueueFull beyond it), and whoever
+//     finishes a job hands its worker straight to the waiter that queue
+//     picks — one wake-up, none when a worker is free. Every job gets an
+//     instruction budget; runaways are killed and reported as
+//     *lfirt.ErrDeadline without disturbing the worker.
 //
-// Submission is context-aware: SubmitCtx/DoCtx honor cancellation and
-// deadlines. A context that fires before dispatch skips the job; one that
-// fires mid-run kills the in-flight sandbox between scheduler dispatches
-// (bounded by one timeslice) — either way the result satisfies
-// errors.Is(err, ErrCanceled).
+// DoCtx honors cancellation and deadlines. A context that fires while
+// the caller is parked removes it from the queue without running the
+// job; one that fires mid-run kills the in-flight sandbox between
+// scheduler dispatches (bounded by one timeslice) — either way the
+// error satisfies errors.Is(err, ErrCanceled).
 //
 // Every pool carries an observability bundle (internal/obs): counters and
 // latency histograms in a metrics registry, plus a bounded event trace
@@ -46,11 +51,11 @@ import (
 
 // Config parameterizes a Pool.
 type Config struct {
-	// Workers is the number of executor goroutines, each with its own
-	// runtime (0 = 4).
+	// Workers is the number of worker runtimes, each leased to one
+	// caller at a time (0 = 4).
 	Workers int
-	// QueueDepth bounds the submission queue; Submit rejects with
-	// ErrQueueFull beyond it (0 = 4×Workers).
+	// QueueDepth bounds each tenant's callers parked for a worker; DoCtx
+	// rejects with ErrQueueFull beyond it (0 = 4×Workers).
 	QueueDepth int
 	// Budget is the default per-job instruction budget (0 = 50M).
 	// Individual jobs may override it; a job budget of 0 uses this.
@@ -87,12 +92,6 @@ type Config struct {
 	// snapshots only restore into runtimes configured like the one that
 	// took them.
 	SharedCache *Cache
-	// OnJobDone, when set, is called by the serving worker after each
-	// admitted job resolves — after its ticket is delivered, including
-	// jobs dropped at shutdown. A sharded router uses it as the
-	// backpressure signal that queue capacity has freed up; it runs on
-	// the worker goroutine, so it must not block.
-	OnJobDone func(*Result)
 }
 
 func (c Config) withDefaults() Config {
@@ -163,6 +162,11 @@ type Job struct {
 	// Cold bypasses the snapshot path and loads the ELF from scratch,
 	// re-verifying it — the baseline the warm path is measured against.
 	Cold bool
+	// Tenant and Weight place the caller in the waiter queue when no
+	// worker is free: each tenant has its own QueueDepth bound, and
+	// tenants are handed workers in proportion to Weight (0 = 1).
+	Tenant string
+	Weight int
 }
 
 // stages normalizes the two job forms to a stage list.
@@ -206,6 +210,8 @@ type Result struct {
 	// Stages is the per-stage breakdown, one entry per image in job
 	// order (a single-image job has one entry).
 	Stages []StageResult
+	// QueueWait is how long the caller was parked before its lease.
+	QueueWait time.Duration
 	// Err is nil on success; *lfirt.ErrDeadline if the job exceeded its
 	// budget; an error matching ErrCanceled if its context fired;
 	// otherwise a load/restore failure.
@@ -216,25 +222,19 @@ type Result struct {
 // kills, errors.As) and lfirt.ErrVerify (verifier rejections, errors.Is)
 // they form the full failure taxonomy of the serving API.
 var (
-	// ErrQueueFull is the admission-control rejection: the bounded
-	// submission queue is full. Callers should back off or shed load.
+	// ErrQueueFull is the admission-control rejection: the job's tenant
+	// already has QueueDepth callers parked. Callers should back off or
+	// shed load.
 	ErrQueueFull = errors.New("pool: submission queue full")
-	// ErrClosed reports a submission to a closed pool, or a job that was
-	// still queued when Close began: queued work is not run at shutdown,
-	// its ticket resolves with this error instead.
+	// ErrClosed reports a job submitted to a closed pool, or one still
+	// parked when Close began: parked work is not run at shutdown.
 	ErrClosed = errors.New("pool: closed")
-	// ErrCanceled reports a job stopped by its context — either skipped
-	// before dispatch or killed mid-run. The context's own error
+	// ErrCanceled reports a job stopped by its context — either before
+	// it leased a worker or killed mid-run. The context's own error
 	// (context.Canceled or context.DeadlineExceeded) is wrapped
 	// alongside, so errors.Is works against both.
 	ErrCanceled = errors.New("pool: job canceled")
 )
-
-// Ticket is a pending job's handle.
-type Ticket struct{ ch chan *Result }
-
-// Wait blocks until the job completes and returns its result.
-func (t *Ticket) Wait() *Result { return <-t.ch }
 
 // WorkerStats is one worker's cumulative breakdown, sourced from the
 // pool's metrics registry.
@@ -256,9 +256,8 @@ type WorkerStats struct {
 // Stats are cumulative pool counters plus per-worker breakdowns, all
 // sourced from the pool's metrics registry.
 type Stats struct {
-	Submitted  uint64        `json:"submitted"`   // jobs accepted into the queue
+	Submitted  uint64        `json:"submitted"`   // jobs admitted (leased or parked)
 	Rejected   uint64        `json:"rejected"`    // jobs refused by admission control
-	Shed       uint64        `json:"shed"`        // jobs a router shed on this pool's behalf
 	Completed  uint64        `json:"completed"`   // jobs finished (any outcome)
 	Canceled   uint64        `json:"canceled"`    // jobs stopped by their context
 	Deadlines  uint64        `json:"deadlines"`   // jobs killed for exceeding their budget
@@ -271,23 +270,14 @@ type Stats struct {
 	Instrs     uint64        `json:"instrs"`      // total instructions retired serving jobs
 	Pipelines  uint64        `json:"pipelines"`   // multi-stage jobs served
 	Stages     uint64        `json:"stages"`      // total pipeline stages served
-	QueueDepth int           `json:"queue_depth"` // jobs currently queued
+	QueueDepth int           `json:"queue_depth"` // callers currently parked
 	Workers    []WorkerStats `json:"workers"`
-}
-
-type task struct {
-	job    Job
-	ticket *Ticket
-	ctx    context.Context
-	id     uint64
-	enq    time.Time
 }
 
 // poolMetrics are the pool-level registry handles (per-worker handles
 // live in workerStats).
 type poolMetrics struct {
 	submitted, rejected, completed *obs.Counter
-	shed                           *obs.Counter
 	canceled, deadlines, failures  *obs.Counter
 	warmHits, warmMisses           *obs.Counter
 	restores, coldLoads, evictions *obs.Counter
@@ -303,7 +293,6 @@ func newPoolMetrics(reg *obs.Registry) poolMetrics {
 	return poolMetrics{
 		submitted:  reg.Counter("pool.jobs.submitted"),
 		rejected:   reg.Counter("pool.jobs.rejected"),
-		shed:       reg.Counter("pool.jobs.shed"),
 		completed:  reg.Counter("pool.jobs.completed"),
 		canceled:   reg.Counter("pool.jobs.canceled"),
 		deadlines:  reg.Counter("pool.jobs.deadline_kills"),
@@ -351,28 +340,29 @@ func newWorkerStats(reg *obs.Registry, id int) *workerStats {
 	}
 }
 
-// Pool is the serving subsystem. Create with New, feed with Submit or
-// Do, and Close when done.
+// Pool is the serving subsystem. Create with New, feed with Do or
+// DoCtx, and Close when done. It starts no goroutines: every job runs
+// on its caller's.
 type Pool struct {
-	cfg    Config
-	cache  *Cache
-	jobs   chan *task
-	wg     sync.WaitGroup
-	obs    *obs.Obs
-	m      poolMetrics
-	wstats []*workerStats
-	jobSeq atomic.Uint64
+	cfg     Config
+	cache   *Cache
+	obs     *obs.Obs
+	m       poolMetrics
+	workers []*worker
+	jobSeq  atomic.Uint64
 
+	// mu guards free, q and closed. A worker is on the free list, leased
+	// to one caller, or in flight to a waiter; free is non-empty only
+	// while nobody waits.
 	mu     sync.Mutex
+	free   []*worker
+	q      wfq
 	closed bool
-
-	// closing becomes true before the job channel is closed. Workers check
-	// it at dequeue so a job admitted just as the pool closes resolves
-	// deterministically with ErrClosed instead of racing the shutdown.
-	closing atomic.Bool
+	// leases counts workers off the free list; Close waits for it.
+	leases sync.WaitGroup
 }
 
-// New creates a pool and starts its workers.
+// New creates a pool and its worker runtimes.
 func New(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
 	rc := cfg.RuntimeConfig()
@@ -387,13 +377,10 @@ func New(cfg Config) *Pool {
 	p := &Pool{
 		cfg:   cfg,
 		cache: cache,
-		jobs:  make(chan *task, cfg.QueueDepth),
 		obs:   cfg.Obs,
 		m:     newPoolMetrics(cfg.Obs.Registry()),
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		ws := newWorkerStats(cfg.Obs.Registry(), i)
-		p.wstats = append(p.wstats, ws)
 		wrc := rc
 		wrc.ObsTag = i
 		w := &worker{
@@ -401,16 +388,13 @@ func New(cfg Config) *Pool {
 			pool:  p,
 			rt:    lfirt.New(wrc),
 			warm:  make(map[string][]*lfirt.Proc),
-			stats: ws,
+			stats: newWorkerStats(cfg.Obs.Registry(), i),
 		}
-		p.wg.Add(1)
-		go w.loop()
+		p.workers = append(p.workers, w)
+		p.free = append(p.free, w)
 	}
 	return p
 }
-
-// Obs returns the pool's observability bundle.
-func (p *Pool) Obs() *obs.Obs { return p.obs }
 
 // Metrics returns a point-in-time snapshot of the pool's metrics
 // registry (including worker-runtime and emulator counters).
@@ -441,19 +425,33 @@ func (p *Pool) BuildWasmImage(wasm []byte, opts core.Options) (*Image, error) {
 // Cache exposes the image cache (for stats).
 func (p *Pool) Cache() *Cache { return p.cache }
 
-// Submit enqueues a job without blocking. It returns ErrQueueFull when
-// the bounded queue is full (admission control: the pool never grows an
-// unbounded backlog) and ErrClosed after Close.
-func (p *Pool) Submit(j Job) (*Ticket, error) {
-	return p.SubmitCtx(context.Background(), j)
+// QueueDepth reports the number of callers currently parked (the
+// "pool.queue.depth" gauge).
+func (p *Pool) QueueDepth() int { return int(p.m.queueDepth.Value()) }
+
+// Queued reports how many of tenant's callers are currently parked.
+func (p *Pool) Queued(tenant string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if tq := p.q.tenants[tenant]; tq != nil {
+		return len(tq.q)
+	}
+	return 0
 }
 
-// SubmitCtx enqueues a job bound to ctx. An already-done context is
-// rejected immediately; one that fires while the job is queued skips it
-// at dequeue; one that fires mid-run kills the in-flight sandbox. In
-// every case the resulting error matches ErrCanceled and wraps ctx's own
-// error.
-func (p *Pool) SubmitCtx(ctx context.Context, j Job) (*Ticket, error) {
+// Do runs a job and waits for its result.
+func (p *Pool) Do(j Job) (*Result, error) {
+	return p.DoCtx(context.Background(), j)
+}
+
+// DoCtx runs a job bound to ctx on the caller's goroutine, parking
+// first if no worker is free. The error is non-nil when the job was
+// refused (ErrQueueFull, ErrClosed, an invalid job), or canceled
+// (matching ErrCanceled and wrapping ctx's own error). A job canceled
+// mid-run still returns its partial result — captured output, retired
+// instructions — alongside the error; one canceled while parked never
+// ran and returns none.
+func (p *Pool) DoCtx(ctx context.Context, j Job) (*Result, error) {
 	switch {
 	case j.Image == nil && len(j.Images) == 0:
 		return nil, fmt.Errorf("pool: job has no image")
@@ -468,76 +466,120 @@ func (p *Pool) SubmitCtx(ctx context.Context, j Job) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w before submit (%w)", ErrCanceled, err)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, ErrClosed
-	}
-	t := &Ticket{ch: make(chan *Result, 1)}
-	tk := &task{job: j, ticket: t, ctx: ctx, id: p.jobSeq.Add(1), enq: time.Now()}
-	select {
-	case p.jobs <- tk:
-		p.m.submitted.Inc()
-		p.m.queueDepth.Add(1)
-		p.obs.Trace().Record(obs.Event{Kind: obs.EvJobEnqueue, Job: tk.id})
-		return t, nil
-	default:
-		p.m.rejected.Inc()
-		return nil, ErrQueueFull
-	}
-}
-
-// RecordShed counts a job that an upstream router refused on this pool's
-// behalf — load-shedding before the job ever reached the submission
-// queue. It only affects the "pool.jobs.shed" counter (Stats.Shed), so
-// shedding decisions made outside the pool stay observable next to the
-// pool's own ErrQueueFull rejections.
-func (p *Pool) RecordShed() { p.m.shed.Inc() }
-
-// QueueDepth reports the number of jobs currently queued (the
-// "pool.queue.depth" gauge).
-func (p *Pool) QueueDepth() int { return int(p.m.queueDepth.Value()) }
-
-// Do submits a job and waits for its result.
-func (p *Pool) Do(j Job) (*Result, error) {
-	return p.DoCtx(context.Background(), j)
-}
-
-// DoCtx submits a job bound to ctx and waits for its result. The error
-// is non-nil when submission failed or the job was canceled (matching
-// ErrCanceled); a canceled job's partial result — captured output,
-// retired instructions — is still returned alongside the error.
-func (p *Pool) DoCtx(ctx context.Context, j Job) (*Result, error) {
-	t, err := p.SubmitCtx(ctx, j)
+	id := p.jobSeq.Add(1)
+	enq := time.Now()
+	w, err := p.lease(ctx, &j, id)
 	if err != nil {
 		return nil, err
 	}
-	res := t.Wait()
+	w.stats.busy.Store(true)
+	res := w.serve(ctx, &j, id, enq)
+	w.stats.busy.Store(false)
+	p.release(w)
 	if res.Err != nil && errors.Is(res.Err, ErrCanceled) {
 		return res, res.Err
 	}
 	return res, nil
 }
 
-// Close stops the workers and waits for them to exit. The job currently
-// running on each worker completes normally; jobs still sitting in the
-// queue resolve with ErrClosed (they are never silently dropped and their
-// tickets never hang). Submissions after Close fail with ErrClosed.
-func (p *Pool) Close() {
+// lease takes a free worker, or parks the caller in the waiter queue
+// until release hands it one. A parked caller whose context fires
+// leaves the queue and never runs; if a worker reached it at that very
+// moment, it passes the worker on.
+func (p *Pool) lease(ctx context.Context, j *Job, id uint64) (*worker, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		p.wg.Wait() // a concurrent first Close drains; wait for it too
+		return nil, ErrClosed
+	}
+	if len(p.free) > 0 {
+		// Longest idle first: successive jobs spread over every worker's
+		// warm clones instead of piling onto one worker's MaxWarm.
+		w := p.free[0]
+		p.free = p.free[1:]
+		p.leases.Add(1)
+		p.mu.Unlock()
+		p.admit(id)
+		return w, nil
+	}
+	wt := &waiter{tenant: j.Tenant, ready: make(chan *worker, 1)}
+	if !p.q.push(wt, j.Weight, p.cfg.QueueDepth) {
+		p.mu.Unlock()
+		p.m.rejected.Inc()
+		return nil, ErrQueueFull
+	}
+	p.m.queueDepth.Add(1)
+	p.mu.Unlock()
+	p.admit(id)
+
+	select {
+	case w := <-wt.ready:
+		if w == nil {
+			p.settle(id)
+			return nil, fmt.Errorf("%w: job dropped at shutdown", ErrClosed)
+		}
+		if ctx.Err() == nil {
+			return w, nil
+		}
+		p.release(w)
+	case <-ctx.Done():
+		p.mu.Lock()
+		parked := p.q.remove(wt)
+		if parked {
+			p.m.queueDepth.Add(-1)
+		}
+		p.mu.Unlock()
+		if !parked {
+			if w := <-wt.ready; w != nil {
+				p.release(w)
+			}
+		}
+	}
+	p.m.canceled.Inc()
+	p.obs.Trace().Record(obs.Event{Kind: obs.EvJobCancel, Job: id})
+	p.settle(id)
+	return nil, fmt.Errorf("%w while queued (%w)", ErrCanceled, ctx.Err())
+}
+
+// admit counts a job that leased a worker or parked for one.
+func (p *Pool) admit(id uint64) {
+	p.m.submitted.Inc()
+	p.obs.Trace().Record(obs.Event{Kind: obs.EvJobEnqueue, Job: id})
+}
+
+// settle resolves an admitted job that never ran, so submitted and
+// completed still balance.
+func (p *Pool) settle(id uint64) {
+	p.m.completed.Inc()
+	p.obs.Trace().Record(obs.Event{Kind: obs.EvJobFinish, Job: id})
+}
+
+// release hands w to the waiter the queue picks — the one wake-up a
+// parked job costs — or returns it to the free list when nobody waits.
+func (p *Pool) release(w *worker) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if wt := p.q.pop(); wt != nil {
+		p.m.queueDepth.Add(-1)
+		wt.ready <- w
 		return
 	}
+	p.free = append(p.free, w)
+	p.leases.Done()
+}
+
+// Close fails every parked caller with ErrClosed and waits for every
+// leased worker to come back: the job running on each completes
+// normally. Later jobs fail with ErrClosed. Close is idempotent.
+func (p *Pool) Close() {
+	p.mu.Lock()
 	p.closed = true
-	// Order matters: mark closing before closing the channel so a worker
-	// that dequeues a drained task observes the flag. SubmitCtx holds mu
-	// across its send, so no send can race the close itself.
-	p.closing.Store(true)
-	close(p.jobs)
+	for wt := p.q.pop(); wt != nil; wt = p.q.pop() {
+		p.m.queueDepth.Add(-1)
+		wt.ready <- nil
+	}
 	p.mu.Unlock()
-	p.wg.Wait()
+	p.leases.Wait()
 }
 
 // Stats returns a snapshot of the cumulative counters, including the
@@ -546,7 +588,6 @@ func (p *Pool) Stats() Stats {
 	st := Stats{
 		Submitted:  p.m.submitted.Value(),
 		Rejected:   p.m.rejected.Value(),
-		Shed:       p.m.shed.Value(),
 		Completed:  p.m.completed.Value(),
 		Canceled:   p.m.canceled.Value(),
 		Deadlines:  p.m.deadlines.Value(),
@@ -561,9 +602,10 @@ func (p *Pool) Stats() Stats {
 		Stages:     p.m.plStages.Value(),
 		QueueDepth: int(p.m.queueDepth.Value()),
 	}
-	for i, ws := range p.wstats {
+	for _, w := range p.workers {
+		ws := w.stats
 		st.Workers = append(st.Workers, WorkerStats{
-			Worker:    i,
+			Worker:    w.id,
 			Jobs:      ws.jobs.Value(),
 			Instrs:    ws.instrs.Value(),
 			WarmHits:  ws.warmHits.Value(),
@@ -580,9 +622,9 @@ func (p *Pool) Stats() Stats {
 	return st
 }
 
-// worker owns one runtime and serves jobs sequentially. All of its state
-// is goroutine-local; the only cross-goroutine traffic is the job channel
-// and the pool's registry instruments (atomic).
+// worker is one runtime and its warm clones. It is a resource, not a
+// goroutine: the caller holding its lease is the only one touching it,
+// and the pool's mutex orders one lease after the next.
 type worker struct {
 	id    int
 	pool  *Pool
@@ -596,37 +638,6 @@ type worker struct {
 	lru       []string
 }
 
-func (w *worker) loop() {
-	defer w.pool.wg.Done()
-	for t := range w.pool.jobs {
-		var res *Result
-		if w.pool.closing.Load() {
-			res = w.drop(t)
-			t.ticket.ch <- res
-		} else {
-			w.stats.busy.Store(true)
-			res = w.serve(t)
-			t.ticket.ch <- res
-			w.stats.busy.Store(false)
-		}
-		if f := w.pool.cfg.OnJobDone; f != nil {
-			f(res)
-		}
-	}
-}
-
-// drop resolves a task that was still queued when Close began. The queue
-// accounting is settled exactly once and the ticket resolves with
-// ErrClosed — admitted work never hangs across shutdown.
-func (w *worker) drop(t *task) *Result {
-	p := w.pool
-	p.m.queueDepth.Add(-1)
-	p.m.completed.Inc()
-	w.stats.jobs.Inc()
-	p.obs.Trace().Record(obs.Event{Kind: obs.EvJobFinish, Job: t.id, Worker: w.id})
-	return &Result{Worker: w.id, Err: fmt.Errorf("%w: job dropped at shutdown", ErrClosed)}
-}
-
 // imageTag is the short image-key prefix stamped on spans.
 func imageTag(img *Image) string {
 	if len(img.Key) > 12 {
@@ -635,49 +646,38 @@ func imageTag(img *Image) string {
 	return img.Key
 }
 
-func (w *worker) serve(t *task) *Result {
+// serve runs one job on the leased worker; enq is when its caller
+// entered DoCtx.
+func (w *worker) serve(ctx context.Context, j *Job, id uint64, enq time.Time) *Result {
 	p := w.pool
 	tr := p.obs.Trace()
-	j := t.job
-	dequeued := time.Now()
-	queueWait := dequeued.Sub(t.enq)
-	p.m.queueDepth.Add(-1)
+	queueWait := time.Since(enq)
 	p.m.queueWait.Observe(uint64(queueWait.Nanoseconds()))
-	tr.Record(obs.Event{Kind: obs.EvJobDequeue, Job: t.id, Worker: w.id, DurNS: queueWait.Nanoseconds()})
+	tr.Record(obs.Event{Kind: obs.EvJobDequeue, Job: id, Worker: w.id, DurNS: queueWait.Nanoseconds()})
 
 	stages := j.stages()
-	res := &Result{Worker: w.id}
+	res := &Result{Worker: w.id, QueueWait: queueWait}
 	span := obs.Span{
-		Job:         t.id,
+		Job:         id,
 		Image:       imageTag(stages[len(stages)-1]), // the stage whose output is the result
 		Worker:      w.id,
-		EnqueueNS:   t.enq.UnixNano(),
+		EnqueueNS:   enq.UnixNano(),
 		QueueWaitNS: queueWait.Nanoseconds(),
 		Cold:        j.Cold,
 	}
 	finish := func() *Result {
-		span.TotalNS = time.Since(t.enq).Nanoseconds()
+		span.TotalNS = time.Since(enq).Nanoseconds()
 		span.Instrs = res.Instrs
 		if res.Err != nil {
 			span.Err = res.Err.Error()
 		}
 		p.m.total.Observe(uint64(span.TotalNS))
 		tr.RecordSpan(span)
-		tr.Record(obs.Event{Kind: obs.EvJobFinish, Job: t.id, Worker: w.id, Arg: res.Instrs,
+		tr.Record(obs.Event{Kind: obs.EvJobFinish, Job: id, Worker: w.id, Arg: res.Instrs,
 			DurNS: span.TotalNS})
 		p.m.completed.Inc()
 		w.stats.jobs.Inc()
 		return res
-	}
-
-	// A context that fired while the job sat in the queue: skip it.
-	if err := t.ctx.Err(); err != nil {
-		res.Err = fmt.Errorf("%w before dispatch (%w)", ErrCanceled, err)
-		span.Canceled = true
-		p.m.canceled.Inc()
-		w.stats.canceled.Inc()
-		tr.Record(obs.Event{Kind: obs.EvJobCancel, Job: t.id, Worker: w.id})
-		return finish()
 	}
 
 	budget := j.Budget
@@ -694,7 +694,7 @@ func (w *worker) serve(t *task) *Result {
 	procs := make([]*lfirt.Proc, 0, len(stages))
 	allWarm := !j.Cold
 	for _, img := range stages {
-		proc, warm, err := w.acquire(t, &span, img, j.Cold)
+		proc, warm, err := w.acquire(id, &span, img, j.Cold)
 		if err != nil {
 			for _, pr := range procs {
 				w.rt.KillProcess(pr, 128+9)
@@ -722,12 +722,12 @@ func (w *worker) serve(t *task) *Result {
 	}
 	for _, pr := range procs {
 		w.rt.Start(pr)
-		tr.Record(obs.Event{Kind: obs.EvJobStart, Job: t.id, Worker: w.id, PID: pr.PID})
+		tr.Record(obs.Event{Kind: obs.EvJobStart, Job: id, Worker: w.id, PID: pr.PID})
 	}
 	last := procs[len(procs)-1]
 	runStart := time.Now()
 	before := w.rt.CPU.Instrs
-	status, err := w.rt.RunProcCancel(last, budget, t.ctx.Done())
+	status, err := w.rt.RunProcCancel(last, budget, ctx.Done())
 	span.RunNS = time.Since(runStart).Nanoseconds()
 	p.m.run.Observe(uint64(span.RunNS))
 	res.Instrs = w.rt.CPU.Instrs - before
@@ -738,11 +738,11 @@ func (w *worker) serve(t *task) *Result {
 	var de *lfirt.ErrDeadline
 	switch {
 	case errors.Is(err, lfirt.ErrCanceled):
-		res.Err = fmt.Errorf("%w mid-run (%w)", ErrCanceled, t.ctx.Err())
+		res.Err = fmt.Errorf("%w mid-run (%w)", ErrCanceled, ctx.Err())
 		span.Canceled = true
 		p.m.canceled.Inc()
 		w.stats.canceled.Inc()
-		tr.Record(obs.Event{Kind: obs.EvJobCancel, Job: t.id, Worker: w.id, PID: last.PID})
+		tr.Record(obs.Event{Kind: obs.EvJobCancel, Job: id, Worker: w.id, PID: last.PID})
 	case errors.As(err, &de):
 		p.m.deadlines.Inc()
 		w.stats.deadlines.Inc()
@@ -775,7 +775,7 @@ func (w *worker) serve(t *task) *Result {
 	res.Stderr = append([]byte(nil), last.Stderr()...)
 
 	if !j.Cold {
-		// The refill runs before the ticket resolves, so the request pays
+		// The refill runs before DoCtx returns, so the request pays
 		// for it: it is timed like the restore of a warm miss.
 		refill := time.Now()
 		seen := make(map[string]bool, len(stages))
@@ -794,7 +794,7 @@ func (w *worker) serve(t *task) *Result {
 // acquire materializes one stage's sandbox: a full ELF load for cold
 // jobs, a parked warm clone when one is available, or an inline snapshot
 // restore otherwise. The bool reports a warm hit.
-func (w *worker) acquire(t *task, span *obs.Span, img *Image, cold bool) (*lfirt.Proc, bool, error) {
+func (w *worker) acquire(id uint64, span *obs.Span, img *Image, cold bool) (*lfirt.Proc, bool, error) {
 	p := w.pool
 	tr := p.obs.Trace()
 	start := time.Now()
@@ -806,7 +806,7 @@ func (w *worker) acquire(t *task, span *obs.Span, img *Image, cold bool) (*lfirt
 		p.m.restore.Observe(uint64(d))
 		p.m.coldLoads.Inc()
 		w.stats.coldLoads.Inc()
-		tr.Record(obs.Event{Kind: obs.EvColdLoad, Job: t.id, Worker: w.id, DurNS: d})
+		tr.Record(obs.Event{Kind: obs.EvColdLoad, Job: id, Worker: w.id, DurNS: d})
 		return proc, false, err
 	}
 	if clones := w.warm[img.Key]; len(clones) > 0 {
@@ -817,18 +817,18 @@ func (w *worker) acquire(t *task, span *obs.Span, img *Image, cold bool) (*lfirt
 		w.stats.parked.Add(-1)
 		p.m.warmHits.Inc()
 		w.stats.warmHits.Inc()
-		tr.Record(obs.Event{Kind: obs.EvWarmHit, Job: t.id, Worker: w.id})
+		tr.Record(obs.Event{Kind: obs.EvWarmHit, Job: id, Worker: w.id})
 		return proc, true, nil
 	}
 	p.m.warmMisses.Inc()
-	tr.Record(obs.Event{Kind: obs.EvWarmMiss, Job: t.id, Worker: w.id})
+	tr.Record(obs.Event{Kind: obs.EvWarmMiss, Job: id, Worker: w.id})
 	proc, err := w.rt.Restore(img.Snap)
 	d := time.Since(start).Nanoseconds()
 	span.RestoreNS += d
 	p.m.restore.Observe(uint64(d))
 	p.m.restores.Inc()
 	w.stats.restores.Inc()
-	tr.Record(obs.Event{Kind: obs.EvRestore, Job: t.id, Worker: w.id, DurNS: d})
+	tr.Record(obs.Event{Kind: obs.EvRestore, Job: id, Worker: w.id, DurNS: d})
 	return proc, false, err
 }
 

@@ -160,39 +160,41 @@ func TestAdmissionControlRejects(t *testing.T) {
 	spin := mustImage(t, p, spinSrc)
 	quick := mustImage(t, p, tenantSrc(1))
 
-	// Occupy the single worker with a multi-million-instruction job, then
-	// flood the depth-1 queue: admission control must reject rather than
-	// grow a backlog.
-	busy, err := p.Submit(Job{Image: spin, Budget: 3_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tickets []*Ticket
-	sawReject := false
-	for i := 0; i < 1000 && !sawReject; i++ {
-		tk, err := p.Submit(Job{Image: quick})
-		switch {
-		case err == nil:
-			tickets = append(tickets, tk)
-		case errors.Is(err, ErrQueueFull):
-			sawReject = true
-		default:
-			t.Fatal(err)
+	// Occupy the single worker with a multi-million-instruction job and
+	// park one caller behind it: the depth-1 queue is then full, and
+	// admission control must reject rather than grow a backlog.
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if res, _ := p.Do(Job{Image: spin, Budget: 3_000_000}); !errors.As(res.Err, new(*lfirt.ErrDeadline)) {
+			t.Errorf("spin job: %v", res.Err)
 		}
-	}
-	if !sawReject {
-		t.Error("queue never rejected under sustained overload")
-	}
-	if res := busy.Wait(); !errors.As(res.Err, new(*lfirt.ErrDeadline)) {
-		t.Errorf("spin job: %v", res.Err)
-	}
-	for _, tk := range tickets {
-		if res := tk.Wait(); res.Err != nil {
-			t.Errorf("accepted job failed: %v", res.Err)
+	}()
+	waitFor(t, func() bool { return p.Stats().Workers[0].Busy })
+	go func() {
+		defer wg.Done()
+		if res, err := p.Do(Job{Image: quick}); err != nil || res.Err != nil {
+			t.Errorf("accepted job failed: %v %v", err, res)
 		}
+	}()
+	waitFor(t, func() bool { return p.QueueDepth() == 1 })
+	if _, err := p.Do(Job{Image: quick}); !errors.Is(err, ErrQueueFull) {
+		t.Errorf("job past a full queue: %v, want ErrQueueFull", err)
 	}
-	if st := p.Stats(); st.Rejected == 0 {
-		t.Error("Stats.Rejected not incremented")
+	wg.Wait()
+	if st := p.Stats(); st.Rejected != 1 {
+		t.Errorf("Stats.Rejected = %d, want 1", st.Rejected)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t testing.TB, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 10s")
+		}
 	}
 }
 
@@ -244,12 +246,12 @@ func TestSubmitAfterClose(t *testing.T) {
 	img := mustImage(t, p, tenantSrc(1))
 	p.Close()
 	p.Close() // double close is safe
-	if _, err := p.Submit(Job{Image: img}); !errors.Is(err, ErrClosed) {
+	if _, err := p.Do(Job{Image: img}); !errors.Is(err, ErrClosed) {
 		t.Errorf("err = %v, want ErrClosed", err)
 	}
 }
 
-// TestCloseSubmitRace hammers SubmitCtx against a racing Close (plus
+// TestCloseSubmitRace hammers DoCtx against a racing Close (plus
 // concurrent context cancellation). The contract under test: a job
 // admitted just as the pool closes must resolve — with a real result,
 // ErrClosed, ErrCanceled, or a deadline kill — and never hang; the queue
@@ -262,25 +264,24 @@ func TestCloseSubmitRace(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 
 		var wg sync.WaitGroup
-		tickets := make(chan *Ticket, 4*60)
-		for g := 0; g < 4; g++ {
+		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				for i := 0; i < 60; i++ {
+				for i := 0; i < 30; i++ {
 					c := context.Background()
 					if g%2 == 0 {
 						c = ctx // half the submitters race cancellation too
 					}
-					tk, err := p.SubmitCtx(c, Job{Image: img})
-					if err != nil {
-						if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrQueueFull) &&
-							!errors.Is(err, ErrCanceled) {
-							t.Errorf("round %d: submit error %v", round, err)
-						}
-						continue
+					res, err := p.DoCtx(c, Job{Image: img})
+					if res != nil {
+						err = res.Err
 					}
-					tickets <- tk
+					var de *lfirt.ErrDeadline
+					if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrQueueFull) &&
+						!errors.Is(err, ErrCanceled) && !errors.As(err, &de) {
+						t.Errorf("round %d: job resolved with %v", round, err)
+					}
 				}
 			}(g)
 		}
@@ -289,20 +290,12 @@ func TestCloseSubmitRace(t *testing.T) {
 		closed := make(chan struct{})
 		go func() { p.Close(); close(closed) }()
 
-		wg.Wait()
-		close(tickets)
-		for tk := range tickets {
-			select {
-			case res := <-tk.ch:
-				err := res.Err
-				var de *lfirt.ErrDeadline
-				if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrCanceled) &&
-					!errors.As(err, &de) {
-					t.Errorf("round %d: ticket resolved with %v", round, err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatalf("round %d: admitted ticket never resolved: job hung across Close", round)
-			}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: admitted job never resolved: job hung across Close", round)
 		}
 		select {
 		case <-closed:
@@ -353,21 +346,11 @@ func TestStressNoBleed(t *testing.T) {
 				if i%10 == 9 {
 					job = Job{Image: spin, Budget: 50_000} // runaway in the mix
 				}
-				// Retry on admission-control rejection: the queue is
-				// bounded by design, so callers back off and resubmit.
-				var tk *Ticket
-				for {
-					var err error
-					tk, err = p.Submit(job)
-					if err == nil {
-						break
-					}
-					if !errors.Is(err, ErrQueueFull) {
-						errc <- err
-						return
-					}
+				res, err := p.Do(job)
+				if err != nil {
+					errc <- err
+					return
 				}
-				res := tk.Wait()
 				if job.Image == spin {
 					if !errors.As(res.Err, new(*lfirt.ErrDeadline)) {
 						errc <- fmt.Errorf("spin job: err=%v", res.Err)

@@ -6,27 +6,37 @@ import (
 	"lfi/internal/core"
 )
 
-// TestShedAndQueueDepthSurface pins the router-facing observability
-// contract: RecordShed lands in Stats.Shed and the pool.jobs.shed
-// counter, and queue depth is published as the pool.queue.depth gauge.
-func TestShedAndQueueDepthSurface(t *testing.T) {
+// TestQueueDepthSurface pins the router-facing observability contract:
+// a parked caller shows in QueueDepth, in its tenant's Queued count and
+// in the pool.queue.depth gauge, and all three fall back to zero once
+// it runs.
+func TestQueueDepthSurface(t *testing.T) {
 	p := New(Config{Workers: 1})
 	defer p.Close()
+	spin := mustImage(t, p, spinSrc)
+	quick := mustImage(t, p, tenantSrc(1))
 
-	p.RecordShed()
-	p.RecordShed()
-	if got := p.Stats().Shed; got != 2 {
-		t.Errorf("Stats().Shed = %d, want 2", got)
-	}
-	snap := p.Metrics()
-	if got := snap.Counters["pool.jobs.shed"]; got != 2 {
-		t.Errorf("pool.jobs.shed = %d, want 2", got)
-	}
-	if _, ok := snap.Gauges["pool.queue.depth"]; !ok {
-		t.Error("pool.queue.depth gauge missing from metrics")
-	}
 	if got := p.QueueDepth(); got != 0 {
 		t.Errorf("QueueDepth() = %d on an idle pool", got)
+	}
+	done := make(chan struct{}, 2)
+	go func() { p.Do(Job{Image: spin, Budget: 3_000_000}); done <- struct{}{} }()
+	waitFor(t, func() bool { return p.Stats().Workers[0].Busy })
+	go func() { p.Do(Job{Image: quick, Tenant: "t"}); done <- struct{}{} }()
+	waitFor(t, func() bool { return p.QueueDepth() == 1 })
+	if got := p.Queued("t"); got != 1 {
+		t.Errorf("Queued(t) = %d, want 1", got)
+	}
+	if got := p.Metrics().Gauges["pool.queue.depth"]; got != 1 {
+		t.Errorf("pool.queue.depth = %d, want 1", got)
+	}
+	<-done
+	<-done
+	if d, q := p.QueueDepth(), p.Queued("t"); d != 0 || q != 0 {
+		t.Errorf("after drain: QueueDepth() = %d, Queued(t) = %d", d, q)
+	}
+	if got, ok := p.Metrics().Gauges["pool.queue.depth"]; !ok || got != 0 {
+		t.Errorf("pool.queue.depth = %d (present %v) after drain", got, ok)
 	}
 }
 

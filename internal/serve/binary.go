@@ -157,9 +157,8 @@ func (bc *binConn) runReq(id uint64, q *binReq) {
 	}
 	img, err := s.resolveImage(q.image)
 	if err != nil {
-		kind, _ := ErrorKind(err)
 		bc.send(frame{typ: frameRes, id: id, payload: (&binRes{
-			kind: KindCode(kind), errmsg: err.Error(),
+			kind: errorCode(err), errmsg: err.Error(),
 		}).marshal()})
 		return
 	}
@@ -173,12 +172,10 @@ func (bc *binConn) runReq(id uint64, q *binReq) {
 	res, shard, err := s.run(bc.ctx, spec)
 	r := &binRes{shard: uint64(shard)}
 	if err != nil {
-		kind, _ := ErrorKind(err)
-		r.kind = KindCode(kind)
+		r.kind = errorCode(err)
 		r.errmsg = err.Error()
 	} else {
-		kind, _ := ErrorKind(res.Err)
-		r.kind = KindCode(kind)
+		r.kind = errorCode(res.Err)
 		if res.Err != nil {
 			r.errmsg = res.Err.Error()
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net/http"
 )
 
 // The binary protocol is the hot-path alternative to HTTP JSON: a
@@ -52,7 +53,7 @@ const (
 )
 
 // Error-kind wire codes, one per ErrorKind string. The binary protocol
-// ships the code; binKindName maps it back for display.
+// ships the code; KindName maps it back for display.
 const (
 	kindOK = iota
 	kindDeadline
@@ -67,38 +68,51 @@ const (
 	kindInternal
 )
 
-var kindCodes = map[string]uint8{
-	"ok": kindOK, "deadline": kindDeadline, "quota": kindQuota,
-	"overloaded": kindOverloaded, "canceled": kindCanceled,
-	"verify": kindVerify, "unknown_image": kindUnknownImage,
-	"closed": kindClosed, "queue_full": kindQueueFull,
-	"bad_request": kindBadRequest, "internal": kindInternal,
+// kinds is the one error-kind table, indexed by wire code: the kind's
+// ErrorKind string and the HTTP status it answers with.
+var kinds = [...]struct {
+	name   string
+	status int
+}{
+	kindOK:           {"ok", http.StatusOK},
+	kindDeadline:     {"deadline", http.StatusRequestTimeout},
+	kindQuota:        {"quota", http.StatusTooManyRequests},
+	kindOverloaded:   {"overloaded", http.StatusServiceUnavailable},
+	kindCanceled:     {"canceled", statusClientClosedRequest},
+	kindVerify:       {"verify", http.StatusBadRequest},
+	kindUnknownImage: {"unknown_image", http.StatusNotFound},
+	kindClosed:       {"closed", http.StatusServiceUnavailable},
+	kindQueueFull:    {"queue_full", http.StatusServiceUnavailable},
+	kindBadRequest:   {"bad_request", http.StatusBadRequest},
+	kindInternal:     {"internal", http.StatusInternalServerError},
 }
 
-var kindNames = func() map[uint8]string {
-	m := make(map[uint8]string, len(kindCodes))
-	for name, code := range kindCodes {
-		m[code] = name
-	}
-	return m
-}()
+// statusClientClosedRequest is nginx's convention for "the client went
+// away before the response"; there is no standard code for it.
+const statusClientClosedRequest = 499
 
 // KindCode maps an ErrorKind string to its binary wire code
 // (kindInternal for unknown strings).
 func KindCode(kind string) uint8 {
-	if c, ok := kindCodes[kind]; ok {
-		return c
+	for code, k := range kinds {
+		if k.name == kind {
+			return uint8(code)
+		}
 	}
 	return kindInternal
 }
 
 // KindName maps a binary wire code back to its ErrorKind string.
 func KindName(code uint8) string {
-	if n, ok := kindNames[code]; ok {
-		return n
+	if int(code) < len(kinds) {
+		return kinds[code].name
 	}
 	return "internal"
 }
+
+// kindStatus is the HTTP status a result document with this ErrorKind
+// answers with.
+func kindStatus(kind string) int { return kinds[KindCode(kind)].status }
 
 // frame is one decoded wire frame.
 type frame struct {

@@ -133,7 +133,8 @@ func TestParseBinReqMalformed(t *testing.T) {
 }
 
 func TestKindCodesRoundtrip(t *testing.T) {
-	for name, code := range kindCodes {
+	for c, k := range kinds {
+		name, code := k.name, uint8(c)
 		if got := KindCode(name); got != code {
 			t.Errorf("KindCode(%q) = %d, want %d", name, got, code)
 		}

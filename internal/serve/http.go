@@ -168,10 +168,15 @@ func (s *Server) resolveSpec(req *JobRequest) (*jobSpec, error) {
 	return spec, nil
 }
 
-// respFromResult renders a pool result as the wire document. The pool
-// result's own Err (deadline kill, mid-run cancel, load failure) is part
-// of the taxonomy and is classified the same way as admission errors.
-func respFromResult(res *pool.Result, shard int) *JobResponse {
+// respFromResult renders a run's outcome as the wire document: err when
+// the job never ran, else the pool result, whose own Err (deadline
+// kill, mid-run cancel, load failure) is part of the taxonomy and is
+// classified the same way as admission errors.
+func respFromResult(res *pool.Result, shard int, err error) *JobResponse {
+	if err != nil {
+		kind, _ := ErrorKind(err)
+		return &JobResponse{ErrorKind: kind, Error: err.Error(), Shard: shard}
+	}
 	kind, _ := ErrorKind(res.Err)
 	resp := &JobResponse{
 		ErrorKind: kind,
@@ -187,31 +192,6 @@ func respFromResult(res *pool.Result, shard int) *JobResponse {
 		resp.Error = res.Err.Error()
 	}
 	return resp
-}
-
-// httpStatusFor maps a result document to its response code: execution
-// outcomes carried inside an otherwise-successful job (deadline kills)
-// surface as distinct statuses too, per the protocol contract.
-func httpStatusFor(resp *JobResponse) int {
-	if resp.ErrorKind == "ok" {
-		return http.StatusOK
-	}
-	switch resp.ErrorKind {
-	case "quota":
-		return http.StatusTooManyRequests
-	case "overloaded", "closed", "queue_full":
-		return http.StatusServiceUnavailable
-	case "unknown_image":
-		return http.StatusNotFound
-	case "verify", "bad_request":
-		return http.StatusBadRequest
-	case "canceled":
-		return statusClientClosedRequest
-	case "deadline":
-		return http.StatusRequestTimeout
-	default:
-		return http.StatusInternalServerError
-	}
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -253,8 +233,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		resp := respFromResult(res, shard)
-		writeJSON(w, httpStatusFor(resp), resp)
+		resp := respFromResult(res, shard, nil)
+		writeJSON(w, kindStatus(resp.ErrorKind), resp)
 	}
 }
 
@@ -267,14 +247,7 @@ func (s *Server) submitAsync(w http.ResponseWriter, spec *jobSpec) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		res, shard, err := s.run(ctx, spec)
-		var resp *JobResponse
-		if err != nil {
-			kind, _ := ErrorKind(err)
-			resp = &JobResponse{ErrorKind: kind, Error: err.Error(), Shard: shard}
-		} else {
-			resp = respFromResult(res, shard)
-		}
+		resp := respFromResult(s.run(ctx, spec))
 		resp.ID = j.id
 		resp.State = JobStateDone
 		s.jobs.complete(j, resp)
@@ -309,28 +282,19 @@ func (s *Server) submitStream(w http.ResponseWriter, r *http.Request, spec *jobS
 	enc.Encode(streamEvent{Event: "accepted"})
 	flush()
 
-	res, shard, err := s.run(r.Context(), spec)
-	var resp *JobResponse
-	if err != nil {
-		kind, _ := ErrorKind(err)
-		resp = &JobResponse{ErrorKind: kind, Error: err.Error(), Shard: shard}
-	} else {
-		resp = respFromResult(res, shard)
-		for _, stream := range []struct{ event, data string }{
-			{"stdout", resp.Stdout}, {"stderr", resp.Stderr},
-		} {
-			for off := 0; off < len(stream.data); off += streamChunk {
-				end := off + streamChunk
-				if end > len(stream.data) {
-					end = len(stream.data)
-				}
-				enc.Encode(streamEvent{Event: stream.event, Data: stream.data[off:end]})
-				flush()
-			}
+	// A job that never ran has no output, so only the done event follows.
+	resp := respFromResult(s.run(r.Context(), spec))
+	for _, stream := range []struct{ event, data string }{
+		{"stdout", resp.Stdout}, {"stderr", resp.Stderr},
+	} {
+		for off := 0; off < len(stream.data); off += streamChunk {
+			end := min(off+streamChunk, len(stream.data))
+			enc.Encode(streamEvent{Event: stream.event, Data: stream.data[off:end]})
+			flush()
 		}
-		// Output traveled in its own events; the done document stays lean.
-		resp.Stdout, resp.Stderr = "", ""
 	}
+	// Output traveled in its own events; the done document stays lean.
+	resp.Stdout, resp.Stderr = "", ""
 	enc.Encode(streamEvent{Event: "done", Done: resp})
 	flush()
 }

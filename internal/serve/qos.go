@@ -22,12 +22,9 @@ type TenantConfig struct {
 	// Burst is the bucket capacity — how far a tenant may run ahead of
 	// its refill rate (0 = max(1, ceil(Rate))).
 	Burst int
-	// MaxPending bounds this tenant's queued jobs per shard; beyond it
-	// the router sheds with ErrOverloaded (0 = the server default).
-	MaxPending int
 }
 
-func (t TenantConfig) withDefaults(serverMaxPending int) TenantConfig {
+func (t TenantConfig) withDefaults() TenantConfig {
 	if t.Weight <= 0 {
 		t.Weight = 1
 	}
@@ -36,9 +33,6 @@ func (t TenantConfig) withDefaults(serverMaxPending int) TenantConfig {
 		if t.Burst < 1 {
 			t.Burst = 1
 		}
-	}
-	if t.MaxPending <= 0 {
-		t.MaxPending = serverMaxPending
 	}
 	return t
 }

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"context"
 	"testing"
 	"time"
-
-	"lfi/internal/pool"
 )
 
 func TestParseTenants(t *testing.T) {
@@ -45,11 +42,11 @@ func TestParseTenantsErrors(t *testing.T) {
 }
 
 func TestTenantConfigDefaults(t *testing.T) {
-	tc := TenantConfig{Name: "t"}.withDefaults(64)
-	if tc.Weight != 1 || tc.MaxPending != 64 || tc.Burst != 0 {
+	tc := TenantConfig{Name: "t"}.withDefaults()
+	if tc.Weight != 1 || tc.Burst != 0 {
 		t.Errorf("zero-value defaults: %+v", tc)
 	}
-	tc = TenantConfig{Name: "t", Rate: 2.5}.withDefaults(64)
+	tc = TenantConfig{Name: "t", Rate: 2.5}.withDefaults()
 	if tc.Burst != 3 {
 		t.Errorf("burst should default to ceil(rate): %+v", tc)
 	}
@@ -92,45 +89,5 @@ func TestNilBucketAdmitsEverything(t *testing.T) {
 	}
 	if newBucket(0, 5, time.Unix(0, 0)) != nil {
 		t.Error("rate 0 should produce a nil (unlimited) bucket")
-	}
-}
-
-// TestWFQDispatchOrder drives a shard's queue directly (no pool, no
-// dispatcher) and verifies that weighted fair queueing serves tenants in
-// proportion to their weights: with A at weight 4 and B at weight 1, the
-// first 50 dispatches of an 80-job backlog contain all 40 of A's jobs
-// and B's share within 20% of proportional.
-func TestWFQDispatchOrder(t *testing.T) {
-	sh := newShard(0, nil)
-	ta := &tenant{cfg: TenantConfig{Name: "a", Weight: 4}.withDefaults(256)}
-	tb := &tenant{cfg: TenantConfig{Name: "b", Weight: 1}.withDefaults(256)}
-	for i := 0; i < 40; i++ {
-		for _, tn := range []*tenant{ta, tb} {
-			pd := &pending{
-				spec:  &jobSpec{tenant: tn},
-				ctx:   context.Background(),
-				tkCh:  make(chan *pool.Ticket, 1),
-				errCh: make(chan error, 1),
-			}
-			if err := sh.enqueue(pd); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	counts := map[string]int{}
-	for i := 0; i < 50; i++ {
-		pd := sh.next()
-		if pd == nil {
-			t.Fatal("next returned nil with jobs queued")
-		}
-		counts[pd.spec.tenant.cfg.Name]++
-	}
-	// Fair shares over the first 50 dispatches: A finishes its 40 within
-	// virtual time 10, B completes ~10. Allow ±20% on B for tag ties.
-	if counts["a"] < 38 {
-		t.Errorf("weight-4 tenant got %d of 50 dispatches, want ~40", counts["a"])
-	}
-	if counts["b"] < 8 || counts["b"] > 12 {
-		t.Errorf("weight-1 tenant got %d of 50 dispatches, want 10±2", counts["b"])
 	}
 }

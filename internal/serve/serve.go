@@ -10,23 +10,23 @@
 //
 //   - a sharded router: jobs are routed across several pool.Pools keyed
 //     by image hash, so each image's warm snapshot clones concentrate on
-//     one shard (warm-cache affinity). Within a shard, tenants compete
-//     through weighted fair queueing over bounded per-tenant queues, and
-//     a token bucket per tenant enforces rate quotas up front;
+//     one shard (warm-cache affinity). A token bucket per tenant
+//     enforces rate quotas up front;
 //
-//   - backpressure and load shedding: the shard dispatcher feeds the
-//     pool's bounded queue and stalls on pool.ErrQueueFull (resumed by
-//     the pool's OnJobDone hook), so pressure backs up into the
-//     per-tenant queues; when a tenant's queue is full the router sheds
-//     the job with ErrOverloaded instead of queueing unboundedly, and
-//     the shed is recorded on the target shard (pool.jobs.shed).
+//   - fair queueing and load shedding, both in the shard's pool: the
+//     request's own goroutine runs the sandbox on a leased worker, and
+//     when none is free it parks in the pool's weighted-fair waiter
+//     queue under its tenant's name and weight. A tenant with MaxPending
+//     callers already parked on the shard is shed with ErrOverloaded
+//     (the pool's ErrQueueFull, counted in pool.jobs.rejected) instead
+//     of queueing unboundedly.
 //
 // The paper positions LFI as sandboxing practical enough for real
 // services; "Isolation Without Taxation" argues the payoff comes when
 // instantiation and transitions are amortized over many fine-grained
 // requests. This package is where that amortization meets traffic: every
 // downstream subsystem — warm pools, snapshots, pipelines, IPC,
-// cancellation — already sits behind Pool.SubmitCtx and becomes
+// cancellation — already sits behind Pool.DoCtx and becomes
 // network-reachable here at once.
 package serve
 
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -55,13 +54,13 @@ var (
 	// ErrTenantQuota rejects a request that exceeded its tenant's
 	// token-bucket rate quota (HTTP 429).
 	ErrTenantQuota = errors.New("serve: tenant over rate quota")
-	// ErrOverloaded sheds a request because the tenant's bounded queue on
-	// the target shard is full — backpressure from the pool has stacked
-	// up and admitting more would grow an unbounded backlog (HTTP 503).
+	// ErrOverloaded sheds a request because its tenant already has
+	// MaxPending callers parked on the target shard — admitting more
+	// would grow an unbounded backlog (HTTP 503).
 	ErrOverloaded = errors.New("serve: overloaded, job shed")
 	// ErrServerClosed rejects submissions to a closing server; jobs still
-	// queued (not yet submitted to a pool) when Close begins also resolve
-	// with it (HTTP 503).
+	// parked for a worker when Close begins also resolve with it (HTTP
+	// 503).
 	ErrServerClosed = errors.New("serve: server closed")
 	// ErrUnknownImage rejects a job naming an image key or alias the
 	// server does not hold (HTTP 404).
@@ -73,17 +72,18 @@ type Config struct {
 	// Shards is the number of independent pools jobs are routed across
 	// (0 = 1). Each shard owns Pool.Workers worker runtimes.
 	Shards int
-	// Pool configures each shard's pool. Obs, SharedCache, and OnJobDone
+	// Pool configures each shard's pool. Obs, SharedCache and QueueDepth
 	// are owned by the server and must be left unset.
 	Pool pool.Config
 	// Tenants declares the known tenants. Requests from undeclared
 	// tenants run under DefaultTenant.
 	Tenants []TenantConfig
 	// DefaultTenant is the QoS contract applied to undeclared tenants
-	// (zero value: weight 1, no rate limit, server MaxPending).
+	// (zero value: weight 1, no rate limit).
 	DefaultTenant TenantConfig
-	// MaxPending is the default per-tenant per-shard queue bound; beyond
-	// it requests are shed with ErrOverloaded (0 = 256).
+	// MaxPending bounds each tenant's callers parked per shard (the shard
+	// pool's QueueDepth); beyond it requests are shed with ErrOverloaded
+	// (0 = 256).
 	MaxPending int
 	// AsyncRetain bounds how many completed async job results are kept
 	// for GET /v1/jobs/{id}; older completed results are evicted
@@ -117,7 +117,7 @@ type tenant struct {
 	bucket *bucket
 
 	requests  *obs.Counter // jobs that reached admission
-	admitted  *obs.Counter // jobs enqueued on a shard
+	admitted  *obs.Counter // jobs a shard pool took in
 	completed *obs.Counter // jobs that resolved through a pool
 	quota     *obs.Counter // rate-quota rejections
 	shed      *obs.Counter // overload sheds
@@ -130,7 +130,7 @@ type Server struct {
 	cfg    Config
 	obs    *obs.Obs
 	cache  *pool.Cache
-	shards []*shard
+	shards []*pool.Pool
 	jobs   *jobTable
 
 	mu      sync.Mutex
@@ -159,11 +159,11 @@ type serverMetrics struct {
 	syncJobs  *obs.Counter
 	asyncJobs *obs.Counter
 	e2e       *obs.Histogram // admission→resolution latency
-	queueWait *obs.Histogram // admission→pool-submit latency
+	queueWait *obs.Histogram // time parked before a worker lease
 }
 
-// New creates a serving front-end: one shared image cache, Shards pools,
-// and a WFQ dispatcher per shard. Close it when done.
+// New creates a serving front-end: one shared image cache and Shards
+// pools. Close it when done.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	o := obs.New()
@@ -198,21 +198,17 @@ func New(cfg Config) *Server {
 	for _, tc := range cfg.Tenants {
 		s.addTenant(tc)
 	}
+	pc.SharedCache = cache
+	pc.QueueDepth = cfg.MaxPending
 	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(i, s)
-		spc := pc
-		spc.Obs = obs.New()
-		spc.SharedCache = cache
-		spc.OnJobDone = sh.onJobDone
-		sh.pool = pool.New(spc)
-		s.shards = append(s.shards, sh)
-		go sh.dispatch()
+		pc.Obs = obs.New()
+		s.shards = append(s.shards, pool.New(pc))
 	}
 	return s
 }
 
 func (s *Server) addTenant(tc TenantConfig) *tenant {
-	tc = tc.withDefaults(s.cfg.MaxPending)
+	tc = tc.withDefaults()
 	reg := s.obs.Registry()
 	n := func(field string) string { return "serve.tenant." + tc.Name + "." + field }
 	t := &tenant{
@@ -321,16 +317,18 @@ type jobSpec struct {
 
 // shardFor picks the shard serving a spec: the image key hash, so
 // repeated requests for one image land where its warm clones are parked.
-func (s *Server) shardFor(spec *jobSpec) *shard {
+func (s *Server) shardFor(spec *jobSpec) int {
 	h := fnv.New32a()
 	h.Write([]byte(spec.images[len(spec.images)-1].Key))
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
+	return int(h.Sum32() % uint32(len(s.shards)))
 }
 
 // run is the protocol-independent serving core: admission (rate quota),
-// routing, fair queueing, pool execution. It returns the pool result
-// (whose Err may itself be a taxonomy error such as *lfirt.ErrDeadline)
-// or an admission/shed error, plus the shard that handled the job.
+// routing, and execution on the shard pool, which fair-queues the
+// request under its tenant while every worker is busy. It returns the
+// pool result (whose Err may itself be a taxonomy error such as
+// *lfirt.ErrDeadline) or an admission/shed error, plus the shard that
+// handled the job.
 func (s *Server) run(ctx context.Context, spec *jobSpec) (*pool.Result, int, error) {
 	t := spec.tenant
 	t.requests.Inc()
@@ -340,46 +338,36 @@ func (s *Server) run(ctx context.Context, spec *jobSpec) (*pool.Result, int, err
 		return nil, -1, ErrTenantQuota
 	}
 	sh := s.shardFor(spec)
-	pd := &pending{
-		spec: spec,
-		ctx:  ctx,
-		enq:  start,
-		tkCh: make(chan *pool.Ticket, 1),
-		// errCh is buffered so the dispatcher can resolve a pending whose
-		// waiter already gave up (client gone) without blocking.
-		errCh: make(chan error, 1),
+	job := pool.Job{Input: spec.input, Budget: spec.budget, Cold: spec.cold,
+		Tenant: t.cfg.Name, Weight: t.cfg.Weight}
+	if len(spec.images) == 1 {
+		job.Image = spec.images[0]
+	} else {
+		job.Images = spec.images
 	}
-	if err := sh.enqueue(pd); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			t.shed.Inc()
-		}
-		return nil, sh.id, err
+	res, err := s.shards[sh].DoCtx(ctx, job)
+	switch {
+	case errors.Is(err, pool.ErrQueueFull):
+		t.shed.Inc()
+		return nil, sh, fmt.Errorf("%w (tenant %s, shard %d: %d pending)",
+			ErrOverloaded, t.cfg.Name, sh, s.cfg.MaxPending)
+	case errors.Is(err, pool.ErrClosed):
+		return nil, sh, fmt.Errorf("%w (%w)", ErrServerClosed, err)
 	}
 	t.admitted.Inc()
-	select {
-	case tk := <-pd.tkCh:
-		// Submitted to the pool under the request ctx: the pool guarantees
-		// prompt resolution on cancellation, so waiting on the ticket alone
-		// is safe.
-		res := tk.Wait()
-		t.completed.Inc()
-		s.m.e2e.Observe(uint64(s.cfg.now().Sub(start).Nanoseconds()))
-		return res, sh.id, nil
-	case err := <-pd.errCh:
-		if errors.Is(err, ErrOverloaded) {
-			t.shed.Inc()
-		}
-		return nil, sh.id, err
-	case <-ctx.Done():
-		// Still queued when the client went away; the dispatcher will skip
-		// it when it reaches the head.
-		return nil, sh.id, fmt.Errorf("%w while queued (%w)", pool.ErrCanceled, ctx.Err())
+	if res == nil {
+		return nil, sh, err // canceled while parked
 	}
+	// It ran: a mid-run cancel or a budget kill rides in res.Err.
+	t.completed.Inc()
+	s.m.queueWait.Observe(uint64(res.QueueWait.Nanoseconds()))
+	s.m.e2e.Observe(uint64(s.cfg.now().Sub(start).Nanoseconds()))
+	return res, sh, nil
 }
 
-// Close drains the server: new submissions are rejected, jobs still in
-// tenant queues resolve with ErrServerClosed, jobs already submitted to
-// a pool run to completion, and every shard pool shuts down. Close does
+// Close drains the server: new submissions are rejected, jobs still
+// parked for a worker resolve with ErrServerClosed, running jobs run to
+// completion, and every shard pool shuts down. Close does
 // not stop HTTP listeners (the caller owns those); once it returns, all
 // in-flight requests have terminal results.
 func (s *Server) Close() {
@@ -403,10 +391,10 @@ func (s *Server) Close() {
 	var wg sync.WaitGroup
 	for _, sh := range s.shards {
 		wg.Add(1)
-		go func(sh *shard) {
+		go func() {
 			defer wg.Done()
-			sh.close()
-		}(sh)
+			sh.Close()
+		}()
 	}
 	wg.Wait()
 	s.stop()
@@ -428,8 +416,8 @@ func (s *Server) closing() bool {
 // registry (prefixed "shard.<i>.") into the one /metrics document.
 func (s *Server) MetricsSnapshot() *obs.Snapshot {
 	snap := s.obs.Registry().Snapshot()
-	for _, sh := range s.shards {
-		snap.Merge(fmt.Sprintf("shard.%d.", sh.id), sh.pool.Metrics())
+	for i, sh := range s.shards {
+		snap.Merge(fmt.Sprintf("shard.%d.", i), sh.Metrics())
 	}
 	return snap
 }
@@ -447,11 +435,11 @@ type TenantStatus struct {
 	Queued       int     `json:"queued"`
 }
 
-// ShardStatus is one shard's /statusz entry.
+// ShardStatus is one shard's /statusz entry; Pool.QueueDepth counts its
+// parked callers.
 type ShardStatus struct {
-	Shard  int        `json:"shard"`
-	Queued int        `json:"queued"`
-	Pool   pool.Stats `json:"pool"`
+	Shard int        `json:"shard"`
+	Pool  pool.Stats `json:"pool"`
 }
 
 // Status is the /statusz document of a serving front-end.
@@ -481,7 +469,7 @@ func (s *Server) Status() Status {
 	for _, t := range tenants {
 		queued := 0
 		for _, sh := range s.shards {
-			queued += sh.queuedFor(t.cfg.Name)
+			queued += sh.Queued(t.cfg.Name)
 		}
 		st.Tenants = append(st.Tenants, TenantStatus{
 			Name:         t.cfg.Name,
@@ -495,48 +483,50 @@ func (s *Server) Status() Status {
 			Queued:       queued,
 		})
 	}
-	for _, sh := range s.shards {
-		st.Shards = append(st.Shards, ShardStatus{Shard: sh.id, Queued: sh.queuedTotal(), Pool: sh.pool.Stats()})
+	for i, sh := range s.shards {
+		st.Shards = append(st.Shards, ShardStatus{Shard: i, Pool: sh.Stats()})
 	}
 	st.AsyncActive, st.AsyncDone = s.jobs.counts()
 	return st
 }
 
 // ShardStats returns the pool stats of one shard (tests, statusz).
-func (s *Server) ShardStats(i int) pool.Stats { return s.shards[i].pool.Stats() }
+func (s *Server) ShardStats(i int) pool.Stats { return s.shards[i].Stats() }
 
 // Shards returns the number of shards.
 func (s *Server) Shards() int { return len(s.shards) }
 
-// ErrorKind classifies any serving-layer error into its wire code and
-// HTTP status. It understands the full taxonomy: admission errors from
-// this package, pool errors, and runtime errors carried in Result.Err.
+// ErrorKind classifies any serving-layer error into its wire kind and
+// HTTP status (the kinds table). It understands the full taxonomy:
+// admission errors from this package, pool errors, and runtime errors
+// carried in Result.Err.
 func ErrorKind(err error) (kind string, httpStatus int) {
+	k := kinds[errorCode(err)]
+	return k.name, k.status
+}
+
+func errorCode(err error) uint8 {
 	var dl *lfirt.ErrDeadline
 	switch {
 	case err == nil:
-		return "ok", http.StatusOK
+		return kindOK
 	case errors.Is(err, ErrTenantQuota):
-		return "quota", http.StatusTooManyRequests
+		return kindQuota
 	case errors.Is(err, ErrOverloaded):
-		return "overloaded", http.StatusServiceUnavailable
+		return kindOverloaded
 	case errors.Is(err, ErrServerClosed), errors.Is(err, pool.ErrClosed):
-		return "closed", http.StatusServiceUnavailable
+		return kindClosed
 	case errors.Is(err, pool.ErrQueueFull):
-		return "queue_full", http.StatusServiceUnavailable
+		return kindQueueFull
 	case errors.Is(err, ErrUnknownImage):
-		return "unknown_image", http.StatusNotFound
+		return kindUnknownImage
 	case errors.Is(err, lfirt.ErrVerify):
-		return "verify", http.StatusBadRequest
+		return kindVerify
 	case errors.Is(err, pool.ErrCanceled), errors.Is(err, lfirt.ErrCanceled):
-		return "canceled", statusClientClosedRequest
+		return kindCanceled
 	case errors.As(err, &dl):
-		return "deadline", http.StatusRequestTimeout
+		return kindDeadline
 	default:
-		return "internal", http.StatusInternalServerError
+		return kindInternal
 	}
 }
-
-// statusClientClosedRequest is nginx's convention for "the client went
-// away before the response"; there is no standard code for it.
-const statusClientClosedRequest = 499

@@ -253,8 +253,8 @@ func TestErrorKindTaxonomy(t *testing.T) {
 			t.Errorf("ErrorKind(%v) = %q/%d, want %q/%d", c.err, kind, status, c.kind, c.status)
 		}
 		// The response-document mapping must agree with the error mapping.
-		if got := httpStatusFor(&JobResponse{ErrorKind: kind}); got != status {
-			t.Errorf("httpStatusFor(%q) = %d, want %d", kind, got, status)
+		if got := kindStatus(kind); got != status {
+			t.Errorf("kindStatus(%q) = %d, want %d", kind, got, status)
 		}
 	}
 }
@@ -403,9 +403,9 @@ func TestStreamingNDJSON(t *testing.T) {
 }
 
 // TestShedAndBackpressure drives one tiny shard far past capacity: the
-// pool queue backs up, the dispatcher stalls, the tenant queue fills,
-// and the excess must shed with ErrOverloaded — visible in the router's
-// tenant counters AND the shard pool's shed counter. Everything that was
+// worker is busy, the tenant's parked callers reach MaxPending, and the
+// excess must shed with ErrOverloaded — visible in the router's tenant
+// counters AND the shard pool's rejected counter. Everything that was
 // admitted must resolve.
 func TestShedAndBackpressure(t *testing.T) {
 	s := newTestServer(t, Config{
@@ -461,8 +461,8 @@ func TestShedAndBackpressure(t *testing.T) {
 	// The shed is visible at both layers: the shard pool's stats/metrics
 	// and the router's per-tenant counter.
 	st := s.ShardStats(0)
-	if st.Shed != uint64(sheds) {
-		t.Errorf("pool stats shed = %d, want %d", st.Shed, sheds)
+	if st.Rejected != uint64(sheds) {
+		t.Errorf("pool stats rejected = %d, want %d", st.Rejected, sheds)
 	}
 	status := s.Status()
 	if got := status.Tenants[0].Shed; got != uint64(sheds) {
@@ -473,7 +473,7 @@ func TestShedAndBackpressure(t *testing.T) {
 	}
 
 	// After the storm: nothing left queued anywhere.
-	if d := s.shards[0].queuedTotal(); d != 0 {
+	if d := s.shards[0].Queued("default"); d != 0 {
 		t.Errorf("tenant queue depth = %d after drain", d)
 	}
 	if d := s.ShardStats(0).QueueDepth; d != 0 {
@@ -549,7 +549,7 @@ func TestShutdownDrain(t *testing.T) {
 	if _, _, err := s.run(context.Background(), spec); !errors.Is(err, ErrServerClosed) {
 		t.Errorf("post-close run: %v, want ErrServerClosed", err)
 	}
-	if d := s.shards[0].queuedTotal(); d != 0 {
+	if d := s.shards[0].QueueDepth(); d != 0 {
 		t.Errorf("queue depth %d after close", d)
 	}
 }
@@ -781,7 +781,7 @@ func TestBinaryClientDisconnectCancels(t *testing.T) {
 func TestWarmAffinityRouting(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 4})
 	img := mustServeImage(t, s, "hello", helloSrc(1))
-	home := s.shardFor(&jobSpec{images: []*pool.Image{img}}).id
+	home := s.shardFor(&jobSpec{images: []*pool.Image{img}})
 	for i := 0; i < 8; i++ {
 		spec := &jobSpec{tenant: s.tenantFor(""), images: []*pool.Image{img}}
 		res, shard, err := s.run(context.Background(), spec)

@@ -26,9 +26,10 @@
 //   - ErrCanceled (errors.Is): a job's context was canceled or its
 //     deadline expired; the error also matches the context's own error
 //     (context.Canceled or context.DeadlineExceeded).
-//   - ErrQueueFull (errors.Is): pool admission control rejected a
-//     submission; back off or shed load.
-//   - ErrPoolClosed (errors.Is): a submission raced pool shutdown.
+//   - ErrQueueFull (errors.Is): pool admission control rejected a job
+//     because QueueDepth callers were already waiting for a worker; back
+//     off or shed load.
+//   - ErrPoolClosed (errors.Is): a job raced pool shutdown.
 //
 // # Observability
 //
@@ -353,9 +354,11 @@ func CallSequence(rc RuntimeCall) string {
 // PoolConfig configures a sandbox serving pool (NewPool).
 type PoolConfig struct {
 	// Workers is the number of concurrent runtimes serving jobs (0 = 4).
+	// Each job runs on its caller's goroutine, on a runtime leased for
+	// the job's duration.
 	Workers int
-	// QueueDepth bounds the submission queue; a full queue rejects with
-	// ErrQueueFull (0 = 4×Workers).
+	// QueueDepth bounds the callers waiting for a free runtime; beyond it
+	// Execute rejects with ErrQueueFull (0 = 4×Workers).
 	QueueDepth int
 	// Budget is the default per-job instruction budget; jobs exceeding it
 	// are killed with *ErrDeadline (0 = 50M instructions).
@@ -392,9 +395,6 @@ type JobResult = pool.Result
 // JobStage is one pipeline stage's outcome within a JobResult.
 type JobStage = pool.StageResult
 
-// JobTicket is a pending job's handle; Wait blocks for its result.
-type JobTicket = pool.Ticket
-
 // PoolStats are cumulative pool counters, including per-worker
 // breakdowns sourced from the metrics registry.
 type PoolStats = pool.Stats
@@ -423,26 +423,26 @@ type ErrDeadline = lfirt.ErrDeadline
 var (
 	// ErrVerify marks static-verification failures (errors.Is target).
 	ErrVerify = lfirt.ErrVerify
-	// ErrCanceled marks jobs stopped by their context, whether before
-	// dispatch or mid-run; the wrapped chain also matches the context's
-	// own error.
+	// ErrCanceled marks jobs stopped by their context, whether while
+	// waiting for a runtime or mid-run; the wrapped chain also matches
+	// the context's own error.
 	ErrCanceled = pool.ErrCanceled
-	// ErrQueueFull rejects a submission because the bounded queue is
-	// full; back off or shed load.
+	// ErrQueueFull rejects a job because the bounded wait queue is full;
+	// back off or shed load.
 	ErrQueueFull = pool.ErrQueueFull
-	// ErrPoolClosed rejects a submission to a closed pool.
+	// ErrPoolClosed rejects a job to a closed pool.
 	ErrPoolClosed = pool.ErrClosed
 )
 
 // Pool serves sandbox executions across a fleet of worker runtimes: an
 // image cache deduplicates program builds, each worker keeps warm
 // pre-restored sandboxes (snapshot restore instead of a full ELF load
-// per request), and a bounded queue provides admission control.
+// per request), and a bounded wait queue provides admission control.
 type Pool struct {
 	p *pool.Pool
 }
 
-// NewPool creates a serving pool and starts its workers. Close it when
+// NewPool creates a serving pool and its worker runtimes. Close it when
 // done.
 func NewPool(cfg PoolConfig) *Pool {
 	return &Pool{p: pool.New(pool.Config{
@@ -478,24 +478,13 @@ func (p *Pool) BuildWasmImage(wasm []byte, opts CompileOptions) (*Image, error) 
 	return p.p.BuildWasmImage(wasm, opts.internal())
 }
 
-// Submit enqueues a job without blocking; it returns ErrQueueFull when
-// admission control rejects it.
-func (p *Pool) Submit(j Job) (*JobTicket, error) { return p.p.Submit(j) }
-
-// SubmitCtx enqueues a job bound to ctx: if ctx is done before the job
-// is dequeued it is skipped, and if it fires mid-run the sandbox is
-// killed. Either way the result's error matches ErrCanceled and
-// ctx.Err().
-func (p *Pool) SubmitCtx(ctx context.Context, j Job) (*JobTicket, error) {
-	return p.p.SubmitCtx(ctx, j)
-}
-
-// Execute submits a job and waits for its result.
+// Execute runs a job on the calling goroutine and returns its result.
 func (p *Pool) Execute(j Job) (*JobResult, error) { return p.p.Do(j) }
 
-// ExecuteCtx submits a job bound to ctx and waits. Cancellation (or
-// deadline expiry) kills an in-flight sandbox promptly; the returned
-// error then matches both ErrCanceled and ctx.Err().
+// ExecuteCtx runs a job bound to ctx. If ctx is done while the job waits
+// for a runtime it never runs; if it fires mid-run the sandbox is killed
+// promptly. Either way the returned error matches both ErrCanceled and
+// ctx.Err().
 func (p *Pool) ExecuteCtx(ctx context.Context, j Job) (*JobResult, error) {
 	return p.p.DoCtx(ctx, j)
 }
@@ -514,7 +503,8 @@ func (p *Pool) Events() []TraceEvent { return p.p.Events() }
 // Spans returns the most recent completed job spans, oldest first.
 func (p *Pool) Spans() []TraceSpan { return p.p.Spans() }
 
-// Close drains in-flight jobs and stops the workers.
+// Close fails waiting jobs with ErrPoolClosed and waits for running
+// ones to finish.
 func (p *Pool) Close() { p.p.Close() }
 
 // TraceInstructions streams every executed instruction (up to limit) to w
