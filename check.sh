@@ -48,8 +48,9 @@ go test -count=1 -run 'TestTransitionAllocs|TestWarmCycleAllocs' ./internal/lfir
 echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor on each kernel)'
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .
 
-echo '== toolchain: golden ELF + alloc bound'
-go test -count=1 -run 'TestBuildGolden|TestRewriteTextGolden|TestBuildAllocs' ./internal/progs
+echo '== toolchain: golden ELF + alloc bound (verifier: none on accept, none per instruction)'
+# Not under -race: the detector allocates on its own account.
+go test -count=1 -run 'TestBuildGolden|TestRewriteTextGolden|TestBuildAllocs|TestVerifyAllocs' ./internal/progs
 go test -count=1 -run 'TestPrintGolden' ./internal/arm64
 
 echo '== toolchain at 1, 2 and 4 cores (no output may depend on the core count)'
@@ -76,6 +77,10 @@ go test -count=1 -run 'TestDecodeAllocBound' ./internal/wasmfront
 
 echo '== wasm fuzz smoke (FuzzWasmTranslate, 5000 executions)'
 go test -run '^$' -fuzz '^FuzzWasmTranslate$' -fuzztime 5000x ./internal/fuzz
+
+echo '== verifier fuzz smoke (FuzzVerify, FuzzRewriteVerify: 5000 executions each)'
+go test -run '^$' -fuzz '^FuzzVerify$' -fuzztime 5000x ./internal/fuzz
+go test -run '^$' -fuzz '^FuzzRewriteVerify$' -fuzztime 5000x ./internal/fuzz
 
 echo '== serve smoke (lfi-serve -listen + lfi-loadgen -smoke)'
 bindir=$(mktemp -d)

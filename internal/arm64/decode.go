@@ -54,9 +54,15 @@ func fpRegType(n, ftype uint32) (Reg, bool) {
 // byte offsets in Imm (Label is left empty).
 func Decode(w uint32) (Inst, error) {
 	var i Inst
-	i.Rd, i.Rn, i.Rm, i.Ra = RegNone, RegNone, RegNone, RegNone
-	i.Amount = -1
-	bad := func() (Inst, error) { return Inst{Op: BAD}, &DecodeError{Word: w} }
+	err := DecodeInto(w, &i)
+	return i, err
+}
+
+// DecodeInto is Decode filling in *i (Inst{Op: BAD} on error), for
+// callers that decode a whole text and would copy every result.
+func DecodeInto(w uint32, i *Inst) error {
+	*i = Inst{Rd: RegNone, Rn: RegNone, Rm: RegNone, Ra: RegNone, Amount: -1}
+	bad := func() error { *i = Inst{Op: BAD}; return &DecodeError{Word: w} }
 
 	switch {
 	case field(w, 28, 24) == 0x10: // ADR/ADRP
@@ -69,7 +75,7 @@ func Decode(w uint32) (Inst, error) {
 		}
 		i.Rd = gpReg(field(w, 4, 0), true, false)
 		i.Imm = imm
-		return i, nil
+		return nil
 
 	case field(w, 28, 24) == 0x11: // add/sub immediate
 		op, s := bit(w, 30), bit(w, 29)
@@ -87,7 +93,7 @@ func Decode(w uint32) (Inst, error) {
 		i.Rn = gpReg(field(w, 9, 5), is64, true)
 		i.Imm = imm
 		i.Ext = ExtNone
-		return i, nil
+		return nil
 
 	case field(w, 28, 23) == 0x24: // logical immediate
 		opc := field(w, 30, 29)
@@ -104,7 +110,7 @@ func Decode(w uint32) (Inst, error) {
 		i.Rd = gpReg(field(w, 4, 0), is64, opc != 3)
 		i.Rn = gpReg(field(w, 9, 5), is64, false)
 		i.Imm = int64(v)
-		return i, nil
+		return nil
 
 	case field(w, 28, 23) == 0x25: // move wide
 		opc := field(w, 30, 29)
@@ -117,7 +123,7 @@ func Decode(w uint32) (Inst, error) {
 		i.Rd = gpReg(field(w, 4, 0), is64, false)
 		i.Imm = int64(field(w, 20, 5))
 		i.Amount = int8(hw * 16)
-		return i, nil
+		return nil
 
 	case field(w, 28, 23) == 0x26: // bitfield
 		opc := field(w, 30, 29)
@@ -133,7 +139,7 @@ func Decode(w uint32) (Inst, error) {
 		i.Rn = gpReg(field(w, 9, 5), is64, false)
 		i.Imm = int64(field(w, 21, 16))
 		i.Amount = int8(field(w, 15, 10))
-		return i, nil
+		return nil
 
 	case field(w, 28, 23) == 0x27: // extract
 		is64 := bit(w, 31) == 1
@@ -146,7 +152,7 @@ func Decode(w uint32) (Inst, error) {
 		i.Rn = gpReg(field(w, 9, 5), is64, false)
 		i.Rm = gpReg(field(w, 20, 16), is64, false)
 		i.Imm = int64(field(w, 15, 10))
-		return i, nil
+		return nil
 
 	case field(w, 30, 26) == 0x05: // B/BL
 		if bit(w, 31) == 1 {
@@ -155,7 +161,7 @@ func Decode(w uint32) (Inst, error) {
 			i.Op = B
 		}
 		i.Imm = signExtend(field(w, 25, 0), 26) * 4
-		return i, nil
+		return nil
 
 	case field(w, 31, 24) == 0x54: // B.cond
 		if bit(w, 4) == 1 {
@@ -164,7 +170,7 @@ func Decode(w uint32) (Inst, error) {
 		i.Op = BCOND
 		i.Cond = Cond(field(w, 3, 0))
 		i.Imm = signExtend(field(w, 23, 5), 19) * 4
-		return i, nil
+		return nil
 
 	case field(w, 30, 25) == 0x1a: // CBZ/CBNZ
 		is64 := bit(w, 31) == 1
@@ -175,7 +181,7 @@ func Decode(w uint32) (Inst, error) {
 		}
 		i.Rd = gpReg(field(w, 4, 0), is64, false)
 		i.Imm = signExtend(field(w, 23, 5), 19) * 4
-		return i, nil
+		return nil
 
 	case field(w, 30, 25) == 0x1b: // TBZ/TBNZ
 		if bit(w, 24) == 1 {
@@ -187,7 +193,7 @@ func Decode(w uint32) (Inst, error) {
 		i.Rd = gpReg(field(w, 4, 0), b > 31, false)
 		i.Amount = int8(b)
 		i.Imm = signExtend(field(w, 18, 5), 14) * 4
-		return i, nil
+		return nil
 
 	case field(w, 31, 25) == 0x6b: // BR/BLR/RET
 		if field(w, 4, 0) != 0 || field(w, 15, 10) != 0 || field(w, 20, 16) != 0x1f {
@@ -204,7 +210,7 @@ func Decode(w uint32) (Inst, error) {
 			return bad()
 		}
 		i.Rn = gpReg(field(w, 9, 5), true, false)
-		return i, nil
+		return nil
 
 	case field(w, 31, 24) == 0xd4: // SVC/BRK
 		switch {
@@ -216,62 +222,59 @@ func Decode(w uint32) (Inst, error) {
 			return bad()
 		}
 		i.Imm = int64(field(w, 20, 5))
-		return i, nil
+		return nil
 
 	case field(w, 31, 22) == 0x354: // system
 		switch {
 		case w == 0xd503201f:
 			i.Op = NOP
-			return i, nil
+			return nil
 		case w&0xfffff0ff == 0xd50330bf:
 			i.Op = DMB
 			i.Imm = int64(field(w, 11, 8))
-			return i, nil
+			return nil
 		case w&0xfffff0ff == 0xd503309f:
 			i.Op = DSB
 			i.Imm = int64(field(w, 11, 8))
-			return i, nil
+			return nil
 		case w&0xfffff0ff == 0xd50330df:
 			i.Op = ISB
-			return i, nil
+			return nil
 		case field(w, 31, 20) == 0xd53: // MRS
 			i.Op = MRS
 			i.Rd = gpReg(field(w, 4, 0), true, false)
 			i.Imm = int64(field(w, 19, 5))
-			return i, nil
+			return nil
 		case field(w, 31, 20) == 0xd51: // MSR
 			i.Op = MSR
 			i.Rd = gpReg(field(w, 4, 0), true, false)
 			i.Imm = int64(field(w, 19, 5))
-			return i, nil
+			return nil
 		}
 		return bad()
 	}
 
 	// Loads and stores: bit27==1 && bit25==0.
 	if bit(w, 27) == 1 && bit(w, 25) == 0 {
-		return decodeLoadStore(w)
+		return decodeLoadStore(w, i)
 	}
 
 	// Data processing, register: bits[27:25] == 101.
 	if field(w, 27, 25) == 0x5 {
-		return decodeDPReg(w)
+		return decodeDPReg(w, i)
 	}
 
 	// Scalar floating point: bits[28:25] == 1111 with bits[31:30] either 00
 	// (most FP ops) or sf:0 for the int<->fp conversions.
 	if bit(w, 30) == 0 && field(w, 28, 24)&0x1e == 0x1e {
-		return decodeFP(w)
+		return decodeFP(w, i)
 	}
 
-	return Inst{Op: BAD}, &DecodeError{Word: w}
+	return bad()
 }
 
-func decodeLoadStore(w uint32) (Inst, error) {
-	var i Inst
-	i.Rd, i.Rn, i.Rm, i.Ra = RegNone, RegNone, RegNone, RegNone
-	i.Amount = -1
-	bad := func() (Inst, error) { return Inst{Op: BAD}, &DecodeError{Word: w} }
+func decodeLoadStore(w uint32, i *Inst) error {
+	bad := func() error { *i = Inst{Op: BAD}; return &DecodeError{Word: w} }
 	v := bit(w, 26)
 
 	switch {
@@ -312,7 +315,7 @@ func decodeLoadStore(w uint32) (Inst, error) {
 		if i.Op == STXR || i.Op == STLXR {
 			i.Rm = gpReg(field(w, 20, 16), false, false) // status is a W reg
 		}
-		return i, nil
+		return nil
 
 	case field(w, 29, 27) == 0x3 && field(w, 25, 24) == 0: // literal
 		opc := field(w, 31, 30)
@@ -343,7 +346,7 @@ func decodeLoadStore(w uint32) (Inst, error) {
 		}
 		i.Mem = Mem{Mode: AddrLiteral}
 		i.Imm = signExtend(field(w, 23, 5), 19) * 4
-		return i, nil
+		return nil
 
 	case field(w, 29, 27) == 0x5: // pairs
 		opc := field(w, 31, 30)
@@ -388,7 +391,7 @@ func decodeLoadStore(w uint32) (Inst, error) {
 			Base: gpReg(field(w, 9, 5), true, true),
 			Imm:  int32(signExtend(field(w, 21, 15), 7) << scale),
 		}
-		return i, nil
+		return nil
 
 	case field(w, 29, 27) == 0x7: // single register
 		size := field(w, 31, 30)
@@ -402,7 +405,7 @@ func decodeLoadStore(w uint32) (Inst, error) {
 		base := gpReg(field(w, 9, 5), true, true)
 		if bit(w, 24) == 1 { // unsigned scaled immediate
 			i.Mem = Mem{Mode: AddrImm, Base: base, Imm: int32(field(w, 21, 10) << scale)}
-			return i, nil
+			return nil
 		}
 		if bit(w, 21) == 1 { // register offset
 			if field(w, 11, 10) != 2 {
@@ -435,7 +438,7 @@ func decodeLoadStore(w uint32) (Inst, error) {
 				return bad()
 			}
 			i.Mem = m
-			return i, nil
+			return nil
 		}
 		imm9 := int32(signExtend(field(w, 20, 12), 9))
 		switch field(w, 11, 10) {
@@ -448,7 +451,7 @@ func decodeLoadStore(w uint32) (Inst, error) {
 		default:
 			return bad()
 		}
-		return i, nil
+		return nil
 	}
 	return bad()
 }
@@ -525,11 +528,8 @@ func lsOpReg(size, v, opc, rt uint32) (Op, Reg, uint, bool) {
 	return BAD, RegNone, 0, false
 }
 
-func decodeDPReg(w uint32) (Inst, error) {
-	var i Inst
-	i.Rd, i.Rn, i.Rm, i.Ra = RegNone, RegNone, RegNone, RegNone
-	i.Amount = -1
-	bad := func() (Inst, error) { return Inst{Op: BAD}, &DecodeError{Word: w} }
+func decodeDPReg(w uint32, i *Inst) error {
+	bad := func() error { *i = Inst{Op: BAD}; return &DecodeError{Word: w} }
 	is64 := bit(w, 31) == 1
 
 	switch {
@@ -550,7 +550,7 @@ func decodeDPReg(w uint32) (Inst, error) {
 			i.Ext = ExtNone
 			i.Amount = -1
 		}
-		return i, nil
+		return nil
 
 	case field(w, 28, 24) == 0x0b && bit(w, 21) == 0: // add/sub shifted
 		op, s := bit(w, 30), bit(w, 29)
@@ -570,7 +570,7 @@ func decodeDPReg(w uint32) (Inst, error) {
 			i.Ext = ExtNone
 			i.Amount = -1
 		}
-		return i, nil
+		return nil
 
 	case field(w, 28, 24) == 0x0b && bit(w, 21) == 1: // add/sub extended
 		op, s := bit(w, 30), bit(w, 29)
@@ -591,7 +591,7 @@ func decodeDPReg(w uint32) (Inst, error) {
 		if i.Amount == 0 {
 			i.Amount = -1 // "uxtw" and "uxtw #0" are the same encoding
 		}
-		return i, nil
+		return nil
 
 	case field(w, 28, 21) == 0xd4: // conditional select
 		op, op2 := bit(w, 30), field(w, 11, 10)
@@ -603,7 +603,7 @@ func decodeDPReg(w uint32) (Inst, error) {
 		i.Rn = gpReg(field(w, 9, 5), is64, false)
 		i.Rm = gpReg(field(w, 20, 16), is64, false)
 		i.Cond = Cond(field(w, 15, 12))
-		return i, nil
+		return nil
 
 	case field(w, 28, 21) == 0xd2 && bit(w, 29) == 1: // cond compare
 		if bit(w, 10) != 0 || bit(w, 4) != 0 {
@@ -622,7 +622,7 @@ func decodeDPReg(w uint32) (Inst, error) {
 		} else {
 			i.Rm = gpReg(field(w, 20, 16), is64, false)
 		}
-		return i, nil
+		return nil
 
 	case field(w, 28, 21) == 0xd6 && bit(w, 30) == 0: // 2-source
 		var op Op
@@ -646,7 +646,7 @@ func decodeDPReg(w uint32) (Inst, error) {
 		i.Rd = gpReg(field(w, 4, 0), is64, false)
 		i.Rn = gpReg(field(w, 9, 5), is64, false)
 		i.Rm = gpReg(field(w, 20, 16), is64, false)
-		return i, nil
+		return nil
 
 	case field(w, 28, 21) == 0xd6 && bit(w, 30) == 1: // 1-source
 		if field(w, 20, 16) != 0 || bit(w, 29) != 0 {
@@ -679,7 +679,7 @@ func decodeDPReg(w uint32) (Inst, error) {
 		i.Op = op
 		i.Rd = gpReg(field(w, 4, 0), is64, false)
 		i.Rn = gpReg(field(w, 9, 5), is64, false)
-		return i, nil
+		return nil
 
 	case field(w, 28, 24) == 0x1b: // 3-source
 		if field(w, 30, 29) != 0 {
@@ -712,16 +712,13 @@ func decodeDPReg(w uint32) (Inst, error) {
 		default:
 			return bad()
 		}
-		return i, nil
+		return nil
 	}
 	return bad()
 }
 
-func decodeFP(w uint32) (Inst, error) {
-	var i Inst
-	i.Rd, i.Rn, i.Rm, i.Ra = RegNone, RegNone, RegNone, RegNone
-	i.Amount = -1
-	bad := func() (Inst, error) { return Inst{Op: BAD}, &DecodeError{Word: w} }
+func decodeFP(w uint32, i *Inst) error {
+	bad := func() error { *i = Inst{Op: BAD}; return &DecodeError{Word: w} }
 	ftype := field(w, 23, 22)
 
 	if field(w, 28, 24) == 0x1f { // FMADD/FMSUB
@@ -741,7 +738,7 @@ func decodeFP(w uint32) (Inst, error) {
 			i.Op = FMADD
 		}
 		i.Rd, i.Rn, i.Rm, i.Ra = rd, rn, rm, ra
-		return i, nil
+		return nil
 	}
 	if field(w, 28, 24) != 0x1e || bit(w, 21) != 1 {
 		return bad()
@@ -760,7 +757,7 @@ func decodeFP(w uint32) (Inst, error) {
 		rm, _ := fpRegType(field(w, 20, 16), ftype)
 		i.Op = [4]Op{FMUL, FDIV, FADD, FSUB}[field(w, 15, 12)]
 		i.Rd, i.Rn, i.Rm = rd, rn, rm
-		return i, nil
+		return nil
 
 	case field(w, 11, 10) == 3: // FCSEL
 		rd, ok := fpRegType(field(w, 4, 0), ftype)
@@ -772,7 +769,7 @@ func decodeFP(w uint32) (Inst, error) {
 		i.Op = FCSEL
 		i.Rd, i.Rn, i.Rm = rd, rn, rm
 		i.Cond = Cond(field(w, 15, 12))
-		return i, nil
+		return nil
 
 	case field(w, 12, 10) == 4: // FMOV immediate
 		rd, ok := fpRegType(field(w, 4, 0), ftype)
@@ -785,7 +782,7 @@ func decodeFP(w uint32) (Inst, error) {
 		i.Op = FMOV
 		i.Rd = rd
 		i.Imm = int64(vfpExpandImm8(field(w, 20, 13)))
-		return i, nil
+		return nil
 
 	case field(w, 13, 10) == 8: // FCMP
 		rn, ok := fpRegType(field(w, 9, 5), ftype)
@@ -801,7 +798,7 @@ func decodeFP(w uint32) (Inst, error) {
 		} else {
 			return bad()
 		}
-		return i, nil
+		return nil
 
 	case field(w, 14, 10) == 0x10: // 1-source
 		opcode := field(w, 20, 15)
@@ -832,7 +829,7 @@ func decodeFP(w uint32) (Inst, error) {
 			return bad()
 		}
 		i.Rn = rn
-		return i, nil
+		return nil
 
 	case field(w, 15, 10) == 0: // int <-> fp
 		is64 := bit(w, 31) == 1
@@ -868,7 +865,7 @@ func decodeFP(w uint32) (Inst, error) {
 		if i.Rd == RegNone || i.Rn == RegNone {
 			return bad()
 		}
-		return i, nil
+		return nil
 	}
 	return bad()
 }

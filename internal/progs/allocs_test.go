@@ -1,13 +1,19 @@
 package progs_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"testing"
 
+	"lfi/internal/arm64"
 	"lfi/internal/core"
 	"lfi/internal/fuzz"
 	"lfi/internal/progs"
+	"lfi/internal/rewrite"
+	"lfi/internal/verifier"
+	"lfi/internal/workloads"
 )
 
 // maxAllocsPerInst bounds what a build may allocate, per input
@@ -65,6 +71,82 @@ func checkPerInst(t *testing.T, name string, allocs float64, insts int) {
 	if perInst > maxAllocsPerInst {
 		t.Errorf("%s: %.4f allocations per input instruction, bound %.2f", name, perInst, maxAllocsPerInst)
 	}
+}
+
+// TestVerifyAllocs: the verifier decodes and checks each word in one
+// step and carries only its open obligations from one to the next, so it
+// allocates nothing to accept a kernel or, in one chunk, a 343 KB
+// generated text. Cut across the cores, it allocates per chunk, not per
+// instruction: a 12 MiB text (about the largest a POST /v1/images body
+// carries) costs as many allocations as half of it, and at most 64 KiB.
+// A rejection allocates the *Error and its strings, however long the
+// text.
+func TestVerifyAllocs(t *testing.T) {
+	w, _ := workloads.Get("502.gcc")
+	kernel, cfg := imageText(t, w.Source(1), core.Options{Opt: core.O2})
+	large, _ := imageText(t, fuzz.NewGen(1).Generate(20000), core.Options{Opt: core.O2})
+	huge := bytes.Repeat(large, 36)
+	check := func(name string, text []byte, k int, reject bool) float64 {
+		t.Helper()
+		verify := func() {
+			if _, err := verifyText(text, cfg, k); (err != nil) != reject {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		verify() // first use: goroutines, lazily sized runtime tables
+		// The fewest over five calls: the count is process-wide, and a
+		// longer call leaves more time for the runtime to allocate too.
+		allocs, heap := allocated(1, verify)
+		for range 4 {
+			a, h := allocated(1, verify)
+			allocs, heap = min(allocs, a), max(heap, h)
+		}
+		t.Logf("%s (%d bytes, k=%d): %.1f allocations, %.0f bytes", name, len(text), k, allocs, heap)
+		if !reject && k == 1 && allocs != 0 {
+			t.Errorf("%s: %.1f allocations to accept in one chunk, want 0", name, allocs)
+		}
+		if heap > 64<<10 {
+			t.Errorf("%s: %.0f bytes allocated, bound 64 KiB", name, heap)
+		}
+		return allocs
+	}
+	check("kernel", kernel, 0, false)
+	check("generated", large, 1, false)
+	// Within one: a chunk's goroutine reuses a free descriptor or
+	// allocates one.
+	half := check("half of 12 MiB", huge[:len(huge)/2], 0, false)
+	if all := check("12 MiB", huge, 0, false); all > half+1 {
+		t.Errorf("12 MiB: %.1f allocations, half of it %.1f: the count depends on the text size", all, half)
+	}
+
+	withSVC := func(text []byte) []byte {
+		return binary.LittleEndian.AppendUint32(append([]byte(nil), text...), 0xd4000001) // svc #0
+	}
+	small := check("kernel with svc", withSVC(kernel), 1, true)
+	if big := check("12 MiB with svc", withSVC(huge), 1, true); big != small || small > 4 {
+		t.Errorf("rejection: %.1f allocations on the kernel, %.1f on 12 MiB; want the same few", small, big)
+	}
+}
+
+// imageText is the rewritten, assembled text of src and the
+// configuration that verifies it.
+func imageText(t *testing.T, src string, opts core.Options) ([]byte, verifier.Config) {
+	t.Helper()
+	f, err := arm64.ParseFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf, _, err := rewrite.Rewrite(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := arm64.Assemble(nf, arm64.Layout{TextBase: core.MinCodeOffset, PageSize: 16 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := verifier.DefaultConfig()
+	cfg.TextOff = img.TextAddr
+	return img.Text, cfg
 }
 
 // allocated is the mean count and size of the heap allocations of fn.

@@ -84,70 +84,54 @@ func Verify(text []byte, cfg Config) (Stats, error) { return verifyText(text, cf
 const minVerifyChunk = 16 << 10
 
 // verifyText is Verify in k chunks (0: one per minVerifyChunk, at most
-// GOMAXPROCS). Decoding a word needs that word alone, and checks read
-// ahead only into text the decode pass has finished. In each pass the
-// lowest chunk's error wins, so an undecodable word anywhere still beats
-// a check failure before it.
+// GOMAXPROCS). Each word is decoded and checked in one step. A chunk
+// checks its own instructions and reads past its end only to settle the
+// obligations they left open. An undecodable word anywhere beats a check
+// failure anywhere, and of each kind the lowest chunk's error wins.
 func verifyText(text []byte, cfg Config, k int) (Stats, error) {
-	var st Stats
 	if len(text)%4 != 0 {
-		return st, &Error{Offset: uint64(len(text) &^ 3), Msg: "text size not a multiple of 4"}
+		return Stats{}, &Error{Offset: uint64(len(text) &^ 3), Msg: "text size not a multiple of 4"}
 	}
 	// Check TextOff against the margin before adding the length: the sum
 	// cfg.TextOff+len(text) can wrap for a hostile TextOff near 2^64,
 	// making oversized text appear to fit.
 	if cfg.TextOff > core.MaxCodeOffset || uint64(len(text)) > core.MaxCodeOffset-cfg.TextOff {
-		return st, &Error{Msg: fmt.Sprintf("text extends past the 128MiB code margin (%#x)", core.MaxCodeOffset)}
+		return Stats{}, &Error{Msg: fmt.Sprintf("text extends past the 128MiB code margin (%#x)", core.MaxCodeOffset)}
 	}
 	if cfg.TextOff < core.MinCodeOffset {
-		return st, &Error{Msg: fmt.Sprintf("text begins before the code region (%#x)", core.MinCodeOffset)}
+		return Stats{}, &Error{Msg: fmt.Sprintf("text begins before the code region (%#x)", core.MinCodeOffset)}
 	}
 	n := len(text) / 4
 	if k == 0 {
 		k = max(1, min(runtime.GOMAXPROCS(0), n/minVerifyChunk))
 	}
+	if k == 1 { // on the stack: the fan-out's closure would move vs to the heap
+		vs := [1]verify{{cfg: cfg, text: text}}
+		vs[0].run(0, n)
+		return verdict(vs[:], n)
+	}
 	vs := make([]verify, k)
-
-	// Decode pass. BAD entries fail immediately: every reachable byte
-	// must decode because any instruction can be a jump target.
-	insts := make([]arm64.Inst, n)
 	inChunks(k, func(c int) {
-		for i := c * n / k; i < (c+1)*n/k; i++ {
-			w := binary.LittleEndian.Uint32(text[i*4:])
-			inst, err := arm64.Decode(w)
-			if err != nil {
-				vs[c].err = &Error{Offset: uint64(i * 4), Word: w, Msg: "undecodable instruction"}
-				return
-			}
-			insts[i] = inst
-		}
+		vs[c] = verify{cfg: cfg, text: text}
+		vs[c].run(c*n/k, (c+1)*n/k)
 	})
-	for c := range vs {
-		if vs[c].err != nil {
-			return st, vs[c].err
-		}
-	}
-	st.Bytes, st.Insts = len(text), n
+	return verdict(vs, n)
+}
 
-	inChunks(k, func(c int) {
-		v := &vs[c]
-		v.cfg, v.insts = cfg, insts
-		for i := c * n / k; i < (c+1)*n/k; i++ {
-			if err := v.check(i); err != nil {
-				err.Offset = uint64(i * 4)
-				err.Inst = insts[i].String()
-				v.err = err
-				return
-			}
-		}
-	})
+// verdict joins the chunks' results.
+func verdict(vs []verify, n int) (Stats, error) {
+	st, first := Stats{Bytes: 4 * n, Insts: n}, (*Error)(nil)
 	for c := range vs {
-		if vs[c].err != nil {
-			return st, vs[c].err
+		if vs[c].bad {
+			return Stats{}, vs[c].err
 		}
+		if first == nil {
+			first = vs[c].err
+		}
+		st.Guards += vs[c].guards
 	}
-	for _, v := range vs {
-		st.Guards += v.guards
+	if first != nil {
+		return Stats{Bytes: 4 * n, Insts: n}, first
 	}
 	return st, nil
 }
@@ -163,11 +147,94 @@ func inChunks(k int, fn func(c int)) {
 	wg.Wait()
 }
 
+// verify is one chunk's pass. Between two instructions all it knows is
+// its guard count, its first failure, and the forward obligations still
+// open (§4.2, §4.4). An instruction opens at most one: the runtime-call
+// load's x30 write is exempt from the re-guard, and an sp write with a
+// second destination is a writeback, which is either sp-based and safe or
+// rejected by checkMemory.
 type verify struct {
 	cfg    Config
-	insts  []arm64.Inst
+	text   []byte
 	guards int
-	err    *Error // the first in its chunk
+
+	call   bool  // the last instruction was ldr x30, [x21, #n]: this one must be blr x30
+	x30    bool  // the last instruction wrote x30 unguarded: this one must re-guard it
+	spAt   int   // the instruction whose sp write is still unguarded
+	spPair uint8 // 1, 2: mov w22, wsp, then add sp, x21, x22 may still follow; 0: cannot
+	spScan bool  // elided add/sub: an sp-based access before a branch or sp write will do
+
+	err   *Error // the lowest-offset failure so far
+	errAt int
+	bad   bool // err is an undecodable word, which beats any check failure
+}
+
+// run checks instructions lo to hi-1, decoding each word as it reaches
+// it. After a failure it only decodes, to hi and on while an obligation
+// of an instruction at or before the failure is open.
+func (v *verify) run(lo, hi int) {
+	n := len(v.text) / 4
+	var inst arm64.Inst
+	for i := lo; i < hi || v.call || v.x30 || v.spPair != 0 || v.spScan; i++ {
+		if i == n {
+			v.settle(&endOfText, i)
+			break
+		}
+		w := binary.LittleEndian.Uint32(v.text[i*4:])
+		if err := arm64.DecodeInto(w, &inst); err != nil {
+			v.err, v.bad = &Error{Offset: uint64(i * 4), Word: w, Msg: "undecodable instruction"}, true
+			return
+		}
+		v.settle(&inst, i)
+		if v.err == nil && i < hi {
+			if err := v.check(&inst, i); err != nil {
+				v.err, v.errAt = err, i
+			}
+		}
+	}
+	if v.err != nil {
+		arm64.DecodeInto(binary.LittleEndian.Uint32(v.text[v.errAt*4:]), &inst)
+		v.err.Offset, v.err.Inst = uint64(v.errAt*4), inst.String()
+	}
+}
+
+// endOfText settles obligations as a branch would: it discharges none.
+var endOfText = arm64.Inst{Op: arm64.B}
+
+// settle runs the open obligations against instruction i. A failure is
+// the error of the instruction that opened the obligation, so it replaces
+// any failure found at or after that one: the obligation's check came
+// first there.
+func (v *verify) settle(inst *arm64.Inst, i int) {
+	if v.spPair != 0 || v.spScan {
+		access, escape := spStep(inst)
+		switch {
+		case v.spPair == 2 && isSPGuardAdd(inst), v.spScan && access:
+			v.spPair, v.spScan = 0, false
+		case v.spPair == 1 && isSPGuardMov(inst): // neither branch nor sp write
+			v.spPair = 2
+		default:
+			if v.spPair, v.spScan = 0, v.spScan && !escape; !v.spScan {
+				v.fail(v.spAt, "sp written without a guard")
+			}
+		}
+	}
+	if v.x30 && !core.IsGuard(inst, arm64.X30) {
+		v.fail(i-1, "x30 written without an immediately following guard")
+	}
+	if msg := "runtime-call load must be followed by blr x30"; v.call && (inst.Op != arm64.BLR || inst.Rn != arm64.X30) {
+		if inst == &endOfText {
+			msg = "runtime-call load at end of text"
+		}
+		v.fail(i-1, msg)
+	}
+	v.call, v.x30 = false, false
+}
+
+func (v *verify) fail(at int, msg string) {
+	if v.err == nil || at <= v.errAt {
+		v.err, v.errAt = &Error{Msg: msg}, at
+	}
 }
 
 func vErr(format string, args ...any) *Error {
@@ -184,9 +251,7 @@ func validAddrReg(r arm64.Reg) bool {
 	return false
 }
 
-func (v *verify) check(i int) *Error {
-	inst := &v.insts[i]
-
+func (v *verify) check(inst *arm64.Inst, i int) *Error {
 	// Property 3: allowlist.
 	if err := v.allowlisted(inst); err != nil {
 		return err
@@ -194,7 +259,7 @@ func (v *verify) check(i int) *Error {
 
 	// Property 1: memory accesses and indirect branches.
 	if inst.Op.IsMemory() {
-		if err := v.checkMemory(i); err != nil {
+		if err := v.checkMemory(inst, i); err != nil {
 			return err
 		}
 	}
@@ -210,7 +275,7 @@ func (v *verify) check(i int) *Error {
 	}
 
 	// Property 2: writes to protected registers.
-	return v.checkWrites(i)
+	return v.checkWrites(inst, i)
 }
 
 func (v *verify) allowlisted(inst *arm64.Inst) *Error {
@@ -236,8 +301,6 @@ func (v *verify) allowlisted(inst *arm64.Inst) *Error {
 		if inst.Imm != sysTPIDR || !v.cfg.AllowTLS {
 			return vErr("write to system register %#x", inst.Imm)
 		}
-	case arm64.BAD:
-		return vErr("undecodable instruction")
 	}
 	return nil
 }
@@ -248,9 +311,7 @@ const (
 )
 
 // checkMemory enforces property 1 for the load/store at index i.
-func (v *verify) checkMemory(i int) *Error {
-	inst := &v.insts[i]
-
+func (v *verify) checkMemory(inst *arm64.Inst, i int) *Error {
 	// Under the no-loads policy, plain loads are exempt from address
 	// checks; loads that write x30 or use writeback on protected
 	// registers still go through the full rules below.
@@ -295,7 +356,7 @@ func (v *verify) checkMemory(i int) *Error {
 	case arm64.AddrBase, arm64.AddrImm, arm64.AddrPre, arm64.AddrPost:
 		if m.Base == core.RegBase {
 			// Only the runtime-call idiom may address off x21.
-			return v.checkRuntimeCall(i)
+			return v.checkRuntimeCall(inst)
 		}
 		if !validAddrReg(m.Base) {
 			return vErr("access through unguarded base %v", m.Base)
@@ -319,12 +380,10 @@ func (v *verify) checkMemory(i int) *Error {
 		if int64(m.Imm) > immHi || int64(m.Imm) < immLo {
 			return vErr("immediate offset %d reaches past the guard region", m.Imm)
 		}
-		if m.WritesBack() {
-			// Writeback modifies the base: only sp self-limits (§4.2);
-			// the reserved always-valid registers must not drift.
-			if !m.Base.IsSP() {
-				return vErr("writeback through protected register %v", m.Base)
-			}
+		// Writeback modifies the base: only sp self-limits (§4.2); the
+		// reserved always-valid registers must not drift.
+		if m.WritesBack() && !m.Base.IsSP() {
+			return vErr("writeback through protected register %v", m.Base)
 		}
 		return nil
 
@@ -335,11 +394,8 @@ func (v *verify) checkMemory(i int) *Error {
 		if !m.Index.Is32() || m.Index.IsSP() {
 			return vErr("guarded addressing requires a w-register index")
 		}
-		// Any shift amount keeps the zero-extended index below 2^36 —
-		// still within... no: a shifted 32-bit index can exceed 4GiB.
-		// The paper's guarded mode uses no shift; allow the hardware
-		// forms only when the scaled offset cannot escape the guard
-		// region, i.e. never — so reject nonzero shifts.
+		// A scaled 32-bit index can reach past 4GiB and the guard region;
+		// the paper's guarded mode uses no shift.
 		if m.Amount > 0 {
 			return vErr("guarded addressing must not scale the index")
 		}
@@ -350,10 +406,9 @@ func (v *verify) checkMemory(i int) *Error {
 	}
 }
 
-// checkRuntimeCall validates "ldr x30, [x21, #n]" immediately followed by
-// "blr x30" (§4.4).
-func (v *verify) checkRuntimeCall(i int) *Error {
-	inst := &v.insts[i]
+// checkRuntimeCall validates "ldr x30, [x21, #n]" and obliges the next
+// instruction to be "blr x30" (§4.4).
+func (v *verify) checkRuntimeCall(inst *arm64.Inst) *Error {
 	if inst.Op != arm64.LDR || inst.Rd != arm64.X30 {
 		return vErr("only the runtime-call load may address off x21")
 	}
@@ -364,19 +419,12 @@ func (v *verify) checkRuntimeCall(i int) *Error {
 	if m.Imm < 0 || int64(m.Imm) >= core.MaxTableOffset || m.Imm%8 != 0 {
 		return vErr("runtime-call table offset %d out of range", m.Imm)
 	}
-	if i+1 >= len(v.insts) {
-		return vErr("runtime-call load at end of text")
-	}
-	next := &v.insts[i+1]
-	if next.Op != arm64.BLR || next.Rn != arm64.X30 {
-		return vErr("runtime-call load must be followed by blr x30")
-	}
+	v.call = true
 	return nil
 }
 
 // checkWrites enforces property 2 for the instruction at index i.
-func (v *verify) checkWrites(i int) *Error {
-	inst := &v.insts[i]
+func (v *verify) checkWrites(inst *arm64.Inst, i int) *Error {
 	var dsts [4]arm64.Reg
 	for _, d := range inst.DestRegs(dsts[:0]) {
 		switch {
@@ -389,103 +437,58 @@ func (v *verify) checkWrites(i int) *Error {
 			}
 			v.guards++
 
-		case d.IsGP() && core.IsReserved(d) && d.Is32():
-			// w18/w23/w24 writes would break the valid-address invariant.
-			if d.X() != core.RegAddr32 {
-				return vErr("32-bit write to reserved register %v", d)
-			}
+		case d.IsGP() && core.IsReserved(d) && d.Is32() && d.X() != core.RegAddr32:
+			// w18/w23/w24 writes would break the valid-address invariant;
 			// w22 writes are always fine (they zero-extend).
+			return vErr("32-bit write to reserved register %v", d)
 
 		case d == core.RegAddr32:
-			// 64-bit writes to x22 could set high bits; only the exact
-			// zero-extending forms are allowed. The rewriter never emits
-			// one, so reject.
+			// 64-bit writes to x22 could set its high bits.
 			return vErr("64-bit write to x22")
 
 		case d.X() == arm64.X30:
-			if err := v.checkX30Write(i, d); err != nil {
-				return err
+			// bl/blr write the return address, and the runtime-call load
+			// (immediate form only) has obliged the next instruction to be
+			// blr x30. Any other write, ldr x30, [x21, wN, uxtw] included,
+			// is permitted only when the very next instruction re-guards
+			// x30 (§4.2): the dirty value is confined to the fall-through
+			// path, which immediately passes the guard.
+			switch {
+			case d.Is32():
+				return vErr("32-bit write to w30")
+			case core.IsGuard(inst, arm64.X30):
+				v.guards++
+			case inst.Op != arm64.BL && inst.Op != arm64.BLR && !v.call:
+				v.x30 = true
 			}
 
 		case d.IsSP():
-			if err := v.checkSPWrite(i); err != nil {
-				return err
-			}
+			v.checkSPWrite(inst, i)
 		}
 	}
 	return nil
 }
 
-// checkX30Write allows: bl/blr (hardware-written return address), the
-// canonical guard add x30, x21, wN, uxtw, and the runtime-call load
-// (validated by checkMemory).
-func (v *verify) checkX30Write(i int, d arm64.Reg) *Error {
-	inst := &v.insts[i]
-	if d.Is32() {
-		return vErr("32-bit write to w30")
-	}
-	switch inst.Op {
-	case arm64.BL, arm64.BLR:
-		return nil
-	case arm64.LDR:
-		// Only the immediate-mode runtime-call idiom is exempt: that
-		// shape is fully validated by checkRuntimeCall (table-bounded
-		// offset, followed by blr x30). A guarded register-offset load
-		// (ldr x30, [x21, wN, uxtw]) also has base x21 but reads
-		// arbitrary sandbox memory into x30, which ret would then trust;
-		// it must fall through to the re-guard requirement below.
-		if inst.Mem.Base == core.RegBase &&
-			(inst.Mem.Mode == arm64.AddrImm || inst.Mem.Mode == arm64.AddrBase) {
-			return nil // runtime-call idiom, checked by checkMemory
-		}
-	}
-	if core.IsGuard(inst, arm64.X30) {
-		v.guards++
-		return nil
-	}
-	// Any other write (load or arithmetic) is permitted only when the very
-	// next instruction re-guards x30 (§4.2): the dirty value is confined
-	// to the fall-through path, which immediately passes the guard.
-	if i+1 < len(v.insts) && core.IsGuard(&v.insts[i+1], arm64.X30) {
-		return nil
-	}
-	return vErr("x30 written without an immediately following guard")
-}
-
 // checkSPWrite allows: the sp guard (add sp, x21, x22), writeback from
 // sp-based accesses (checked in checkMemory), small add/sub sp, sp, #imm
 // followed linearly by an sp access (§4.2), and any sp write immediately
-// followed by the two-instruction guard sequence.
-func (v *verify) checkSPWrite(i int) *Error {
-	inst := &v.insts[i]
-
-	// Writeback on an sp-based access was validated by checkMemory.
-	if inst.Op.IsMemory() && inst.Mem.WritesBack() && inst.Mem.Base.IsSP() {
-		return nil
+// followed by the two-instruction guard sequence. The last two are
+// obligations on the instructions that follow.
+func (v *verify) checkSPWrite(inst *arm64.Inst, i int) {
+	// Writeback on an sp-based access was validated by checkMemory; the
+	// guard itself is add sp, x21, x22 (x22 always has 32 zero top bits).
+	if inst.Op.IsMemory() && inst.Mem.WritesBack() && inst.Mem.Base.IsSP() || isSPGuardAdd(inst) {
+		return
 	}
 
-	// The guard itself: add sp, x21, x22 (x22 always has 32 zero top bits).
-	if isSPGuardAdd(inst) {
-		return nil
-	}
-
-	// add/sub sp, sp, #imm with imm < 2^10 and a guaranteed sp access
-	// before the next branch or sp write (§4.2). This elision is only
-	// sound for the 64-bit form: "add wsp, wsp, #imm" would zero the top
-	// 32 bits of sp and escape downward.
-	if (inst.Op == arm64.ADD || inst.Op == arm64.SUB) &&
+	// add/sub sp, sp, #imm with imm < 2^10 may instead be followed by an sp
+	// access before the next branch or sp write (§4.2). This elision is
+	// only sound for the 64-bit form: "add wsp, wsp, #imm" would zero the
+	// top 32 bits of sp and escape downward.
+	v.spAt, v.spPair = i, 1
+	v.spScan = (inst.Op == arm64.ADD || inst.Op == arm64.SUB) &&
 		inst.Rm == arm64.RegNone && inst.Rn == arm64.SP && inst.Rd == arm64.SP &&
-		inst.Imm >= 0 && inst.Imm < 1024 {
-		if v.spAccessBeforeEscape(i + 1) {
-			return nil
-		}
-	}
-
-	// Any other sp write must be followed immediately by the guard pair.
-	if i+2 < len(v.insts) && isSPGuardMov(&v.insts[i+1]) && isSPGuardAdd(&v.insts[i+2]) {
-		return nil
-	}
-	return vErr("sp written without a guard")
+		inst.Imm >= 0 && inst.Imm < 1024
 }
 
 // isSPGuardMov matches "mov w22, wsp" (add w22, wsp, #0).
@@ -502,31 +505,28 @@ func isSPGuardAdd(inst *arm64.Inst) bool {
 		inst.Amount <= 0
 }
 
-// spAccessBeforeEscape scans forward from index j for a memory access
-// based on sp, failing if a branch, another sp write, or the end of text
-// intervenes.
-func (v *verify) spAccessBeforeEscape(j int) bool {
-	for ; j < len(v.insts); j++ {
-		inst := &v.insts[j]
-		if inst.Op.IsBranch() {
-			return false
+// spStep reports whether inst is a memory access based on sp, which
+// settles an elided sp write, or else a branch or another sp write, which
+// fails it.
+func spStep(inst *arm64.Inst) (access, escape bool) {
+	if inst.Op.IsBranch() {
+		return false, true
+	}
+	if inst.Op.IsMemory() {
+		base := inst.Mem.Base
+		switch inst.Op {
+		case arm64.LDXR, arm64.LDAXR, arm64.STXR, arm64.STLXR, arm64.LDAR, arm64.STLR:
+			base = inst.Rn
 		}
-		if inst.Op.IsMemory() {
-			base := inst.Mem.Base
-			switch inst.Op {
-			case arm64.LDXR, arm64.LDAXR, arm64.STXR, arm64.STLXR, arm64.LDAR, arm64.STLR:
-				base = inst.Rn
-			}
-			if base.IsSP() {
-				return true
-			}
-		}
-		var dsts [4]arm64.Reg
-		for _, d := range inst.DestRegs(dsts[:0]) {
-			if d.IsSP() {
-				return false
-			}
+		if base.IsSP() {
+			return true, false
 		}
 	}
-	return false
+	var dsts [4]arm64.Reg
+	for _, d := range inst.DestRegs(dsts[:0]) {
+		if d.IsSP() {
+			return false, true
+		}
+	}
+	return false, false
 }

@@ -599,8 +599,8 @@ func checkImm(t *testing.T, src string, imm int64) *Error {
 	inst.Mem.Imm = int32(imm)
 	cfg := DefaultConfig()
 	cfg.TextOff = core.MinCodeOffset
-	v := &verify{cfg: cfg, insts: []arm64.Inst{inst}}
-	return v.checkMemory(0)
+	v := &verify{cfg: cfg}
+	return v.checkMemory(&inst, 0)
 }
 
 // TestGuardImmediateEdges pins the immediate-offset bounds at their
