@@ -45,8 +45,9 @@ go test -count=1 -run TestTransitionRatios ./internal/bench
 # Not under -race: the detector allocates on its own account.
 go test -count=1 -run 'TestTransitionAllocs|TestWarmCycleAllocs' ./internal/lfirt
 
-echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor on each kernel)'
+echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor on each kernel; lowered slot <= 64 B and pointer-free; scoreboard exact in ticks)'
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .
+go test -count=1 -run 'TestSlotLayout|TestTimingTicks' ./internal/emu
 
 echo '== toolchain: golden ELF + alloc bound (verifier: none on accept, none per instruction)'
 # Not under -race: the detector allocates on its own account.
@@ -81,6 +82,9 @@ go test -run '^$' -fuzz '^FuzzWasmTranslate$' -fuzztime 5000x ./internal/fuzz
 echo '== verifier fuzz smoke (FuzzVerify, FuzzRewriteVerify: 5000 executions each)'
 go test -run '^$' -fuzz '^FuzzVerify$' -fuzztime 5000x ./internal/fuzz
 go test -run '^$' -fuzz '^FuzzRewriteVerify$' -fuzztime 5000x ./internal/fuzz
+
+echo '== emulator lockstep fuzz smoke (FuzzExecLockstep, 5000 executions: fast path vs per-step on fuzzed words)'
+go test -run '^$' -fuzz '^FuzzExecLockstep$' -fuzztime 5000x ./internal/fuzz
 
 echo '== serve smoke (lfi-serve -listen + lfi-loadgen -smoke)'
 bindir=$(mktemp -d)

@@ -1,13 +1,13 @@
 // Predecoded basic-block fast path.
 //
 // The per-step interpreter (Step) pays for a host-call range check, a PC
-// alignment check, an icache map lookup, and full timing-metadata
-// classification on every instruction. The fast path amortises all of that
-// to block boundaries, with three mechanisms that are always on together:
+// alignment check and an icache map lookup on every instruction. The fast
+// path amortises all of that to block boundaries, with two mechanisms
+// that are always on together:
 //
-//   - Predecode: straight-line runs are decoded once into flat blocks
-//     whose slots carry the decoded instruction plus its cached retire
-//     metadata, and a tight inner loop executes the slots back to back.
+//   - Predecode: straight-line runs are decoded and lowered (lower.go)
+//     once into flat blocks of slots, and a tight inner loop executes the
+//     slots back to back.
 //     Blocks end at anything that can redirect or stop the flow: branches,
 //     SVC, BRK, undecodable words, page boundaries (the next page may be
 //     unmapped or remapped independently), and the host-call window.
@@ -22,23 +22,13 @@
 //     by comparing the target's pc (conflict eviction refills entries),
 //     so a stale link can only miss, never misdirect.
 //
-//   - Guard-idiom fusion (fuse.go) runs at predecode time: the rewriter's
-//     staged-address guard sequences are marked so the dispatch loop
-//     executes them through specialised accessors instead of the general
-//     exec switch.
-//
 // Equivalence with the slow path is exact, not approximate:
-//   - exec() itself is shared (the fused executors replicate its
-//     load/store semantics instruction for instruction and still write
-//     every intermediate register), so architectural state transitions
-//     are identical.
-//   - retire metadata is model-independent (scoreboard slots + latency
-//     class); retireWith runs the identical arithmetic in the identical
-//     order as per-step retire, so Timing.Cycles() is bit-identical.
+//   - lowering and exec are shared: Step runs the same slots, lowered by
+//     the same function, so architectural state transitions and
+//     Timing.Cycles() are identical.
 //   - the instruction budget is applied with exact carry-in: blocks are
-//     clipped to the remaining budget (fused pairs split when the clip
-//     lands between them), so TrapBudget lands on the same instruction as
-//     the slow loop.
+//     clipped to the remaining budget, so TrapBudget lands on the same
+//     instruction as the slow loop.
 //
 // The block cache is keyed by sandbox slot as well as in-slot offset
 // (bcIndex): sandboxes that run code at the same offset — a yield pair, two
@@ -82,14 +72,6 @@ const (
 	// targets).
 	chainWays = 2
 )
-
-// instSlot is one predecoded instruction plus its cached retire metadata
-// and fusion mark.
-type instSlot struct {
-	inst arm64.Inst
-	meta retireMeta
-	fuse fuseInfo
-}
 
 // bcEntry is a direct-mapped block cache entry; valid iff len(insts) > 0
 // (pc alone cannot mark validity: 0 is a decodable address).
@@ -252,10 +234,9 @@ func (c *CPU) decodeBlock(pc uint64, e *bcEntry) *Trap {
 			}
 			break
 		}
-		e.insts = append(e.insts, instSlot{inst: inst})
-		s := &e.insts[len(e.insts)-1]
-		c.mSrc, c.mDst = buildMeta(&s.inst, &s.meta, c.mSrc, c.mDst)
-		if blockEnd(&s.inst) {
+		e.insts = append(e.insts, instSlot{})
+		c.mSrc, c.mDst = lower(&inst, p, &e.insts[len(e.insts)-1], c.mSrc, c.mDst)
+		if blockEnd(&inst) {
 			break
 		}
 		p += 4
@@ -267,42 +248,6 @@ func (c *CPU) decodeBlock(pc uint64, e *bcEntry) *Trap {
 		if c.hostCallLen != 0 && p-c.hostCallBase < c.hostCallLen {
 			break
 		}
-	}
-	annotateFusion(e.insts)
-	return nil
-}
-
-// runSlots executes a clipped run of predecoded slots back to back,
-// dispatching fused idioms through their specialised executors. Fused
-// pairs whose partner fell outside the clip execute the head generically,
-// so a budget expiry between the two instructions still lands exactly.
-func (c *CPU) runSlots(slots []instSlot) *Trap {
-	n := len(slots)
-	for k := 0; k < n; k++ {
-		s := &slots[k]
-		switch s.fuse.kind {
-		case fuseNone:
-			if tr := c.exec(&s.inst, &s.meta); tr != nil {
-				return tr
-			}
-		case fuseAccess:
-			if tr := c.execFastMem(s); tr != nil {
-				return tr
-			}
-		default: // pair head
-			if k+1 < n {
-				// execFusedPair counts the guard itself; the Instrs++
-				// below counts the access.
-				if tr := c.execFusedPair(s, &slots[k+1]); tr != nil {
-					return tr
-				}
-				k++
-			} else if tr := c.exec(&s.inst, &s.meta); tr != nil {
-				// Partner clipped out: run the head alone, generically.
-				return tr
-			}
-		}
-		c.Instrs++
 	}
 	return nil
 }
@@ -374,5 +319,5 @@ func (c *CPU) runEntry(e *bcEntry, end uint64) *Trap {
 	if rem := end - c.Instrs; rem < uint64(len(slots)) {
 		slots = slots[:rem]
 	}
-	return c.runSlots(slots)
+	return c.exec(slots)
 }

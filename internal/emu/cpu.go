@@ -68,9 +68,12 @@ func (t *Trap) Error() string {
 // CPU is one hardware thread. The register file covers the 31 general
 // purpose registers, SP, 32 vector registers, and NZCV.
 type CPU struct {
-	X  [31]uint64    // x0..x30
-	SP uint64        // stack pointer
-	V  [32][2]uint64 // v0..v31, little-endian 128-bit (lo, hi)
+	// r is the integer register file as lowered slots index it: x0..x30,
+	// sp, then the zero entry and the sink (see lower.go); the rest is
+	// unused, so a uint8 index needs no bounds check. X and SP are its
+	// architectural view.
+	r [256]uint64
+	V [32][2]uint64 // v0..v31, little-endian 128-bit (lo, hi)
 
 	// NZCV condition flags.
 	FlagN, FlagZ, FlagC, FlagV bool
@@ -90,11 +93,11 @@ type CPU struct {
 	hostCallBase uint64
 	hostCallLen  uint64
 
-	// Decoded-instruction cache, keyed by page index. Pages are decoded
-	// lazily. Coherence is by AddrSpace epoch: any Map/Unmap/Protect/
-	// restore bumps the epoch and the next Step/Run flushes stale decodes,
-	// so remapping text pages needs no manual flush call.
-	icache    map[uint64][]cachedInst
+	// Lowered-instruction cache for Step, keyed by page index. Pages are
+	// lowered lazily. Coherence is by AddrSpace epoch: any Map/Unmap/
+	// Protect/restore bumps the epoch and the next Step/Run flushes stale
+	// slots, so remapping text pages needs no manual flush call.
+	icache    map[uint64][]instSlot
 	pageShift uint
 	pageSize  uint64
 
@@ -111,16 +114,17 @@ type CPU struct {
 	// kinds returned by Run are valid only until the next Run/Step call.
 	trap Trap
 
-	// Scratch register buffers for block predecoding.
+	// Scratch register buffers for lowering.
 	mSrc, mDst []arm64.Reg
 
 	// Timing, optional. When non-nil every retired instruction is charged.
 	Timing *Timing
 
 	// Trace, optional. When non-nil it is invoked before every executed
-	// instruction (debug tooling; adds an indirect call per step and
+	// instruction (debug tooling; decodes the word again per step and
 	// disables the predecoded-block fast path).
-	Trace func(pc uint64, inst *arm64.Inst)
+	Trace     func(pc uint64, inst *arm64.Inst)
+	traceInst arm64.Inst
 
 	// Retired instruction count.
 	Instrs uint64
@@ -148,8 +152,6 @@ type Stats struct {
 	Flushes       uint64 `json:"flushes"`         // epoch-driven decode/translation flushes
 	ChainHits     uint64 `json:"chain_hits"`      // block transfers served by chain links
 	ChainMisses   uint64 `json:"chain_misses"`    // chain exits resolved by the outer dispatch
-	FusedPairs    uint64 `json:"fused_pairs"`     // guard+access pairs executed fused
-	FusedAccesses uint64 `json:"fused_accesses"`  // accesses served by the fused access path
 }
 
 // Add accumulates other into s (for aggregating across CPUs).
@@ -165,13 +167,6 @@ func (s *Stats) Add(other Stats) {
 	s.Flushes += other.Flushes
 	s.ChainHits += other.ChainHits
 	s.ChainMisses += other.ChainMisses
-	s.FusedPairs += other.FusedPairs
-	s.FusedAccesses += other.FusedAccesses
-}
-
-type cachedInst struct {
-	inst arm64.Inst
-	ok   bool
 }
 
 // New creates a CPU over the address space.
@@ -183,7 +178,7 @@ func New(m *mem.AddrSpace) *CPU {
 	}
 	return &CPU{
 		Mem:       m,
-		icache:    make(map[uint64][]cachedInst),
+		icache:    make(map[uint64][]instSlot),
 		pageShift: shift,
 		pageSize:  ps,
 		memEpoch:  m.Epoch(),
@@ -221,68 +216,14 @@ func (c *CPU) flushDecoded(epoch uint64) {
 	c.tcWrite = [tcacheSize]tcEntry{}
 }
 
-// Reg reads a register operand, honoring the zero register and 32-bit
-// views. Reading SP through either view returns the stack pointer.
-func (c *CPU) Reg(r arm64.Reg) uint64 {
-	if r.IsZR() {
-		return 0
-	}
-	if r.IsSP() {
-		if r.Is32() {
-			return c.SP & 0xffffffff
-		}
-		return c.SP
-	}
-	v := c.X[r.Num()]
-	if r.Is32() {
-		return v & 0xffffffff
-	}
-	return v
-}
+// X returns the general-purpose registers x0..x30.
+func (c *CPU) X() *[31]uint64 { return (*[31]uint64)(c.r[:31]) }
 
-// SetReg writes a register operand. 32-bit views zero the upper bits.
-func (c *CPU) SetReg(r arm64.Reg, v uint64) {
-	if r.IsZR() {
-		return
-	}
-	if r.Is32() {
-		v &= 0xffffffff
-	}
-	if r.IsSP() {
-		c.SP = v
-		return
-	}
-	c.X[r.Num()] = v
-}
+// SP returns the stack pointer.
+func (c *CPU) SP() uint64 { return c.r[regSP] }
 
-// FP reads a floating point register view as raw bits.
-func (c *CPU) FP(r arm64.Reg) uint64 {
-	v := c.V[r.Num()][0]
-	switch r.FPBits() {
-	case 8:
-		return v & 0xff
-	case 16:
-		return v & 0xffff
-	case 32:
-		return v & 0xffffffff
-	}
-	return v
-}
-
-// SetFP writes a floating point register view; writes clear the rest of
-// the vector register, matching AArch64 scalar write semantics.
-func (c *CPU) SetFP(r arm64.Reg, v uint64) {
-	switch r.FPBits() {
-	case 8:
-		v &= 0xff
-	case 16:
-		v &= 0xffff
-	case 32:
-		v &= 0xffffffff
-	}
-	c.V[r.Num()][0] = v
-	c.V[r.Num()][1] = 0
-}
+// SetSP sets the stack pointer.
+func (c *CPU) SetSP(v uint64) { c.r[regSP] = v }
 
 // CondHolds evaluates a condition code against the current flags.
 func (c *CPU) CondHolds(cond arm64.Cond) bool {
@@ -311,32 +252,31 @@ func (c *CPU) CondHolds(cond arm64.Cond) bool {
 	return r
 }
 
-// fetch returns the decoded instruction at PC.
-func (c *CPU) fetch(pc uint64) (*arm64.Inst, *Trap) {
+// fetch returns the lowered instruction at pc, as a one-slot run.
+func (c *CPU) fetch(pc uint64) ([]instSlot, *Trap) {
 	idx := pc >> c.pageShift
 	line, ok := c.icache[idx]
 	if !ok {
-		line = make([]cachedInst, c.pageSize/4)
+		line = make([]instSlot, c.pageSize/4)
 		c.icache[idx] = line
 	}
-	slot := (pc & (c.pageSize - 1)) / 4
-	ci := &line[slot]
-	if !ci.ok {
+	k := (pc & (c.pageSize - 1)) / 4
+	s := &line[k]
+	if s.h == hNone {
 		w, f := c.Mem.Fetch32(pc)
 		if f != nil {
 			return nil, &Trap{Kind: TrapMemFault, PC: pc, Fault: f}
 		}
-		inst, err := arm64.Decode(w)
-		if err != nil {
-			inst = arm64.Inst{Op: arm64.BAD}
+		if inst, err := arm64.Decode(w); err != nil {
+			*s = instSlot{pc: pc, h: hBad}
+		} else {
+			c.mSrc, c.mDst = lower(&inst, pc, s, c.mSrc, c.mDst)
 		}
-		ci.inst = inst
-		ci.ok = true
 	}
-	if ci.inst.Op == arm64.BAD {
+	if s.h == hBad {
 		return nil, &Trap{Kind: TrapUndefined, PC: pc}
 	}
-	return &ci.inst, nil
+	return line[k : k+1], nil
 }
 
 // Step executes one instruction. It returns nil on success or a Trap.
@@ -351,19 +291,17 @@ func (c *CPU) Step() *Trap {
 		return &Trap{Kind: TrapMemFault, PC: c.PC,
 			Fault: &mem.Fault{Addr: c.PC, Access: mem.AccessExec, Size: 4}}
 	}
-	inst, tr := c.fetch(c.PC)
+	slot, tr := c.fetch(c.PC)
 	if tr != nil {
 		return tr
 	}
 	if c.Trace != nil {
-		c.Trace(c.PC, inst)
+		// The slot keeps no decoded instruction: decode the word again.
+		w, _ := c.Mem.Fetch32(c.PC)
+		c.traceInst, _ = arm64.Decode(w)
+		c.Trace(c.PC, &c.traceInst)
 	}
-	tr = c.exec(inst, nil)
-	if tr != nil {
-		return tr
-	}
-	c.Instrs++
-	return nil
+	return c.exec(slot)
 }
 
 // hotTrap fills the CPU's reused trap storage. Only the allocation-heavy

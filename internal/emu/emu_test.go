@@ -1,7 +1,9 @@
 package emu
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"lfi/internal/arm64"
 	"lfi/internal/mem"
@@ -53,7 +55,7 @@ func run(t *testing.T, src string) (*CPU, *Trap) {
 	}
 	c := New(as)
 	c.PC = img.Entry
-	c.SP = stackTop
+	c.SetSP(stackTop)
 	tr := c.Run(1_000_000)
 	return c, tr
 }
@@ -78,8 +80,8 @@ loop:
 	brk #0
 `)
 	expectBRK(t, tr)
-	if c.X[0] != 5050 {
-		t.Errorf("sum = %d, want 5050", c.X[0])
+	if c.X()[0] != 5050 {
+		t.Errorf("sum = %d, want 5050", c.X()[0])
 	}
 }
 
@@ -103,14 +105,14 @@ _start:
 	brk #0
 `)
 	expectBRK(t, tr)
-	if c.X[1] != 0 || c.X[2] != 1 || c.X[3] != 1 {
-		t.Errorf("64-bit adds: x1=%d x2=%d x3=%d", c.X[1], c.X[2], c.X[3])
+	if c.X()[1] != 0 || c.X()[2] != 1 || c.X()[3] != 1 {
+		t.Errorf("64-bit adds: x1=%d x2=%d x3=%d", c.X()[1], c.X()[2], c.X()[3])
 	}
-	if c.X[5] != 0 || c.X[6] != 1 {
-		t.Errorf("32-bit adds: x5=%#x x6=%d", c.X[5], c.X[6])
+	if c.X()[5] != 0 || c.X()[6] != 1 {
+		t.Errorf("32-bit adds: x5=%#x x6=%d", c.X()[5], c.X()[6])
 	}
-	if c.X[8] != 1 || c.X[9] != 1 {
-		t.Errorf("subs flags: mi=%d cc=%d", c.X[8], c.X[9])
+	if c.X()[8] != 1 || c.X()[9] != 1 {
+		t.Errorf("subs flags: mi=%d cc=%d", c.X()[8], c.X()[9])
 	}
 }
 
@@ -128,11 +130,11 @@ _start:
 	brk #0
 `)
 	expectBRK(t, tr)
-	if c.X[2] != 1 {
+	if c.X()[2] != 1 {
 		t.Error("overflow flag not set")
 	}
-	if c.X[3] != 1 || c.X[4] != 0 {
-		t.Errorf("ge/lt after overflow: ge=%d lt=%d", c.X[3], c.X[4])
+	if c.X()[3] != 1 || c.X()[4] != 0 {
+		t.Errorf("ge/lt after overflow: ge=%d lt=%d", c.X()[3], c.X()[4])
 	}
 }
 
@@ -166,8 +168,8 @@ _start:
 		13: 0xff, 14: ^uint64(0), 15: 0xff0, 16: 0xff, 18: 0xffffffff,
 	}
 	for reg, want := range checks {
-		if c.X[reg] != want {
-			t.Errorf("x%d = %#x, want %#x", reg, c.X[reg], want)
+		if c.X()[reg] != want {
+			t.Errorf("x%d = %#x, want %#x", reg, c.X()[reg], want)
 		}
 	}
 }
@@ -212,8 +214,8 @@ buf:
 		8: 0x1234, 10: 0x1234, 12: 0x1234, 13: 48, 14: 0x1234, 15: 0x1234,
 	}
 	for reg, want := range checks {
-		if c.X[reg] != want {
-			t.Errorf("x%d = %#x, want %#x", reg, c.X[reg], want)
+		if c.X()[reg] != want {
+			t.Errorf("x%d = %#x, want %#x", reg, c.X()[reg], want)
 		}
 	}
 }
@@ -241,8 +243,8 @@ base:
 	ret
 `)
 	expectBRK(t, tr)
-	if c.X[0] != 120 {
-		t.Errorf("5! = %d, want 120", c.X[0])
+	if c.X()[0] != 120 {
+		t.Errorf("5! = %d, want 120", c.X()[0])
 	}
 }
 
@@ -271,8 +273,8 @@ table:
 	.quad case0, case1, case2
 `)
 	expectBRK(t, tr)
-	if c.X[19] != 300 {
-		t.Errorf("jump table selected %d, want 300", c.X[19])
+	if c.X()[19] != 300 {
+		t.Errorf("jump table selected %d, want 300", c.X()[19])
 	}
 }
 
@@ -308,8 +310,8 @@ _start:
 	expectBRK(t, tr)
 	checks := map[int]uint64{0: 7, 2: 3, 3: 1, 4: 2, 5: 11, 6: 3, 7: 3}
 	for reg, want := range checks {
-		if c.X[reg] != want {
-			t.Errorf("x%d = %d, want %d", reg, c.X[reg], want)
+		if c.X()[reg] != want {
+			t.Errorf("x%d = %d, want %d", reg, c.X()[reg], want)
 		}
 	}
 }
@@ -336,14 +338,14 @@ word:
 	.quad 41
 `)
 	expectBRK(t, tr)
-	if c.X[4] != 42 {
-		t.Errorf("atomic increment = %d, want 42", c.X[4])
+	if c.X()[4] != 42 {
+		t.Errorf("atomic increment = %d, want 42", c.X()[4])
 	}
-	if c.X[6] != 1 {
-		t.Errorf("stxr without reservation: status = %d, want 1", c.X[6])
+	if c.X()[6] != 1 {
+		t.Errorf("stxr without reservation: status = %d, want 1", c.X()[6])
 	}
-	if c.X[7] != 42 {
-		t.Errorf("ldar = %d", c.X[7])
+	if c.X()[7] != 42 {
+		t.Errorf("ldar = %d", c.X()[7])
 	}
 }
 
@@ -364,8 +366,8 @@ _start:
 	brk #0
 `)
 	expectBRK(t, tr)
-	if c.X[2] != 5 || c.X[3] != 8 || c.X[4] != 1 || c.X[5] != 0 {
-		t.Errorf("csel/ccmp: x2=%d x3=%d x4=%d x5=%d", c.X[2], c.X[3], c.X[4], c.X[5])
+	if c.X()[2] != 5 || c.X()[3] != 8 || c.X()[4] != 1 || c.X()[5] != 0 {
+		t.Errorf("csel/ccmp: x2=%d x3=%d x4=%d x5=%d", c.X()[2], c.X()[3], c.X()[4], c.X()[5])
 	}
 }
 
@@ -407,13 +409,13 @@ func TestHostCallRegion(t *testing.T) {
 	as.WriteForce(img.Text, textBase)
 	c := New(as)
 	c.PC = textBase
-	c.X[1] = 0xdead0000
+	c.X()[1] = 0xdead0000
 	c.SetHostCallRegion(0xdead0000, 0x1000)
 	tr := c.Run(100)
 	if tr.Kind != TrapHostCall || tr.PC != 0xdead0000 {
 		t.Fatalf("trap = %+v, want host call at 0xdead0000", tr)
 	}
-	if c.X[0] != 7 {
+	if c.X()[0] != 7 {
 		t.Error("state before host call lost")
 	}
 }
@@ -447,8 +449,8 @@ _start:
 	brk #0
 `)
 	expectBRK(t, tr)
-	if c.X[1] != 0x1234 || c.X[2] != 0x1234 {
-		t.Errorf("w views: x1=%#x x2=%#x", c.X[1], c.X[2])
+	if c.X()[1] != 0x1234 || c.X()[2] != 0x1234 {
+		t.Errorf("w views: x1=%#x x2=%#x", c.X()[1], c.X()[2])
 	}
 }
 
@@ -461,8 +463,8 @@ _start:
 	brk #0
 `)
 	expectBRK(t, tr)
-	if c.X[1] != 0x1000 {
-		t.Errorf("tpidr roundtrip = %#x", c.X[1])
+	if c.X()[1] != 0x1000 {
+		t.Errorf("tpidr roundtrip = %#x", c.X()[1])
 	}
 }
 
@@ -488,4 +490,29 @@ func TestBlockIndexSpreadsSlots(t *testing.T) {
 			t.Fatalf("word %d of slot 7 maps to entry %d, want %d", w, got, want)
 		}
 	}
+}
+
+// TestSlotLayout pins the lowered slot's shape: at most 64 bytes and no
+// pointer anywhere in it, so a block is a flat array the collector never
+// scans and flushing it writes no barrier.
+func TestSlotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(instSlot{}); size > 64 {
+		t.Errorf("instSlot is %d bytes, want at most 64", size)
+	}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s is a %v: the slot must hold no pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(instSlot{}), "instSlot")
 }

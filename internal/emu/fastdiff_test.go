@@ -57,18 +57,18 @@ func loadProgram(t *testing.T, src string) *CPU {
 	}
 	c := New(as)
 	c.PC = img.Entry
-	c.SP = stackTop
+	c.SetSP(stackTop)
 	c.Timing = NewTiming(ModelM1())
 	return c
 }
 
 func compareCPUs(t *testing.T, slow, fast *CPU, when string) {
 	t.Helper()
-	if slow.X != fast.X {
-		t.Fatalf("%s: X registers diverge:\nslow=%#x\nfast=%#x", when, slow.X, fast.X)
+	if *slow.X() != *fast.X() {
+		t.Fatalf("%s: X registers diverge:\nslow=%#x\nfast=%#x", when, *slow.X(), *fast.X())
 	}
-	if slow.SP != fast.SP {
-		t.Fatalf("%s: SP diverges: slow=%#x fast=%#x", when, slow.SP, fast.SP)
+	if slow.SP() != fast.SP() {
+		t.Fatalf("%s: SP diverges: slow=%#x fast=%#x", when, slow.SP(), fast.SP())
 	}
 	if slow.V != fast.V {
 		t.Fatalf("%s: V registers diverge", when)
@@ -125,7 +125,7 @@ func compareMem(t *testing.T, slow, fast *CPU, when string) {
 
 // lockstep runs the program on two identical machines — the per-step
 // reference and the fast path — in deliberately awkward budget slices so
-// TrapBudget lands mid-block and between the halves of fused pairs,
+// TrapBudget lands mid-block and between a guard and its access,
 // comparing the complete architectural state after every slice and the
 // final memory image at the end. Returns the final trap.
 func lockstep(t *testing.T, src string) *Trap {
@@ -334,8 +334,8 @@ loop:
 		}
 		if str.Kind == TrapHostCall {
 			// Emulate the host returning: jump back to the link register.
-			slow.PC = slow.X[30]
-			fast.PC = fast.X[30]
+			slow.PC = slow.X()[30]
+			fast.PC = fast.X()[30]
 			continue
 		}
 		if str.Kind != TrapBRK {
@@ -369,8 +369,8 @@ func TestDiffEpochInvalidation(t *testing.T) {
 		if tr := c.Run(10); tr == nil || tr.Kind != TrapBRK {
 			t.Fatalf("fastpath=%v: first run trap = %v, want brk", fastpath, tr)
 		}
-		if c.X[0] != 1 {
-			t.Fatalf("fastpath=%v: x0 = %d, want 1", fastpath, c.X[0])
+		if c.X()[0] != 1 {
+			t.Fatalf("fastpath=%v: x0 = %d, want 1", fastpath, c.X()[0])
 		}
 
 		// Remap the same page with different code; the AddrSpace epoch
@@ -392,8 +392,8 @@ func TestDiffEpochInvalidation(t *testing.T) {
 		if tr := c.Run(10); tr == nil || tr.Kind != TrapBRK {
 			t.Fatalf("fastpath=%v: second run trap = %v, want brk", fastpath, tr)
 		}
-		if c.X[0] != 2 {
-			t.Fatalf("fastpath=%v: stale decode survived remap: x0 = %d, want 2", fastpath, c.X[0])
+		if c.X()[0] != 2 {
+			t.Fatalf("fastpath=%v: stale decode survived remap: x0 = %d, want 2", fastpath, c.X()[0])
 		}
 	}
 }
@@ -445,8 +445,8 @@ loop:
 		if tr := c.Run(0); tr == nil || tr.Kind != TrapBRK {
 			t.Fatalf("%s: first run trap = %v, want brk", scenario, tr)
 		}
-		if c.X[0] != 200 {
-			t.Fatalf("%s: x0 = %d, want 200", scenario, c.X[0])
+		if c.X()[0] != 200 {
+			t.Fatalf("%s: x0 = %d, want 200", scenario, c.X()[0])
 		}
 		// The run must actually have followed the links being tested.
 		if c.Stat.ChainHits == 0 {
@@ -476,8 +476,8 @@ loop:
 		if tr := c.Run(0); tr == nil || tr.Kind != TrapBRK {
 			t.Fatalf("%s: second run trap = %v, want brk", scenario, tr)
 		}
-		if c.X[0] != 600 {
-			t.Fatalf("%s: stale chained code survived: x0 = %d, want 600", scenario, c.X[0])
+		if c.X()[0] != 600 {
+			t.Fatalf("%s: stale chained code survived: x0 = %d, want 600", scenario, c.X()[0])
 		}
 	}
 }
@@ -523,7 +523,9 @@ loop:
 		t.Fatal(err)
 	}
 	b := New(as)
-	b.X, b.SP, b.V = a.X, a.SP, a.V
+	*b.X() = *a.X()
+	b.SetSP(a.SP())
+	b.V = a.V
 	b.FlagN, b.FlagZ, b.FlagC, b.FlagV = a.FlagN, a.FlagZ, a.FlagC, a.FlagV
 	b.PC = a.PC
 	b.Instrs = a.Instrs
@@ -532,9 +534,9 @@ loop:
 		atr := a.Run(97)
 		btr := b.Run(97)
 		compareTraps(t, atr, btr, "post-restore")
-		if a.X != b.X || a.SP != b.SP || a.PC != b.PC || a.Instrs != b.Instrs {
+		if *a.X() != *b.X() || a.SP() != b.SP() || a.PC != b.PC || a.Instrs != b.Instrs {
 			t.Fatalf("post-restore state diverges at slice %d: a.pc=%#x b.pc=%#x a.x0=%d b.x0=%d",
-				i, a.PC, b.PC, a.X[0], b.X[0])
+				i, a.PC, b.PC, a.X()[0], b.X()[0])
 		}
 		if atr.Kind == TrapBRK {
 			break
@@ -543,17 +545,17 @@ loop:
 			t.Fatalf("trap = %v, want budget or brk", atr)
 		}
 	}
-	if a.X[0] != 20000 {
-		t.Fatalf("x0 = %d, want 20000", a.X[0])
+	if a.X()[0] != 20000 {
+		t.Fatalf("x0 = %d, want 20000", a.X()[0])
 	}
 }
 
-// TestDiffFusedPairBudgetSplit runs one straight-line block dense in
+// TestDiffGuardIdiomBudgetSplit runs one straight-line block dense in
 // guard+access idioms under every budget from 1 to the block length, so
-// TrapBudget lands on every slot — in particular between the two halves of
-// every fused pair, where runSlots must run the head alone — and checks
-// the stop and the resumed run against the per-step interpreter.
-func TestDiffFusedPairBudgetSplit(t *testing.T) {
+// TrapBudget lands on every slot — in particular between every guard and
+// the access it feeds — and checks the stop and the resumed run against
+// the per-step interpreter.
+func TestDiffGuardIdiomBudgetSplit(t *testing.T) {
 	const src = `
 _start:
 	adrp x21, buf
@@ -591,6 +593,23 @@ buf:
 		t.Fatalf("program is %d instructions but its first block has %d; want one block",
 			probe.Instrs+1, len(block))
 	}
+	// guardThenAccess: slot k is a flagless ALU op and slot k+1 a
+	// single-register load or store.
+	guardThenAccess := func(k int) bool {
+		if k+1 >= len(block) {
+			return false
+		}
+		switch block[k].h {
+		case hAdd, hSub, hAnd, hOrr, hEor:
+		default:
+			return false
+		}
+		switch block[k+1].h {
+		case hLdr, hStr, hMem:
+			return true
+		}
+		return false
+	}
 	splits := 0
 	for n := 1; n <= len(block); n++ {
 		slow := loadProgram(t, src)
@@ -599,18 +618,7 @@ buf:
 		compareTraps(t, slow.Run(uint64(n)), fast.Run(uint64(n)), "clipped")
 		compareCPUs(t, slow, fast, "clipped")
 		compareMem(t, slow, fast, "clipped")
-		// Pairs wholly inside the clip ran fused; a head in the last
-		// clipped slot ran alone.
-		var whole uint64
-		for k := 0; k+1 < n; k++ {
-			if block[k].fuse.kind == fusePair {
-				whole++
-			}
-		}
-		if fast.Stat.FusedPairs != whole {
-			t.Fatalf("budget %d: %d fused pairs executed, want %d", n, fast.Stat.FusedPairs, whole)
-		}
-		if block[n-1].fuse.kind == fusePair {
+		if guardThenAccess(n - 1) {
 			splits++
 		}
 		compareTraps(t, slow.Run(0), fast.Run(0), "resumed")
@@ -618,7 +626,7 @@ buf:
 		compareMem(t, slow, fast, "resumed")
 	}
 	if splits < 8 {
-		t.Fatalf("only %d budgets split a fused pair, want at least 8", splits)
+		t.Fatalf("only %d budgets split a guard from its access, want at least 8", splits)
 	}
 }
 
@@ -692,7 +700,8 @@ val:
 			t.Fatal(err)
 		}
 		c := New(as)
-		c.PC, c.SP = origin.PC, origin.SP
+		c.PC = origin.PC
+		c.SetSP(origin.SP())
 		c.Timing = NewTiming(ModelM1())
 		return c
 	}
@@ -707,8 +716,8 @@ val:
 	}
 	compareCPUs(t, origin, fast, "clone against the machine snapshotted")
 	compareMem(t, origin, fast, "clone against the machine snapshotted")
-	if want := uint64(2 * (300*0x1111 + 3*300*301/2)); fast.X[0] != want {
-		t.Errorf("x0 = %#x, want %#x", fast.X[0], want)
+	if want := uint64(2 * (300*0x1111 + 3*300*301/2)); fast.X()[0] != want {
+		t.Errorf("x0 = %#x, want %#x", fast.X()[0], want)
 	}
 	for i, pi := range pages {
 		if !bytes.Equal(pi.Data, saved[i]) {

@@ -6,12 +6,38 @@ import (
 	"lfi/internal/arm64"
 )
 
-func fpIs64(r arm64.Reg) bool { return r.FPBits() == 64 }
+// fpGet reads the low bits of v register n through a view of w bits.
+func (c *CPU) fpGet(n, w uint8) uint64 {
+	v := c.V[n][0]
+	switch w {
+	case 8:
+		return v & 0xff
+	case 16:
+		return v & 0xffff
+	case 32:
+		return v & 0xffffffff
+	}
+	return v
+}
+
+// fpSet writes a w-bit view of v register n; writes clear the rest of the
+// vector register, matching AArch64 scalar write semantics.
+func (c *CPU) fpSet(n, w uint8, v uint64) {
+	switch w {
+	case 8:
+		v &= 0xff
+	case 16:
+		v &= 0xffff
+	case 32:
+		v &= 0xffffffff
+	}
+	c.V[n] = [2]uint64{v, 0}
+}
 
 // fpVal loads a register view as float64 (converting from float32 views).
-func (c *CPU) fpVal(r arm64.Reg) float64 {
-	b := c.FP(r)
-	if fpIs64(r) {
+func (c *CPU) fpVal(n, w uint8) float64 {
+	b := c.fpGet(n, w)
+	if w == 64 {
 		return math.Float64frombits(b)
 	}
 	return float64(math.Float32frombits(uint32(b)))
@@ -19,33 +45,45 @@ func (c *CPU) fpVal(r arm64.Reg) float64 {
 
 // setFPVal stores a float64 into a register view (converting to float32
 // views as needed).
-func (c *CPU) setFPVal(r arm64.Reg, v float64) {
-	if fpIs64(r) {
-		c.SetFP(r, math.Float64bits(v))
+func (c *CPU) setFPVal(n, w uint8, v float64) {
+	if w == 64 {
+		c.fpSet(n, w, math.Float64bits(v))
 	} else {
-		c.SetFP(r, uint64(math.Float32bits(float32(v))))
+		c.fpSet(n, w, uint64(math.Float32bits(float32(v))))
 	}
 }
 
-func (c *CPU) execFP(i *arm64.Inst, pc uint64) *Trap {
-	switch i.Op {
+// fcmp sets NZCV from comparing a with b.
+func (c *CPU) fcmp(a, b float64) {
+	switch {
+	case math.IsNaN(a) || math.IsNaN(b):
+		c.FlagN, c.FlagZ, c.FlagC, c.FlagV = false, false, true, true
+	case a == b:
+		c.FlagN, c.FlagZ, c.FlagC, c.FlagV = false, true, true, false
+	case a < b:
+		c.FlagN, c.FlagZ, c.FlagC, c.FlagV = true, false, false, false
+	default:
+		c.FlagN, c.FlagZ, c.FlagC, c.FlagV = false, false, true, false
+	}
+}
+
+// execFP runs the FP ops other than fmov-immediate and fcmp-zero.
+func (c *CPU) execFP(s *instSlot) *Trap {
+	switch s.op {
 	case arm64.FMOV:
 		switch {
-		case i.Rn == arm64.RegNone: // immediate
-			v := math.Float64frombits(uint64(i.Imm))
-			c.setFPVal(i.Rd, v)
-		case i.Rd.IsFP() && i.Rn.IsFP(): // bit move between equal views
-			c.SetFP(i.Rd, c.FP(i.Rn))
-		case i.Rd.IsGP(): // fp -> gpr: raw bits
-			c.SetReg(i.Rd, c.FP(i.Rn))
+		case s.fp&(fpD|fpN) == fpD|fpN: // bit move between equal views
+			c.fpSet(s.rd, s.wd, c.fpGet(s.rn, s.wn))
+		case s.fp&fpD == 0: // fp -> gpr: raw bits
+			c.put(s.rd, s.wd, c.fpGet(s.rn, s.wn))
 		default: // gpr -> fp: raw bits
-			c.SetFP(i.Rd, c.Reg(i.Rn))
+			c.fpSet(s.rd, s.wd, c.get(s.rn, s.wn))
 		}
 
 	case arm64.FADD, arm64.FSUB, arm64.FMUL, arm64.FDIV:
-		a, b := c.fpVal(i.Rn), c.fpVal(i.Rm)
+		a, b := c.fpVal(s.rn, s.wn), c.fpVal(s.rm, s.wm)
 		var r float64
-		switch i.Op {
+		switch s.op {
 		case arm64.FADD:
 			r = a + b
 		case arm64.FSUB:
@@ -55,79 +93,61 @@ func (c *CPU) execFP(i *arm64.Inst, pc uint64) *Trap {
 		case arm64.FDIV:
 			r = a / b
 		}
-		c.setFPVal(i.Rd, r)
+		c.setFPVal(s.rd, s.wd, r)
 
 	case arm64.FMADD:
-		c.setFPVal(i.Rd, c.fpVal(i.Ra)+c.fpVal(i.Rn)*c.fpVal(i.Rm))
+		c.setFPVal(s.rd, s.wd, c.fpVal(s.ra, s.wa)+c.fpVal(s.rn, s.wn)*c.fpVal(s.rm, s.wm))
 	case arm64.FMSUB:
-		c.setFPVal(i.Rd, c.fpVal(i.Ra)-c.fpVal(i.Rn)*c.fpVal(i.Rm))
+		c.setFPVal(s.rd, s.wd, c.fpVal(s.ra, s.wa)-c.fpVal(s.rn, s.wn)*c.fpVal(s.rm, s.wm))
 
 	case arm64.FNEG:
-		c.setFPVal(i.Rd, -c.fpVal(i.Rn))
+		c.setFPVal(s.rd, s.wd, -c.fpVal(s.rn, s.wn))
 	case arm64.FABS:
-		c.setFPVal(i.Rd, math.Abs(c.fpVal(i.Rn)))
+		c.setFPVal(s.rd, s.wd, math.Abs(c.fpVal(s.rn, s.wn)))
 	case arm64.FSQRT:
-		c.setFPVal(i.Rd, math.Sqrt(c.fpVal(i.Rn)))
+		c.setFPVal(s.rd, s.wd, math.Sqrt(c.fpVal(s.rn, s.wn)))
 
 	case arm64.FCMP:
-		a := c.fpVal(i.Rn)
-		b := 0.0
-		if i.Rm != arm64.RegNone {
-			b = c.fpVal(i.Rm)
-		}
-		switch {
-		case math.IsNaN(a) || math.IsNaN(b):
-			c.FlagN, c.FlagZ, c.FlagC, c.FlagV = false, false, true, true
-		case a == b:
-			c.FlagN, c.FlagZ, c.FlagC, c.FlagV = false, true, true, false
-		case a < b:
-			c.FlagN, c.FlagZ, c.FlagC, c.FlagV = true, false, false, false
-		default:
-			c.FlagN, c.FlagZ, c.FlagC, c.FlagV = false, false, true, false
-		}
+		c.fcmp(c.fpVal(s.rn, s.wn), c.fpVal(s.rm, s.wm))
 
 	case arm64.FCSEL:
-		if c.CondHolds(i.Cond) {
-			c.SetFP(i.Rd, c.FP(i.Rn))
+		if c.CondHolds(s.cond) {
+			c.fpSet(s.rd, s.wd, c.fpGet(s.rn, s.wn))
 		} else {
-			c.SetFP(i.Rd, c.FP(i.Rm))
+			c.fpSet(s.rd, s.wd, c.fpGet(s.rm, s.wm))
 		}
 
 	case arm64.FCVT:
-		if i.Rd.FPBits() == 16 || i.Rn.FPBits() == 16 {
-			return &Trap{Kind: TrapUndefined, PC: pc}
+		if s.wd == 16 || s.wn == 16 {
+			return &Trap{Kind: TrapUndefined, PC: s.pc}
 		}
-		c.setFPVal(i.Rd, c.fpVal(i.Rn))
+		c.setFPVal(s.rd, s.wd, c.fpVal(s.rn, s.wn))
 
 	case arm64.SCVTF:
-		c.setFPVal(i.Rd, float64(regSigned(c, i.Rn)))
+		v := int64(c.get(s.rn, s.wn))
+		if s.wn == 32 {
+			v = int64(int32(v))
+		}
+		c.setFPVal(s.rd, s.wd, float64(v))
 	case arm64.UCVTF:
-		c.setFPVal(i.Rd, float64(c.Reg(i.Rn)))
+		c.setFPVal(s.rd, s.wd, float64(c.get(s.rn, s.wn)))
 
 	case arm64.FCVTZS:
-		v := c.fpVal(i.Rn)
-		if i.Rd.Is64() {
-			c.SetReg(i.Rd, uint64(satS64(v)))
+		v := c.fpVal(s.rn, s.wn)
+		if s.wd == 0 {
+			c.put(s.rd, s.wd, uint64(satS64(v)))
 		} else {
-			c.SetReg(i.Rd, uint64(uint32(satS32(v))))
+			c.put(s.rd, s.wd, uint64(uint32(satS32(v))))
 		}
 	case arm64.FCVTZU:
-		v := c.fpVal(i.Rn)
-		if i.Rd.Is64() {
-			c.SetReg(i.Rd, satU64(v))
+		v := c.fpVal(s.rn, s.wn)
+		if s.wd == 0 {
+			c.put(s.rd, s.wd, satU64(v))
 		} else {
-			c.SetReg(i.Rd, uint64(uint32(satU32(v))))
+			c.put(s.rd, s.wd, uint64(uint32(satU32(v))))
 		}
 	}
 	return nil
-}
-
-func regSigned(c *CPU, r arm64.Reg) int64 {
-	v := c.Reg(r)
-	if r.Is32() {
-		return int64(int32(uint32(v)))
-	}
-	return int64(v)
 }
 
 func satS64(v float64) int64 {

@@ -25,8 +25,8 @@ func runSem(t *testing.T, c semCase) {
 	if tr.Kind != TrapBRK {
 		t.Fatalf("%s: trap %v", c.name, tr)
 	}
-	if cpu.X[c.reg] != c.want {
-		t.Errorf("%s: x%d = %#x, want %#x", c.name, c.reg, cpu.X[c.reg], c.want)
+	if cpu.X()[c.reg] != c.want {
+		t.Errorf("%s: x%d = %#x, want %#x", c.name, c.reg, cpu.X()[c.reg], c.want)
 	}
 }
 
@@ -211,8 +211,8 @@ buf:
 				t.Fatalf("%s off %d: %v", width.st, off, tr)
 			}
 			want := (0x5678DEADBEEF) & width.mask
-			if cpu.X[0] != uint64(want) {
-				t.Errorf("%s off %d: got %#x want %#x", width.st, off, cpu.X[0], want)
+			if cpu.X()[0] != uint64(want) {
+				t.Errorf("%s off %d: got %#x want %#x", width.st, off, cpu.X()[0], want)
 			}
 		}
 	}
@@ -257,14 +257,14 @@ buf:
 	if tr.Kind != TrapBRK {
 		t.Fatal(tr)
 	}
-	if c.X[4] != c.X[2] || c.X[5] != c.X[3] {
-		t.Errorf("q roundtrip: %#x/%#x want %#x/%#x", c.X[4], c.X[5], c.X[2], c.X[3])
+	if c.X()[4] != c.X()[2] || c.X()[5] != c.X()[3] {
+		t.Errorf("q roundtrip: %#x/%#x want %#x/%#x", c.X()[4], c.X()[5], c.X()[2], c.X()[3])
 	}
-	if c.X[6] != 3 {
-		t.Errorf("d pair arithmetic = %d", c.X[6])
+	if c.X()[6] != 3 {
+		t.Errorf("d pair arithmetic = %d", c.X()[6])
 	}
-	if c.X[7] != c.X[3] {
-		t.Errorf("q pair upper half = %#x, want %#x", c.X[7], c.X[3])
+	if c.X()[7] != c.X()[3] {
+		t.Errorf("q pair upper half = %#x, want %#x", c.X()[7], c.X()[3])
 	}
 }
 
@@ -290,7 +290,7 @@ buf:
 	if tr.Kind != TrapBRK {
 		t.Fatal(tr)
 	}
-	if c.X[3] != 0 {
-		t.Errorf("upper half after scalar write = %#x, want 0", c.X[3])
+	if c.X()[3] != 0 {
+		t.Errorf("upper half after scalar write = %#x, want 0", c.X()[3])
 	}
 }

@@ -1,6 +1,11 @@
 package emu
 
-import "lfi/internal/arm64"
+import (
+	"fmt"
+	"math"
+
+	"lfi/internal/arm64"
+)
 
 // CoreModel parameterizes the timing model for one CPU design. Latencies
 // and widths follow publicly documented microarchitectural behaviour: the
@@ -101,13 +106,25 @@ func regSlot(r arm64.Reg) int {
 	return r.Num()
 }
 
-// Timing is the per-run scoreboard state.
+// maxClock caps the clock AddCycles can reach, in ticks. It is far below
+// int64 overflow, so the scoreboard keeps counting after a saturated
+// charge, and below 2^53, so Cycles stays exact there too.
+const maxClock = 1 << 52
+
+// Timing is the per-run scoreboard state. Every time in it is a count of
+// ticks, 1/(2·IssueWidth) of a cycle: an issue slot is two ticks and the
+// extended-register penalty (half a slot) one. NewTiming accepts only
+// models whose parameters are whole numbers of ticks and whose tick is a
+// power-of-two fraction of a cycle, so integer ticks reproduce exactly
+// the float64 cycle arithmetic this scoreboard used to do, and Cycles
+// converts back without rounding. exec charges each instruction it
+// retires here, from the metadata lowered into its slot.
 type Timing struct {
 	Model *CoreModel
 
-	ready   [numSlots]float64
-	issueAt float64 // next front-end issue slot
-	horizon float64 // latest completion seen
+	ready   [256]int64 // by scoreboard slot; a uint8 index needs no bounds check
+	issueAt int64      // next front-end issue slot
+	horizon int64      // latest completion seen
 
 	// 2-bit bimodal conditional predictor and a last-target BTB for
 	// indirect branches.
@@ -115,31 +132,32 @@ type Timing struct {
 	btb     [512]uint64
 
 	tlb        []uint64
-	walkerFree float64 // page-table walker is not pipelined
+	tlbRecip   uint64 // ^uint64(0) / len(tlb): the TLB set without a divide
+	walkerFree int64  // page-table walker is not pipelined
 
-	// Model-derived constants, precomputed by NewTiming so the per-retire
-	// path does no divisions or switch dispatch. The values are the exact
-	// doubles the direct expressions would produce, so cycle accounting is
-	// unchanged.
-	issueInc     float64                 // 1 / IssueWidth
-	issueIncHalf float64                 // 0.5 / IssueWidth
-	latTab       [latBarrier + 1]float64 // classLat by latClass
-	sePenalize   bool                    // ShiftExtLat > ALULat
+	// Model-derived constants in ticks, precomputed by NewTiming so the
+	// per-retire path does no divisions, conversions or switch dispatch.
+	perCycle   int64      // ticks per cycle: 2·IssueWidth
+	latTab     [256]int64 // classLat by latClass, sized like ready
+	seLat      int64      // ShiftExtLat
+	seIssue    int64      // 1 (half an issue slot) if ShiftExtLat > ALULat, else 0
+	aluLat     int64      // ALULat: writeback address updates
+	walk       int64      // one page-table walk, nested factor applied
+	mispredict int64      // MispredictPenalty
+	pageShift  uint
 
 	// Statistics.
 	Mispredicts uint64
 	TLBMisses   uint64
 	Retired     uint64
 
-	// profile, optional: per-PC cycle attribution. Enable with
+	// profile, optional: per-PC cycle attribution in ticks. Enable with
 	// EnableProfile before running; read with TopPCs.
-	profile map[uint64]float64
-
-	srcbuf, dstbuf []arm64.Reg
+	profile map[uint64]int64
 }
 
 // EnableProfile turns on per-PC cycle attribution.
-func (t *Timing) EnableProfile() { t.profile = make(map[uint64]float64) }
+func (t *Timing) EnableProfile() { t.profile = make(map[uint64]int64) }
 
 // PCCost is one entry of the cycle profile.
 type PCCost struct {
@@ -152,7 +170,7 @@ type PCCost struct {
 func (t *Timing) TopPCs(n int) []PCCost {
 	out := make([]PCCost, 0, len(t.profile))
 	for pc, c := range t.profile {
-		out = append(out, PCCost{pc, c})
+		out = append(out, PCCost{pc, t.toCycles(c)})
 	}
 	for i := 1; i < len(out); i++ { // insertion sort; profiles are small
 		for j := i; j > 0 && out[j].Cycles > out[j-1].Cycles; j-- {
@@ -165,50 +183,108 @@ func (t *Timing) TopPCs(n int) []PCCost {
 	return out
 }
 
-// NewTiming creates a fresh timing context for the model.
+// tickModel returns the ticks per cycle of m, or an error if m's cycle
+// arithmetic cannot be carried exactly in integer ticks.
+func tickModel(m *CoreModel) (int64, error) {
+	w := m.IssueWidth
+	if w <= 0 || w&(w-1) != 0 {
+		return 0, fmt.Errorf("emu: model %s: IssueWidth %d is not a power of two", m.Name, w)
+	}
+	per := float64(2 * w)
+	type param struct {
+		name string
+		v    float64
+	}
+	params := []param{
+		{"MispredictPenalty", m.MispredictPenalty}, {"ALULat", m.ALULat},
+		{"ShiftExtLat", m.ShiftExtLat}, {"LoadLat", m.LoadLat},
+		{"MulLat", m.MulLat}, {"DivLat", m.DivLat}, {"FPLat", m.FPLat},
+		{"FDivLat", m.FDivLat}, {"FMALat", m.FMALat}, {"BarrierLat", m.BarrierLat},
+		{"TLBWalk", m.TLBWalk},
+	}
+	if m.NestedPaging {
+		params = append(params, param{"TLBWalk×NestedWalkFactor", m.TLBWalk * m.NestedWalkFactor})
+	}
+	for _, p := range params {
+		// The bound keeps every sum of latencies far from int64 overflow.
+		if x := p.v * per; x != math.Trunc(x) || math.Abs(x) > 1<<40 {
+			return 0, fmt.Errorf("emu: model %s: %s %v is not a whole number of 1/%d-cycle ticks", m.Name, p.name, p.v, 2*w)
+		}
+	}
+	return int64(2 * w), nil
+}
+
+// NewTiming creates a fresh timing context for the model. It panics if
+// the model is not exact in ticks (see Timing); every model this package
+// defines is.
 func NewTiming(m *CoreModel) *Timing {
-	t := &Timing{Model: m}
+	per, err := tickModel(m)
+	if err != nil {
+		panic(err)
+	}
+	ticks := func(cycles float64) int64 { return int64(cycles * float64(per)) }
+	t := &Timing{Model: m, perCycle: per}
 	t.tlb = make([]uint64, m.TLBEntries)
 	for i := range t.tlb {
 		t.tlb[i] = ^uint64(0)
 	}
+	if len(t.tlb) > 0 {
+		t.tlbRecip = ^uint64(0) / uint64(len(t.tlb))
+	}
 	for i := range t.bimodal {
 		t.bimodal[i] = 1 // weakly not-taken
 	}
-	t.issueInc = 1 / float64(m.IssueWidth)
-	t.issueIncHalf = 0.5 / float64(m.IssueWidth)
 	for cl := latClass(0); cl <= latBarrier; cl++ {
-		t.latTab[cl] = t.classLat(cl)
+		t.latTab[cl] = ticks(classLat(m, cl))
 	}
-	t.sePenalize = m.ShiftExtLat > m.ALULat
+	t.seLat = ticks(m.ShiftExtLat)
+	if m.ShiftExtLat > m.ALULat {
+		t.seIssue = 1
+	}
+	t.aluLat = ticks(m.ALULat)
+	walk := m.TLBWalk
+	if m.NestedPaging {
+		walk *= m.NestedWalkFactor
+	}
+	t.walk = ticks(walk)
+	t.mispredict = ticks(m.MispredictPenalty)
+	t.pageShift = m.PageShift
 	return t
 }
 
+func (t *Timing) now() int64 { return max(t.issueAt, t.horizon) }
+
+// toCycles converts ticks to cycles; exact, since perCycle is a power of
+// two and clock values stay below 2^53.
+func (t *Timing) toCycles(ticks int64) float64 { return float64(ticks) / float64(t.perCycle) }
+
 // Cycles returns the elapsed cycle count so far.
-func (t *Timing) Cycles() float64 {
-	if t.issueAt > t.horizon {
-		return t.issueAt
-	}
-	return t.horizon
-}
+func (t *Timing) Cycles() float64 { return t.toCycles(t.now()) }
 
 // Nanoseconds converts the elapsed cycles to wall time on the model.
 func (t *Timing) Nanoseconds() float64 { return t.Cycles() / t.Model.FreqGHz }
 
 // AddCycles charges a flat cost (used by the runtime for host-side work).
+// A charge is rounded to the nearest tick, so any multiple of a tick —
+// every whole-cycle cost, including negative refunds — is exact. The
+// clock saturates at maxClock instead of overflowing; a charge never
+// moves a clock already past it backwards.
 func (t *Timing) AddCycles(c float64) {
-	now := t.Cycles() + c
-	t.issueAt = now
-	t.horizon = now
+	now := t.now()
+	d := c * float64(t.perCycle)
+	if d >= float64(maxClock-now) {
+		now = max(now, maxClock)
+	} else {
+		now += int64(math.Round(d))
+	}
+	t.issueAt, t.horizon = now, now
 }
 
 // Drain waits for all in-flight results (context-switch boundary).
 func (t *Timing) Drain() {
-	now := t.Cycles()
-	for i := range t.ready {
-		if t.ready[i] > now {
-			now = t.ready[i]
-		}
+	now := t.now()
+	for _, r := range t.ready[:numSlots] {
+		now = max(now, r)
 	}
 	t.issueAt, t.horizon = now, now
 }
@@ -233,8 +309,7 @@ const (
 	latBarrier
 )
 
-func (t *Timing) classLat(cl latClass) float64 {
-	m := t.Model
+func classLat(m *CoreModel, cl latClass) float64 {
 	switch cl {
 	case latShiftExt:
 		return m.ShiftExtLat
@@ -319,35 +394,43 @@ const (
 
 // retireMeta is the static half of retiring one instruction: scoreboard
 // slots, latency class, and flag/branch behaviour, all derivable from the
-// instruction alone. The per-step path computes it on the fly; the
-// predecoded-block fast path caches it alongside each decoded instruction
-// so retiring becomes a handful of float compares. Both paths funnel into
-// retireWith, so cycle attribution is bit-identical between them.
+// instruction alone. Lowering stores it in the instruction's slot, so
+// retiring is a handful of integer compares on either executor. The lists
+// have fixed length, so retiring takes no data-dependent loop exit.
 type retireMeta struct {
-	src    [4]int8 // scoreboard slots of source registers
-	dst    [3]int8 // scoreboard slots of destination registers
-	nsrc   int8
-	ndst   int8
-	wbALU  uint8 // bit k set: dst[k] is a writeback address update
+	src    [4]uint8 // scoreboard slots read, flags included; padding is slotNone
+	dst    [3]uint8 // scoreboard slots written, flags last; padding is slotSink
+	wbALU  uint8    // bit k set: dst[k] is a writeback address update
 	class  latClass
 	branch uint8
-	reads  bool // reads NZCV
-	sets   bool // writes NZCV
 }
+
+// Scoreboard slots that pad retireMeta's fixed-length lists: slotNone is
+// never written, so it is always ready; slotSink takes padded writes and
+// is never read.
+const (
+	slotNone = 255
+	slotSink = 254
+)
 
 // buildMeta fills md from i, using (and returning) the scratch register
 // buffers to stay allocation-free.
 func buildMeta(i *arm64.Inst, md *retireMeta, srcbuf, dstbuf []arm64.Reg) ([]arm64.Reg, []arm64.Reg) {
+	md.src = [4]uint8{slotNone, slotNone, slotNone, slotNone}
+	md.dst = [3]uint8{slotSink, slotSink, slotSink}
 	srcbuf = i.SrcRegs(srcbuf[:0])
-	md.nsrc = 0
+	n := 0
 	for _, r := range srcbuf {
 		if s := regSlot(r); s >= 0 {
-			md.src[md.nsrc] = int8(s)
-			md.nsrc++
+			md.src[n] = uint8(s)
+			n++
 		}
 	}
+	if i.Op.ReadsFlags() {
+		md.src[n] = slotFlags
+	}
 	dstbuf = i.DestRegs(dstbuf[:0])
-	md.ndst = 0
+	n = 0
 	md.wbALU = 0
 	wbMem := i.Op.IsMemory() && i.Mem.WritesBack()
 	for _, r := range dstbuf {
@@ -355,14 +438,15 @@ func buildMeta(i *arm64.Inst, md *retireMeta, srcbuf, dstbuf []arm64.Reg) ([]arm
 			// Writeback address updates complete in one ALU cycle even on
 			// long-latency loads.
 			if wbMem && r == i.Mem.Base {
-				md.wbALU |= 1 << uint(md.ndst)
+				md.wbALU |= 1 << uint(n)
 			}
-			md.dst[md.ndst] = int8(s)
-			md.ndst++
+			md.dst[n] = uint8(s)
+			n++
 		}
 	}
-	md.reads = i.Op.ReadsFlags()
-	md.sets = i.Op.SetsFlags()
+	if i.Op.SetsFlags() {
+		md.dst[n] = slotFlags
+	}
 	md.class = latClassOf(i)
 	switch {
 	case !i.Op.IsBranch():
@@ -375,122 +459,4 @@ func buildMeta(i *arm64.Inst, md *retireMeta, srcbuf, dstbuf []arm64.Reg) ([]arm
 		md.branch = brCond
 	}
 	return srcbuf, dstbuf
-}
-
-// retire charges one instruction to the scoreboard (per-step path).
-func (t *Timing) retire(c *CPU, i *arm64.Inst, pc uint64, eff *effects) {
-	var md retireMeta
-	t.srcbuf, t.dstbuf = buildMeta(i, &md, t.srcbuf, t.dstbuf)
-	t.retireWith(pc, eff, &md)
-}
-
-// retireWith charges one instruction described by md to the scoreboard.
-// Both executors retire through here — the per-step path (via retire),
-// predecoded blocks and the fused executors in fuse.go all pass the
-// instruction's real pc and predecoded metadata, so cycle accounting is
-// bit-identical no matter which one executed the instruction.
-func (t *Timing) retireWith(pc uint64, eff *effects, md *retireMeta) {
-	m := t.Model
-	t.Retired++
-
-	// Front-end issue slot.
-	start := t.issueAt
-	t.issueAt += t.issueInc
-
-	// Wait for source operands.
-	for k := int8(0); k < md.nsrc; k++ {
-		if r := t.ready[md.src[k]]; r > start {
-			start = r
-		}
-	}
-	if md.reads && t.ready[slotFlags] > start {
-		start = t.ready[slotFlags]
-	}
-
-	lat := t.latTab[md.class]
-
-	// TLB lookup for memory operations.
-	if eff.hasMem && len(t.tlb) > 0 {
-		page := eff.memAddr >> m.PageShift
-		slot := int(page) % len(t.tlb)
-		if slot < 0 {
-			slot = -slot
-		}
-		if t.tlb[slot] != page {
-			t.tlb[slot] = page
-			t.TLBMisses++
-			walk := m.TLBWalk
-			if m.NestedPaging {
-				walk *= m.NestedWalkFactor
-			}
-			// Walks serialize on the (single, non-pipelined) table walker.
-			ws := start
-			if t.walkerFree > ws {
-				ws = t.walkerFree
-			}
-			t.walkerFree = ws + walk
-			lat += t.walkerFree - start
-		}
-	}
-
-	// Extended-register guards execute on a subset of the ALU ports
-	// (reduced throughput, per the optimization guides the paper cites):
-	// charge half an extra issue slot.
-	if t.sePenalize && lat == m.ShiftExtLat {
-		t.issueAt += t.issueIncHalf
-	}
-
-	done := start + lat
-
-	if t.profile != nil {
-		t.profile[pc] += lat
-	}
-
-	// Destinations.
-	for k := int8(0); k < md.ndst; k++ {
-		if md.wbALU&(1<<uint(k)) != 0 {
-			t.ready[md.dst[k]] = start + m.ALULat
-		} else {
-			t.ready[md.dst[k]] = done
-		}
-	}
-	if md.sets {
-		t.ready[slotFlags] = done
-	}
-	if done > t.horizon {
-		t.horizon = done
-	}
-
-	// Branch prediction.
-	if md.branch != brNone {
-		resolve := start + 1
-		switch md.branch {
-		case brUncond:
-			// Unconditional direct branches are effectively free.
-		case brCond:
-			idx := (pc >> 2) % uint64(len(t.bimodal))
-			ctr := t.bimodal[idx]
-			predTaken := ctr >= 2
-			if predTaken != eff.branched {
-				t.Mispredicts++
-				if rt := resolve + m.MispredictPenalty; rt > t.issueAt {
-					t.issueAt = rt
-				}
-			}
-			if eff.branched && ctr < 3 {
-				t.bimodal[idx] = ctr + 1
-			} else if !eff.branched && ctr > 0 {
-				t.bimodal[idx] = ctr - 1
-			}
-		case brIndirect:
-			idx := (pc >> 2) % uint64(len(t.btb))
-			if t.btb[idx] != eff.target {
-				t.Mispredicts++
-				if rt := resolve + m.MispredictPenalty; rt > t.issueAt {
-					t.issueAt = rt
-				}
-				t.btb[idx] = eff.target
-			}
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -30,8 +31,8 @@ func runTimed(t *testing.T, model *CoreModel, src string) (*CPU, *Timing) {
 	}
 	c := New(as)
 	c.PC = img.Entry
-	c.SP = dataBase + 1<<22
-	c.X[1] = dataBase
+	c.SetSP(dataBase + 1<<22)
+	c.X()[1] = dataBase
 	tim := NewTiming(model)
 	c.Timing = tim
 	tr := c.Run(10_000_000)
@@ -171,5 +172,64 @@ func TestTimingAccounting(t *testing.T) {
 	tim.Drain()
 	if tim.Cycles() < before+100 {
 		t.Error("Drain moved the clock backwards")
+	}
+}
+
+// TestTimingTicks pins the models the scoreboard accepts: every built-in
+// one is a whole number of ticks, and a tick that is not a power-of-two
+// fraction of a cycle, or a latency that is not a whole number of ticks,
+// is refused — integer ticks could not reproduce its float64 cycles.
+func TestTimingTicks(t *testing.T) {
+	nested := ModelM1()
+	nested.NestedPaging = true
+	for _, m := range []*CoreModel{ModelM1(), ModelT2A(), nested} {
+		if _, err := tickModel(m); err != nil {
+			t.Errorf("%s (nested %v): %v", m.Name, m.NestedPaging, err)
+		}
+	}
+	width3 := ModelM1()
+	width3.IssueWidth = 3
+	fractional := ModelT2A()
+	fractional.LoadLat = 4.1
+	fractionalWalk := ModelM1()
+	fractionalWalk.NestedPaging = true
+	fractionalWalk.NestedWalkFactor = 1.01
+	for _, m := range []*CoreModel{width3, fractional, fractionalWalk} {
+		if _, err := tickModel(m); err == nil {
+			t.Errorf("%s: IssueWidth %d LoadLat %v walk factor %v accepted", m.Name, m.IssueWidth, m.LoadLat, m.NestedWalkFactor)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewTiming did not refuse the model", m.Name)
+				}
+			}()
+			NewTiming(m)
+		}()
+	}
+}
+
+// TestAddCyclesExact checks the runtime's charges land exactly, a
+// negative refund included, and that a charge past the cap saturates
+// there.
+func TestAddCyclesExact(t *testing.T) {
+	tim := NewTiming(ModelM1())
+	tim.AddCycles(55)
+	tim.AddCycles(46 - 55)
+	if got := tim.Cycles(); got != 46 {
+		t.Fatalf("55 then -9 cycles = %v, want 46", got)
+	}
+	tim.AddCycles(0.0625) // one tick
+	if got := tim.Cycles(); got != 46.0625 {
+		t.Fatalf("one tick more = %v, want 46.0625", got)
+	}
+	tim.AddCycles(math.MaxFloat64)
+	capped := tim.Cycles()
+	tim.AddCycles(1e30)
+	if tim.Cycles() != capped {
+		t.Fatalf("second saturated charge moved the clock: %v → %v", capped, tim.Cycles())
+	}
+	if capped != maxClock/16 {
+		t.Fatalf("saturated clock = %v cycles, want %v", capped, maxClock/16)
 	}
 }

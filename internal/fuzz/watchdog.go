@@ -74,12 +74,12 @@ func newWatchdog(img *arm64.Image, text []byte, slot uint64, fastpath bool) (*wa
 	c.SetHostCallRegion(hostBase, core.HostCallRegionSize)
 	c.Timing = emu.NewTiming(emu.ModelM1())
 	c.PC = img.Entry
-	c.SP = stackTop
-	c.X[21] = slot
-	c.X[18] = slot + core.MinCodeOffset
-	c.X[23] = slot + core.MinCodeOffset
-	c.X[24] = slot + core.MinCodeOffset
-	c.X[30] = slot + core.MinCodeOffset
+	c.SetSP(stackTop)
+	c.X()[21] = slot
+	c.X()[18] = slot + core.MinCodeOffset
+	c.X()[23] = slot + core.MinCodeOffset
+	c.X()[24] = slot + core.MinCodeOffset
+	c.X()[30] = slot + core.MinCodeOffset
 	return &watchdog{cpu: c, slot: slot}, nil
 }
 
@@ -118,25 +118,26 @@ func (w *watchdog) contain(tr *emu.Trap) string {
 // always-valid registers only ever hold in-slot addresses.
 func (w *watchdog) invariants() string {
 	c := w.cpu
-	if c.X[21] != w.slot {
-		return fmt.Sprintf("x21 clobbered: %#x", c.X[21])
+	if c.X()[21] != w.slot {
+		return fmt.Sprintf("x21 clobbered: %#x", c.X()[21])
 	}
 	for _, r := range []int{18, 23, 24} {
-		if c.X[r]>>32 != w.slot>>32 {
-			return fmt.Sprintf("x%d outside sandbox: %#x", r, c.X[r])
+		if c.X()[r]>>32 != w.slot>>32 {
+			return fmt.Sprintf("x%d outside sandbox: %#x", r, c.X()[r])
 		}
 	}
 	return ""
 }
 
 // diverged compares the complete architectural state of the slow and fast
-// machines and returns a description of the first difference, or "".
+// machines, and their timing statistics, and returns a description of the
+// first difference, or "".
 func diverged(slow, fast *emu.CPU) string {
-	if slow.X != fast.X {
-		return fmt.Sprintf("X registers diverge:\nslow=%#x\nfast=%#x", slow.X, fast.X)
+	if *slow.X() != *fast.X() {
+		return fmt.Sprintf("X registers diverge:\nslow=%#x\nfast=%#x", *slow.X(), *fast.X())
 	}
-	if slow.SP != fast.SP {
-		return fmt.Sprintf("SP diverges: slow=%#x fast=%#x", slow.SP, fast.SP)
+	if slow.SP() != fast.SP() {
+		return fmt.Sprintf("SP diverges: slow=%#x fast=%#x", slow.SP(), fast.SP())
 	}
 	if slow.V != fast.V {
 		return "V registers diverge"
@@ -151,8 +152,13 @@ func diverged(slow, fast *emu.CPU) string {
 	if slow.Instrs != fast.Instrs {
 		return fmt.Sprintf("Instrs diverge: slow=%d fast=%d", slow.Instrs, fast.Instrs)
 	}
-	if sc, fc := slow.Timing.Cycles(), fast.Timing.Cycles(); sc != fc {
+	st, ft := slow.Timing, fast.Timing
+	if sc, fc := st.Cycles(), ft.Cycles(); sc != fc {
 		return fmt.Sprintf("cycles diverge: slow=%v fast=%v", sc, fc)
+	}
+	if st.Mispredicts != ft.Mispredicts || st.TLBMisses != ft.TLBMisses {
+		return fmt.Sprintf("predictor or TLB diverges: mispredicts slow=%d fast=%d, TLB misses slow=%d fast=%d",
+			st.Mispredicts, ft.Mispredicts, st.TLBMisses, ft.TLBMisses)
 	}
 	return ""
 }
@@ -229,12 +235,12 @@ func runLockstep(img *arm64.Image, text []byte, slot, budget uint64) []string {
 		case emu.TrapHostCall:
 			// The runtime would service the call and return to x30; the
 			// verifier guarantees x30 holds an in-sandbox address here.
-			if slow.cpu.X[30]>>32 != slot>>32 {
-				report(fmt.Sprintf("containment: runtime call with x30 outside sandbox: %#x", slow.cpu.X[30]))
+			if slow.cpu.X()[30]>>32 != slot>>32 {
+				report(fmt.Sprintf("containment: runtime call with x30 outside sandbox: %#x", slow.cpu.X()[30]))
 				return violations
 			}
-			slow.cpu.PC = slow.cpu.X[30]
-			fast.cpu.PC = fast.cpu.X[30]
+			slow.cpu.PC = slow.cpu.X()[30]
+			fast.cpu.PC = fast.cpu.X()[30]
 			continue
 		}
 		// Terminal trap (brk, fault, undefined, svc): compare memory.

@@ -2,6 +2,7 @@ package lfirt
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 
 	"lfi/internal/core"
@@ -68,7 +69,7 @@ func (rt *Runtime) syscall(p *Proc, call core.RuntimeCall) action {
 		rt.kill(p, 128+4)
 		return actResched
 	}
-	return callHandlers[call](rt, p, c.X[0], c.X[1], c.X[2])
+	return callHandlers[call](rt, p, c.X()[0], c.X()[1], c.X()[2])
 }
 
 func (rt *Runtime) callExit(p *Proc, a0, _, _ uint64) action {
@@ -151,9 +152,11 @@ func (rt *Runtime) callKill(p *Proc, a0, _, _ uint64) action {
 
 func (rt *Runtime) callUsleep(p *Proc, a0, _, _ uint64) action {
 	// Model the sleep as an immediate requeue plus elapsed virtual
-	// time; there are no timers to wait on in the simulation.
+	// time; there are no timers to wait on in the simulation. A
+	// microsecond is a whole number of cycles, and AddCycles saturates
+	// whatever a0 the guest chose.
 	if rt.Tim != nil {
-		rt.Tim.AddCycles(float64(a0) * rt.Tim.Model.FreqGHz * 1000)
+		rt.Tim.AddCycles(float64(a0) * math.Round(rt.Tim.Model.FreqGHz*1000))
 	}
 	rt.resume(p, 0)
 	rt.saveRegs(p)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lfi/internal/core"
+	"lfi/internal/emu"
 	"lfi/internal/progs"
 )
 
@@ -227,6 +228,37 @@ func TestUsleepRequeues(t *testing.T) {
 	src := "_start:\n\tmov x0, #100\n" + progs.RTCall(core.RTUsleep) + progs.ExitCode(3)
 	if status := loadRun(t, rt, src); status != 3 {
 		t.Errorf("status after usleep = %d", status)
+	}
+}
+
+// TestUsleepSaturatesClock sleeps for the longest time a guest can ask
+// for, twice, then runs a counted loop: the clock must never move back,
+// and the loop's cycles must still count on top of the saturated clock.
+func TestUsleepSaturatesClock(t *testing.T) {
+	cycles := func(body string) float64 {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Model = emu.ModelM1()
+		rt := New(cfg)
+		p, err := rt.Load(build(t, "_start:\n"+body+progs.Exit()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status, err := rt.RunProc(p); err != nil || status != 0 {
+			t.Fatalf("status %d, err %v", status, err)
+		}
+		return rt.Tim.Cycles()
+	}
+	sleep := "\tmov x0, #-1\n" + progs.RTCall(core.RTUsleep)
+	loop := "\tmov x9, #1000\nspin:\n\tsub x9, x9, #1\n\tcbnz x9, spin\n"
+	one := cycles(sleep)
+	two := cycles(sleep + sleep)
+	looped := cycles(sleep + sleep + loop)
+	if one < 1e13 || two < one {
+		t.Fatalf("usleep(2^64-1) once = %v cycles, twice = %v: the clock must saturate high and never move back", one, two)
+	}
+	if looped-two < 900 {
+		t.Fatalf("1000 loop iterations after the sleeps added %v cycles, want at least 900 (a dependent sub per iteration)", looped-two)
 	}
 }
 

@@ -44,8 +44,8 @@ func runPath(t *testing.T, elf []byte, fastpath bool, budget uint64) runResult {
 		instrs: rt.CPU.Instrs,
 		cycles: rt.CPU.Timing.Cycles(),
 		stdout: string(rt.Stdout()),
-		x:      rt.CPU.X,
-		sp:     rt.CPU.SP,
+		x:      *rt.CPU.X(),
+		sp:     rt.CPU.SP(),
 		v:      rt.CPU.V,
 	}
 	if err != nil {
@@ -184,8 +184,8 @@ func TestDiffMidRunMemory(t *testing.T) {
 			pc:      tr.PC,
 			instrs:  rt.CPU.Instrs,
 			cycles:  rt.CPU.Timing.Cycles(),
-			x:       rt.CPU.X,
-			sp:      rt.CPU.SP,
+			x:       *rt.CPU.X(),
+			sp:      rt.CPU.SP(),
 			memHash: string(buf),
 		}
 	}

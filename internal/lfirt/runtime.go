@@ -495,8 +495,8 @@ func (rt *Runtime) LoadExecutable(exe *elfobj.Executable) (_ *Proc, err error) {
 // saveRegs/loadRegs swap a process's state with the CPU.
 func (rt *Runtime) saveRegs(p *Proc) {
 	c := rt.CPU
-	copy(p.Regs.X[:], c.X[:])
-	p.Regs.SP = c.SP
+	p.Regs.X = *c.X()
+	p.Regs.SP = c.SP()
 	p.Regs.PC = c.PC
 	p.Regs.V = c.V
 	p.Regs.N, p.Regs.Z, p.Regs.C, p.Regs.Vf = c.FlagN, c.FlagZ, c.FlagC, c.FlagV
@@ -504,8 +504,8 @@ func (rt *Runtime) saveRegs(p *Proc) {
 
 func (rt *Runtime) loadRegs(p *Proc) {
 	c := rt.CPU
-	copy(c.X[:], p.Regs.X[:])
-	c.SP = p.Regs.SP
+	*c.X() = p.Regs.X
+	c.SetSP(p.Regs.SP)
 	c.PC = p.Regs.PC
 	c.V = p.Regs.V
 	c.FlagN, c.FlagZ, c.FlagC, c.FlagV = p.Regs.N, p.Regs.Z, p.Regs.C, p.Regs.Vf

@@ -409,9 +409,9 @@ func (rt *Runtime) hostCall(p *Proc, pc uint64) action {
 // the result and execution continues at the (re-guarded) return address.
 func (rt *Runtime) resume(p *Proc, ret uint64) action {
 	c := rt.CPU
-	c.X[0] = ret
-	retPC := p.Base | (c.X[30] & 0xffffffff)
-	c.X[30] = retPC // restore the x30 invariant before reentry
+	c.X()[0] = ret
+	retPC := p.Base | (c.X()[30] & 0xffffffff)
+	c.X()[30] = retPC // restore the x30 invariant before reentry
 	c.PC = retPC
 	return actContinue
 }

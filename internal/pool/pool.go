@@ -843,12 +843,12 @@ func (w *worker) replenish(img *Image) {
 			before := w.warmCount
 			w.evictOldest(img.Key)
 			if w.warmCount == before {
-				return // nothing evictable: stay at the cap
+				break // nothing evictable: stay at the cap
 			}
 		}
 		proc, err := w.rt.Restore(img.Snap)
 		if err != nil {
-			return // out of slots: serve future requests by direct restore
+			break // out of slots: serve future requests by direct restore
 		}
 		w.pool.m.restores.Inc()
 		w.stats.restores.Inc()
@@ -857,20 +857,34 @@ func (w *worker) replenish(img *Image) {
 		w.pool.m.parked.Add(1)
 		w.stats.parked.Add(1)
 	}
+	if len(w.warm[img.Key]) == 0 {
+		w.forget(img.Key) // the LRU holds only keys with clones
+	}
 }
 
+// touch moves key to the most recently served end of the LRU.
 func (w *worker) touch(key string) {
-	for i, k := range w.lru {
-		if k == key {
-			w.lru = append(w.lru[:i], w.lru[i+1:]...)
-			break
-		}
-	}
+	w.unlist(key)
 	w.lru = append(w.lru, key)
 }
 
-func (w *worker) evictOldest(keep string) {
+func (w *worker) unlist(key string) {
 	for i, k := range w.lru {
+		if k == key {
+			w.lru = append(w.lru[:i], w.lru[i+1:]...)
+			return
+		}
+	}
+}
+
+// forget drops key, which has no clones left, from the warm set and LRU.
+func (w *worker) forget(key string) {
+	delete(w.warm, key)
+	w.unlist(key)
+}
+
+func (w *worker) evictOldest(keep string) {
+	for _, k := range w.lru {
 		if k == keep || len(w.warm[k]) == 0 {
 			continue
 		}
@@ -885,8 +899,7 @@ func (w *worker) evictOldest(keep string) {
 		w.stats.evictions.Inc()
 		w.pool.obs.Trace().Record(obs.Event{Kind: obs.EvEvict, Worker: w.id, PID: victim.PID})
 		if len(w.warm[k]) == 0 {
-			delete(w.warm, k)
-			w.lru = append(w.lru[:i], w.lru[i+1:]...)
+			w.forget(k)
 		}
 		return
 	}

@@ -154,6 +154,44 @@ func TestWarmPoolShrinksLRU(t *testing.T) {
 	}
 }
 
+// TestLRUDropsKeysWithoutClones refills a worker for images whose
+// snapshots never restore there: with nothing parked for them, their keys
+// must leave the worker's LRU instead of piling up in it.
+func TestLRUDropsKeysWithoutClones(t *testing.T) {
+	p := New(Config{Workers: 1})
+	defer p.Close()
+	good := mustImage(t, p, tenantSrc(1))
+	// A snapshot taken under another page size never restores here.
+	cfg := p.cfg.RuntimeConfig()
+	cfg.PageSize = 4096
+	rt := lfirt.New(cfg)
+	proc, err := rt.Load(good.ELF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := rt.Snapshot(proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := p.workers[0]
+	w.replenish(good)
+	const n = 20
+	for i := 0; i < n; i++ {
+		w.replenish(&Image{Key: fmt.Sprintf("foreign-%d", i), Snap: foreign})
+	}
+	withClones := 0
+	for k, clones := range w.warm {
+		if len(clones) > 0 {
+			withClones++
+		} else {
+			t.Errorf("warm set keeps key %q with no clones", k)
+		}
+	}
+	if len(w.lru) != withClones || withClones != 1 {
+		t.Fatalf("after %d failed refills the LRU holds %d keys, %d of them with clones; want 1 and 1", n, len(w.lru), withClones)
+	}
+}
+
 func TestAdmissionControlRejects(t *testing.T) {
 	p := New(Config{Workers: 1, QueueDepth: 1})
 	defer p.Close()

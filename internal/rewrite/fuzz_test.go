@@ -177,9 +177,9 @@ func TestDifferentialFuzz(t *testing.T) {
 			if tr.Kind != emu.TrapBRK {
 				t.Fatalf("trial %d %+v: trap %v\n%s", trial, opts, tr, src)
 			}
-			if c.X[0] != native.X[0] {
+			if c.X()[0] != native.X()[0] {
 				t.Fatalf("trial %d %+v: checksum %#x != native %#x\n%s",
-					trial, opts, c.X[0], native.X[0], src)
+					trial, opts, c.X()[0], native.X()[0], src)
 			}
 		}
 	}

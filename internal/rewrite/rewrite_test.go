@@ -46,7 +46,7 @@ func runNative(t *testing.T, f *arm64.File) *emu.CPU {
 	}
 	c := emu.New(as)
 	c.PC = img.Entry
-	c.SP = stackTop
+	c.SetSP(stackTop)
 	tr := c.Run(10_000_000)
 	if tr.Kind != emu.TrapBRK {
 		t.Fatalf("native run trapped: %v", tr)
@@ -74,11 +74,11 @@ func runSandboxed(t *testing.T, f *arm64.File) (*emu.CPU, *emu.Trap) {
 	}
 	c := emu.New(as)
 	c.PC = img.Entry
-	c.SP = stackTop
-	c.X[21-0] = slot // x21 = sandbox base
-	c.X[18] = slot + core.MinCodeOffset
-	c.X[23] = slot + core.MinCodeOffset
-	c.X[24] = slot + core.MinCodeOffset
+	c.SetSP(stackTop)
+	c.X()[21-0] = slot // x21 = sandbox base
+	c.X()[18] = slot + core.MinCodeOffset
+	c.X()[23] = slot + core.MinCodeOffset
+	c.X()[24] = slot + core.MinCodeOffset
 	tr := c.Run(10_000_000)
 	return c, tr
 }
@@ -127,8 +127,8 @@ func equivalence(t *testing.T, src string, results ...int) {
 			t.Fatalf("%v: sandboxed run trapped: %v\n%s", opts, tr, nf.String())
 		}
 		for _, i := range results {
-			if c.X[i] != native.X[i] {
-				t.Errorf("%v: x%d = %#x, native %#x\n%s", opts, i, c.X[i], native.X[i], nf.String())
+			if c.X()[i] != native.X()[i] {
+				t.Errorf("%v: x%d = %#x, native %#x\n%s", opts, i, c.X()[i], native.X()[i], nf.String())
 			}
 		}
 	}

@@ -500,12 +500,12 @@ func TestMutationContainment(t *testing.T) {
 		c := emu.New(as)
 		c.SetHostCallRegion(hostBase, 4096)
 		c.PC = img.Entry
-		c.SP = stackTop
-		c.X[21] = slot
-		c.X[18] = slot + core.MinCodeOffset
-		c.X[23] = slot + core.MinCodeOffset
-		c.X[24] = slot + core.MinCodeOffset
-		c.X[30] = slot + core.MinCodeOffset
+		c.SetSP(stackTop)
+		c.X()[21] = slot
+		c.X()[18] = slot + core.MinCodeOffset
+		c.X()[23] = slot + core.MinCodeOffset
+		c.X()[24] = slot + core.MinCodeOffset
+		c.X()[30] = slot + core.MinCodeOffset
 
 		for steps := 0; steps < 3; steps++ { // allow a few host-call resumes
 			tr := c.Run(200_000)
@@ -515,7 +515,7 @@ func TestMutationContainment(t *testing.T) {
 			switch tr.Kind {
 			case emu.TrapHostCall:
 				// Runtime would handle it; emulate a return.
-				c.PC = c.X[30]
+				c.PC = c.X()[30]
 				if c.PC>>32 != slot>>32 {
 					t.Fatalf("trial %d: runtime call with x30 outside sandbox: %#x", trial, c.PC)
 				}
