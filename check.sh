@@ -37,17 +37,19 @@ echo '== IPC suite under race (conformance, stress, pipelines, snapshot regressi
 go test -race -run 'TestIPC|TestRing|TestStream|TestDgram|TestPipeline|TestSnapshotBlocked|TestYield' \
     ./internal/lfirt ./internal/pool
 
-echo '== transition suite under race (vectored calls, handoff, wake coalescing and order, cross-slot blocks)'
-go test -race -run 'TestVSubmit|TestHandoff|TestWake|TestCallTableSync|TestWakeOrderDeterministic|TestWaitReapsLowestPID|TestCrossSlotBlocks' ./internal/lfirt
+echo '== transition suite under race (vectored calls, handoff, wake coalescing and order, cross-slot blocks, guest-memory spans at page and slot edges)'
+go test -race -run 'TestVSubmit|TestHandoff|TestWake|TestCallTableSync|TestWakeOrderDeterministic|TestWaitReapsLowestPID|TestCrossSlotBlocks|TestSpanBoundaries|TestReadFaultKeepsPipeBytes|TestPipeFaultLeaksNoDescriptor' ./internal/lfirt
 
 echo '== transition micro-bench smoke (direct handoff <= 1.5x bare yield; no allocation per runtime call; no page per warm cycle)'
 go test -count=1 -run TestTransitionRatios ./internal/bench
 # Not under -race: the detector allocates on its own account.
 go test -count=1 -run 'TestTransitionAllocs|TestWarmCycleAllocs' ./internal/lfirt
+# The profile loop EXPERIMENTS.md "Host cost of a transition" cites.
+go test -run '^$' -bench BenchmarkTransitions -benchtime 1x ./internal/lfirt
 
-echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor on each kernel; lowered slot <= 64 B and pointer-free; scoreboard exact in ticks)'
+echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor on each kernel; lowered slot <= 64 B and pointer-free; scoreboard and runtime charges exact in ticks)'
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .
-go test -count=1 -run 'TestSlotLayout|TestTimingTicks' ./internal/emu
+go test -count=1 -run 'TestSlotLayout|TestTimingTicks|TestAddTicksExact' ./internal/emu
 
 echo '== toolchain: golden ELF + alloc bound (verifier: none on accept, none per instruction)'
 # Not under -race: the detector allocates on its own account.

@@ -264,20 +264,26 @@ func (t *Timing) Cycles() float64 { return t.toCycles(t.now()) }
 // Nanoseconds converts the elapsed cycles to wall time on the model.
 func (t *Timing) Nanoseconds() float64 { return t.Cycles() / t.Model.FreqGHz }
 
-// AddCycles charges a flat cost (used by the runtime for host-side work).
-// A charge is rounded to the nearest tick, so any multiple of a tick —
-// every whole-cycle cost, including negative refunds — is exact. The
-// clock saturates at maxClock instead of overflowing; a charge never
-// moves a clock already past it backwards.
-func (t *Timing) AddCycles(c float64) {
+// Ticks converts a whole number of cycles to ticks, exactly.
+func (t *Timing) Ticks(cycles int64) int64 { return cycles * t.perCycle }
+
+// AddTicks charges a flat cost of d ticks (the runtime's host-side work;
+// a refund is negative). The clock saturates at maxClock instead of
+// overflowing; a charge never moves a clock already past it backwards.
+func (t *Timing) AddTicks(d int64) {
 	now := t.now()
-	d := c * float64(t.perCycle)
-	if d >= float64(maxClock-now) {
+	if d >= maxClock-now {
 		now = max(now, maxClock)
 	} else {
-		now += int64(math.Round(d))
+		now += d
 	}
 	t.issueAt, t.horizon = now, now
+}
+
+// AddCycles charges c cycles, rounded to the nearest tick, through
+// AddTicks; a charge past the clock's range saturates it.
+func (t *Timing) AddCycles(c float64) {
+	t.AddTicks(int64(math.Round(min(c*float64(t.perCycle), maxClock))))
 }
 
 // Drain waits for all in-flight results (context-switch boundary).

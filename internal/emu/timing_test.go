@@ -233,3 +233,45 @@ func TestAddCyclesExact(t *testing.T) {
 		t.Fatalf("saturated clock = %v cycles, want %v", capped, maxClock/16)
 	}
 }
+
+// TestAddTicksExact checks that the runtime's integer charges move the
+// clock exactly as the float charge they replace: for every runtime cost,
+// the direct yield's refund, and charges that saturate near maxClock,
+// AddTicks(Ticks(c)) and AddCycles(c) leave the issueAt and horizon that
+// rounding c cycles to ticks in float64 (the reference below) leaves.
+func TestAddTicksExact(t *testing.T) {
+	ref := func(t *Timing, c float64) {
+		now := t.now()
+		d := c * float64(t.perCycle)
+		if d >= float64(maxClock-now) {
+			now = max(now, maxClock)
+		} else {
+			now += int64(math.Round(d))
+		}
+		t.issueAt, t.horizon = now, now
+	}
+	costs := []int64{55, 46, 60, 25, 2 * 25, 6, 46 - 55}
+	for _, m := range []*CoreModel{ModelM1(), ModelT2A()} {
+		per := NewTiming(m).perCycle
+		for _, start := range []int64{0, 1, 1000, maxClock - 1000, maxClock - 144, maxClock - 1, maxClock, maxClock + 144, maxClock + 1000} {
+			charges := append([]int64{(maxClock - start) / per, (maxClock-start)/per + 1, maxClock}, costs...)
+			for _, c := range charges {
+				for _, behind := range []int64{0, 3} { // horizon behind issueAt, or level
+					a, b, want := NewTiming(m), NewTiming(m), NewTiming(m)
+					for _, tim := range []*Timing{a, b, want} {
+						tim.issueAt, tim.horizon = start, start-behind
+					}
+					a.AddTicks(a.Ticks(c))
+					b.AddCycles(float64(c))
+					ref(want, float64(c))
+					for _, got := range []*Timing{a, b} {
+						if got.issueAt != want.issueAt || got.horizon != want.horizon {
+							t.Errorf("%s: %d cycles from %d: issueAt/horizon %d/%d, want %d/%d",
+								m.Name, c, start, got.issueAt, got.horizon, want.issueAt, want.horizon)
+						}
+					}
+				}
+			}
+		}
+	}
+}

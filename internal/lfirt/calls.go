@@ -1,6 +1,7 @@
 package lfirt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -17,17 +18,73 @@ import (
 
 const maxIOSize = 1 << 20
 
-// scratch returns the runtime's staging buffer resized to n bytes, grown
-// on demand. Its contents are dead once the call that asked for it
-// returns: every FD.write arm copies and an io.Writer may not retain its
-// argument.
-func (rt *Runtime) scratch(n uint64) []byte {
-	rt.iobuf = slices.Grow(rt.iobuf[:0], int(n))
-	return rt.iobuf[:n]
-}
-
 // maskPtr forces a sandbox-supplied pointer into the sandbox.
 func (p *Proc) maskPtr(ptr uint64) uint64 { return p.Base | (ptr & 0xffffffff) }
+
+// span is a checked window on a sandbox's memory, the one way a runtime
+// call reaches guest memory: every page was resolved, permissions checked,
+// before any byte moved, so copying through it cannot fault. It aliases
+// the pages, so no span is held across an epoch bump (fork, mmap, munmap,
+// brk, restore). Four words, so it lives in registers.
+type span struct {
+	addr uint64 // masked guest address of byte 0
+	head []byte // the span's bytes in byte 0's page
+}
+
+// span masks ptr into p and resolves [ptr, ptr+n), which must stay inside
+// p's slot, for acc on every page. Every page the runtime maps in a slot
+// is readable, so a span resolved for writing may be read too.
+func (rt *Runtime) span(p *Proc, ptr, n uint64, acc mem.Access) (span, bool) {
+	addr := p.maskPtr(ptr)
+	if ptr&0xffffffff+n > core.SandboxSize {
+		return span{}, false
+	}
+	head, f := rt.AS.Span(addr, n, acc)
+	return span{addr, head}, f == nil
+}
+
+// page returns s's bytes from off to the end of off's page; callers bound it.
+func (rt *Runtime) page(s span, off uint64, acc mem.Access) []byte {
+	if off < uint64(len(s.head)) {
+		return s.head[off:]
+	}
+	b, f := rt.AS.PageSlice(s.addr+off, acc)
+	if f != nil {
+		panic("lfirt: a span outlived its pages: " + f.Error())
+	}
+	return b[(s.addr+off)&(rt.cfg.PageSize-1):]
+}
+
+// copyOut copies s's bytes from offset off into dst; copyIn copies src
+// into s at offset off. Either inlines a copy within the first page.
+func (rt *Runtime) copyOut(dst []byte, s span, off uint64) {
+	if off+uint64(len(dst)) <= uint64(len(s.head)) {
+		copy(dst, s.head[off:])
+	} else {
+		rt.copyPages(dst, s, off, mem.AccessRead)
+	}
+}
+
+func (rt *Runtime) copyIn(s span, off uint64, src []byte) {
+	if off+uint64(len(src)) <= uint64(len(s.head)) {
+		copy(s.head[off:], src)
+	} else {
+		rt.copyPages(src, s, off, mem.AccessWrite)
+	}
+}
+
+// copyPages is copyOut (acc AccessRead) or copyIn (AccessWrite) page by page.
+func (rt *Runtime) copyPages(buf []byte, s span, off uint64, acc mem.Access) {
+	for len(buf) > 0 {
+		k := 0
+		if acc == mem.AccessWrite {
+			k = copy(rt.page(s, off, acc), buf)
+		} else {
+			k = copy(buf, rt.page(s, off, acc))
+		}
+		buf, off = buf[k:], off+uint64(k)
+	}
+}
 
 // callHandler is the uniform dispatch signature: the call's first three
 // argument registers, pre-fetched from the CPU. Handlers needing fewer
@@ -200,11 +257,18 @@ func (rt *Runtime) sysWrite(p *Proc, fdn, ptr, n uint64) int64 {
 	if n > maxIOSize {
 		n = maxIOSize
 	}
-	buf := rt.scratch(n)
-	if f := rt.AS.ReadAt(buf, p.maskPtr(ptr)); f != nil {
+	s, ok := rt.span(p, ptr, n, mem.AccessRead)
+	if !ok {
 		return -EFAULT
 	}
-	r := fd.write(buf)
+	// Only the first page can fail, and an empty write still reports it.
+	r := fd.write(s.head)
+	for off := uint64(len(s.head)); r > 0 && off < n; {
+		b := rt.page(s, off, mem.AccessRead)
+		b = b[:min(uint64(len(b)), n-off)]
+		r += fd.write(b)
+		off += uint64(len(b))
+	}
 	if r > 0 {
 		rt.markWake() // a blocked pipe reader may now have data
 	}
@@ -212,34 +276,36 @@ func (rt *Runtime) sysWrite(p *Proc, fdn, ptr, n uint64) int64 {
 }
 
 // doRead performs one read attempt; -EAGAIN means the caller should block.
+// The bytes leave the description only once the guest copy is certain, so
+// an -EFAULT read loses nothing.
 func (rt *Runtime) doRead(p *Proc, fd *FD, ptr, n uint64) int64 {
-	if n > maxIOSize {
-		n = maxIOSize
-	}
-	buf := rt.scratch(n)
-	r := fd.read(buf)
+	b, r := fd.peek(min(n, maxIOSize))
 	if r <= 0 {
 		return r
 	}
-	if f := rt.AS.WriteAt(buf[:r], p.maskPtr(ptr)); f != nil {
+	s, ok := rt.span(p, ptr, uint64(r), mem.AccessWrite)
+	if !ok {
 		return -EFAULT
 	}
+	rt.copyIn(s, 0, b)
+	fd.consume(int(r))
 	return r
 }
 
+// readCString reads a NUL-terminated path of under 4096 bytes a page at a
+// time, so a string that ends before an unmapped page reads cleanly.
 func (rt *Runtime) readCString(p *Proc, ptr uint64) (string, bool) {
-	addr := p.maskPtr(ptr)
 	var out []byte
-	for len(out) < 4096 {
-		b, f := rt.AS.Read(addr, 1)
-		if f != nil {
+	for off := ptr & 0xffffffff; len(out) < 4096 && off < core.SandboxSize; {
+		s, ok := rt.span(p, off, min(rt.cfg.PageSize-off%rt.cfg.PageSize, uint64(4096-len(out))), mem.AccessRead)
+		if !ok {
 			return "", false
 		}
-		if b == 0 {
-			return string(out), true
+		if i := bytes.IndexByte(s.head, 0); i >= 0 {
+			return string(append(out, s.head[:i]...)), true
 		}
-		out = append(out, byte(b))
-		addr++
+		out = append(out, s.head...)
+		off += uint64(len(s.head))
 	}
 	return "", false
 }
@@ -390,9 +456,11 @@ func (rt *Runtime) sysWait(p *Proc, statusPtr uint64) action {
 // reap collects a zombie child, writing its status if requested.
 func (rt *Runtime) reap(p, c *Proc, statusPtr uint64) {
 	if statusPtr != 0 {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(c.Exit))
-		rt.AS.WriteAt(b[:], p.maskPtr(statusPtr))
+		if s, ok := rt.span(p, statusPtr, 4, mem.AccessWrite); ok {
+			var b [4]byte
+			binary.LittleEndian.PutUint32(b[:], uint32(c.Exit))
+			rt.copyIn(s, 0, b[:])
+		}
 	}
 	p.children = slices.DeleteFunc(p.children, func(q *Proc) bool { return q == c })
 	rt.removeProc(c)
@@ -418,7 +486,7 @@ func (rt *Runtime) completeWait(p *Proc) {
 // TestYieldDeadPeer); yielding to pid 0 is a plain scheduler yield.
 func (rt *Runtime) sysYield(p *Proc, target uint64) action {
 	// Charge the cheap path instead of the full host-call cost.
-	rt.charge(rt.CostYield - rt.CostHostCall)
+	rt.charge(rt.ticks.yieldDelta)
 	// An explicit yield hands scheduling decisions back to the runtime;
 	// requeue any parked hand-back target so it stays schedulable (and so
 	// yielding *to* it finds it in a consistent state).
@@ -457,21 +525,24 @@ func (rt *Runtime) sysYield(p *Proc, target uint64) action {
 	return actSwitch
 }
 
+// sysPipe checks the fd pointer before it allocates, so a faulting pipe()
+// leaves no descriptor or pipe behind.
 func (rt *Runtime) sysPipe(p *Proc, ptr uint64) int64 {
+	s, ok := rt.span(p, ptr, 8, mem.AccessWrite)
+	if !ok {
+		return -EFAULT
+	}
 	pp := &pipe{readers: 1, writers: 1}
-	rfd := &FD{kind: fdPipeRead, pipe: pp}
-	wfd := &FD{kind: fdPipeWrite, pipe: pp}
-	r := p.fds.alloc(rfd)
-	w := p.fds.alloc(wfd)
+	r := p.fds.alloc(&FD{kind: fdPipeRead, pipe: pp})
+	w := p.fds.alloc(&FD{kind: fdPipeWrite, pipe: pp})
 	if r < 0 || w < 0 {
+		p.fds.close(r) // r may have taken the table's last slot
 		return -EMFILE
 	}
 	var b [8]byte
 	binary.LittleEndian.PutUint32(b[0:], uint32(r))
 	binary.LittleEndian.PutUint32(b[4:], uint32(w))
-	if f := rt.AS.WriteAt(b[:], p.maskPtr(ptr)); f != nil {
-		return -EFAULT
-	}
+	rt.copyIn(s, 0, b[:])
 	return 0
 }
 

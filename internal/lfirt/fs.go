@@ -2,7 +2,6 @@ package lfirt
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"sort"
 )
@@ -192,33 +191,37 @@ func (fd *FD) write(p []byte) int64 {
 	return -EBADF
 }
 
-// read fills p. It returns bytes read, 0 for EOF, -EAGAIN when a pipe has
-// no data but writers remain (the caller blocks), or -errno.
-func (fd *FD) read(p []byte) int64 {
+// peek returns the bytes a read of at most n would return, without
+// consuming them, and their count: 0 for EOF, -EAGAIN when a pipe has no
+// data but writers remain (the caller blocks), or -errno.
+func (fd *FD) peek(n uint64) ([]byte, int64) {
+	var b []byte
 	switch fd.kind {
 	case fdFile:
 		if fd.flags&0x3 == OWrOnly {
-			return -EBADF
+			return nil, -EBADF
 		}
-		if fd.pos >= int64(len(fd.file.data)) {
-			return 0
-		}
-		n := copy(p, fd.file.data[fd.pos:])
-		fd.pos += int64(n)
-		return int64(n)
+		b = fd.file.data[min(fd.pos, int64(len(fd.file.data))):]
 	case fdPipeRead:
-		if fd.pipe.buf.Len() == 0 {
-			if fd.pipe.writers == 0 {
-				return 0 // EOF
-			}
-			return -EAGAIN
+		if fd.pipe.buf.Len() == 0 && fd.pipe.writers > 0 {
+			return nil, -EAGAIN
 		}
-		n, _ := fd.pipe.buf.Read(p)
-		return int64(n)
+		b = fd.pipe.buf.Bytes()
 	case fdConsole:
-		return 0
+	default:
+		return nil, -EBADF
 	}
-	return -EBADF
+	b = b[:min(uint64(len(b)), n)]
+	return b, int64(len(b))
+}
+
+// consume drops the first k bytes peek returned.
+func (fd *FD) consume(k int) {
+	if fd.kind == fdFile {
+		fd.pos += int64(k)
+	} else {
+		fd.pipe.buf.Next(k)
+	}
 }
 
 // fdTable is a per-process descriptor table: slot n holds descriptor n,
@@ -296,8 +299,6 @@ func (t *fdTable) closeAll() {
 		}
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt for FD.String formatting users
 
 // errRet converts an errno constant to the uint64 register encoding of a
 // negative return value.

@@ -204,10 +204,6 @@ type Runtime struct {
 	stdout bytes.Buffer
 	stderr bytes.Buffer
 
-	// iobuf stages the bytes of one write or read between guest memory
-	// and a descriptor; see scratch.
-	iobuf []byte
-
 	// Statistics.
 	Switches  uint64 // context switches
 	HostCalls uint64
@@ -226,18 +222,21 @@ type Runtime struct {
 	mVerifies    *obs.Counter
 	mSliceInstrs *obs.Histogram
 
-	// Host-side cycle costs charged to the timing model, calibrated so
-	// that the Table 5 microbenchmarks land in the right regime.
-	CostHostCall float64 // trap + dispatch + resume (no mode switch)
-	CostYield    float64 // direct yield (callee-saved swap only)
-	CostSwitch   float64 // scheduler-driven context switch
-	// CostSCXTNUM is the cost of one software-context-number change
-	// (two system register writes around each domain crossing, §7.1).
-	CostSCXTNUM float64
-	// CostVOp is the per-operation cost inside a vectored submission:
-	// a table dispatch plus ring access, with no trap of its own.
-	CostVOp float64
+	// ticks holds the costs below in ticks, converted once by New;
+	// yieldDelta is costYield − costHostCall, converted as one difference.
+	ticks struct{ hostCall, yieldDelta, switch_, scxtnum, vop int64 }
 }
+
+// Host-side cycle costs charged to the timing model, calibrated so that
+// the Table 5 microbenchmarks land in the right regime. Each is a whole
+// number of cycles, so its count of ticks is exact.
+const (
+	costHostCall = 55 // trap + dispatch + resume (no mode switch)
+	costYield    = 46 // direct yield (callee-saved swap only)
+	costSwitch   = 60 // scheduler-driven context switch
+	costSCXTNUM  = 25 // one SCXTNUM_EL0 change: two system-register writes per domain crossing (§7.1)
+	costVOp      = 6  // one op in a vectored submission: a table dispatch plus ring access, no trap
+)
 
 // New creates a runtime with an empty address space.
 func New(cfg Config) *Runtime {
@@ -256,24 +255,22 @@ func New(cfg Config) *Runtime {
 	as := mem.NewAddrSpace(cfg.PageSize)
 	cpu := emu.New(as)
 	rt := &Runtime{
-		cfg:          cfg,
-		AS:           as,
-		CPU:          cpu,
-		hostBase:     core.SlotBase(core.MaxSandboxes - 1),
-		nextPID:      1,
-		slots:        make(map[int]bool),
-		maxSlot:      cfg.MaxSlots,
-		fs:           NewFS(),
-		CostHostCall: 55,
-		CostYield:    46,
-		CostSwitch:   60,
-		CostSCXTNUM:  25,
-		CostVOp:      6,
-		wakeHint:     true,
+		cfg:      cfg,
+		AS:       as,
+		CPU:      cpu,
+		hostBase: core.SlotBase(core.MaxSandboxes - 1),
+		nextPID:  1,
+		slots:    make(map[int]bool),
+		maxSlot:  cfg.MaxSlots,
+		fs:       NewFS(),
+		wakeHint: true,
 	}
 	if cfg.Model != nil {
 		rt.Tim = emu.NewTiming(cfg.Model)
 		cpu.Timing = rt.Tim
+		t := rt.Tim.Ticks
+		rt.ticks.hostCall, rt.ticks.yieldDelta = t(costHostCall), t(costYield-costHostCall)
+		rt.ticks.switch_, rt.ticks.scxtnum, rt.ticks.vop = t(costSwitch), t(costSCXTNUM), t(costVOp)
 	}
 	reg := cfg.Obs.Registry()
 	rt.ipc = newIPCState(reg, cfg.ObsTag)

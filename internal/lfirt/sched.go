@@ -211,7 +211,7 @@ func (rt *Runtime) blockSwitch(p *Proc) action {
 	if t == nil {
 		return actResched
 	}
-	rt.charge(rt.CostYield - rt.CostHostCall)
+	rt.charge(rt.ticks.yieldDelta)
 	rt.ipc.mHandbacks.Inc()
 	rt.switchTarget = t
 	return actSwitch
@@ -285,9 +285,9 @@ func (rt *Runtime) dispatch(p *Proc) {
 	rt.cur = p
 	rt.Switches++
 	rt.mSwitches.Inc()
-	rt.charge(rt.CostSwitch)
+	rt.charge(rt.ticks.switch_)
 	if rt.cfg.SpectreMitigations {
-		rt.charge(rt.CostSCXTNUM)
+		rt.charge(rt.ticks.scxtnum)
 	}
 
 	for {
@@ -328,7 +328,7 @@ func (rt *Runtime) dispatch(p *Proc) {
 			rt.tracer.Record(obs.Event{Kind: obs.EvPreempt, Worker: rt.cfg.ObsTag, PID: p.PID})
 			rt.saveRegs(p)
 			rt.makeReady(p)
-			rt.charge(rt.CostSwitch)
+			rt.charge(rt.ticks.switch_)
 			return
 
 		case emu.TrapBRK:
@@ -372,9 +372,9 @@ func (rt *Runtime) runBudget() uint64 {
 	return b
 }
 
-func (rt *Runtime) charge(cycles float64) {
+func (rt *Runtime) charge(ticks int64) {
 	if rt.Tim != nil {
-		rt.Tim.AddCycles(cycles)
+		rt.Tim.AddTicks(ticks)
 	}
 }
 
@@ -396,11 +396,11 @@ func (rt *Runtime) hostCall(p *Proc, pc uint64) action {
 	}
 	call := core.RuntimeCall(off / hostCallStride)
 	rt.tracer.Record(obs.Event{Kind: obs.EvHostCall, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(call)})
-	rt.charge(rt.CostHostCall)
+	rt.charge(rt.ticks.hostCall)
 	if rt.cfg.SpectreMitigations {
 		// Entering and leaving the runtime each rewrite SCXTNUM_EL0 so
 		// the sandbox cannot poison host branch prediction (§7.1).
-		rt.charge(2 * rt.CostSCXTNUM)
+		rt.charge(2 * rt.ticks.scxtnum)
 	}
 	return rt.syscall(p, call)
 }

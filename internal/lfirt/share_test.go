@@ -235,7 +235,7 @@ func TestForkFailureReleasesChild(t *testing.T) {
 	if status, err := rt.RunProc(p); err != nil || status != ENOMEM {
 		t.Fatalf("fork into an occupied slot: status=%d err=%v, want -ENOMEM", status, err)
 	}
-	if rt.AS.Mapped(next, 1, mem.PermNone) {
+	if _, f := rt.AS.PageSlice(next, mem.AccessRead); f == nil {
 		t.Error("failed fork left the child's call table mapped")
 	}
 	// The parent's slot and the child's are both free again, and usable.

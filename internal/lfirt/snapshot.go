@@ -147,8 +147,10 @@ func (rt *Runtime) Restore(s *Snapshot) (*Proc, error) {
 			p.Regs.X[0] = errRet(EINVAL)
 			break
 		}
-		for i := idx; i < n; i++ {
-			rt.vputStatus(p, ring, i, -EPIPE)
+		if s, ok := rt.vring(p, ring, n); ok {
+			for i := idx; i < n; i++ {
+				rt.vputStatus(s, i, -EPIPE)
+			}
 		}
 		p.Regs.X[0] = idx
 	default:

@@ -3,6 +3,7 @@ package lfirt
 import (
 	"fmt"
 
+	"lfi/internal/mem"
 	"lfi/internal/obs"
 )
 
@@ -113,13 +114,13 @@ func (ipc *ipcState) newRing(capacity int) *chanRing {
 func (r *chanRing) len() int  { return r.n }
 func (r *chanRing) free() int { return len(r.buf) - r.n }
 
-// span returns the k ring bytes that start off bytes past the oldest
+// segments returns the k ring bytes that start off bytes past the oldest
 // queued one, in two segments; the second is empty unless the run wraps.
-// span(0, k) is the front of the queue, span(len(), k) the free space
-// behind it. The caller copies through the segments first and calls
-// commit or consume only if the guest side of the copy succeeded, so a
-// faulting send deposits nothing and a faulting recv loses nothing.
-func (r *chanRing) span(off, k int) (a, b []byte) {
+// segments(0, k) is the front of the queue, segments(len(), k) the free
+// space behind it. The caller resolves the guest side of the copy first
+// and copies, commits or consumes only once it has, so a faulting send
+// deposits nothing and a faulting recv loses nothing.
+func (r *chanRing) segments(off, k int) (a, b []byte) {
 	start := r.head + off
 	if start >= len(r.buf) {
 		start -= len(r.buf)
@@ -431,12 +432,12 @@ func (rt *Runtime) doSend(p *Proc, fd *FD, ptr, n uint64) (int64, sendDst) {
 		if dst.q.bytes+int(n) > dst.q.cap {
 			return -EAGAIN, sendDst{}
 		}
-		msg := make([]byte, n) // owned by the queue until received
-		if n > 0 {
-			if f := rt.AS.ReadAt(msg, p.maskPtr(ptr)); f != nil {
-				return -EFAULT, sendDst{}
-			}
+		src, ok := rt.span(p, ptr, n, mem.AccessRead)
+		if !ok {
+			return -EFAULT, sendDst{}
 		}
+		msg := make([]byte, n) // owned by the queue until received
+		rt.copyOut(msg, src, 0)
 		dst.q.push(msg)
 		rt.markWake()
 		return int64(n), sendDst{dgram: dst}
@@ -461,14 +462,13 @@ func (rt *Runtime) doSend(p *Proc, fd *FD, ptr, n uint64) (int64, sendDst) {
 		if int(n) > ring.free() {
 			return -EAGAIN, sendDst{}
 		}
-		a, b := ring.span(ring.len(), int(n))
-		addr := p.maskPtr(ptr)
-		if f := rt.AS.ReadAt(a, addr); f != nil {
+		src, ok := rt.span(p, ptr, n, mem.AccessRead)
+		if !ok {
 			return -EFAULT, sendDst{}
 		}
-		if f := rt.AS.ReadAt(b, addr+uint64(len(a))); f != nil {
-			return -EFAULT, sendDst{}
-		}
+		a, b := ring.segments(ring.len(), int(n))
+		rt.copyOut(a, src, 0)
+		rt.copyOut(b, src, uint64(len(a)))
 		ring.commit(int(n))
 		rt.markWake()
 		return int64(n), sendDst{conn: c, side: dstSide}
@@ -503,11 +503,11 @@ func (rt *Runtime) doRecv(p *Proc, fd *FD, ptr, n uint64) int64 {
 		if k > len(msg) {
 			k = len(msg)
 		}
-		if k > 0 {
-			if f := rt.AS.WriteAt(msg[:k], p.maskPtr(ptr)); f != nil {
-				return -EFAULT
-			}
+		dst, ok := rt.span(p, ptr, uint64(k), mem.AccessWrite)
+		if !ok {
+			return -EFAULT
 		}
+		rt.copyIn(dst, 0, msg[:k])
 		s.q.pop() // a datagram is consumed whole; excess bytes are truncated
 		rt.ipc.mRecvs.Inc()
 		rt.tracer.Record(obs.Event{Kind: obs.EvRecv, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(k)})
@@ -533,14 +533,13 @@ func (rt *Runtime) doRecv(p *Proc, fd *FD, ptr, n uint64) int64 {
 			return 0
 		}
 		k := min(int(n), ring.len())
-		a, b := ring.span(0, k)
-		addr := p.maskPtr(ptr)
-		if f := rt.AS.WriteAt(a, addr); f != nil {
+		dst, ok := rt.span(p, ptr, uint64(k), mem.AccessWrite)
+		if !ok {
 			return -EFAULT
 		}
-		if f := rt.AS.WriteAt(b, addr+uint64(len(a))); f != nil {
-			return -EFAULT
-		}
+		a, b := ring.segments(0, k)
+		rt.copyIn(dst, 0, a)
+		rt.copyIn(dst, uint64(len(a)), b)
 		ring.consume(k)
 		rt.ipc.mRecvs.Inc()
 		rt.tracer.Record(obs.Event{Kind: obs.EvRecv, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(k)})
@@ -594,7 +593,7 @@ func (rt *Runtime) sysSend(p *Proc, fdn, ptr, n uint64) action {
 	// sender parks in the hand-back slot (ready, unqueued) so that when
 	// the receiver blocks again control returns to it at yield cost —
 	// a send→recv ping-pong then never takes a scheduler pass.
-	rt.charge(rt.CostYield - rt.CostHostCall)
+	rt.charge(rt.ticks.yieldDelta)
 	rt.ipc.mHandoffs.Inc()
 	rt.resume(p, uint64(sent))
 	rt.saveRegs(p)

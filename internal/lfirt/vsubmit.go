@@ -27,94 +27,85 @@ import (
 // -EINVAL, not a batch error. A blocking op with VFlagNonblock set gets
 // a per-op -EAGAIN instead of parking the batch.
 
-// vres is the outcome of stepping a batch.
-type vres int
-
-const (
-	vDone    vres = iota // every op completed; statuses written
-	vBlocked             // op at the returned index would block
-	vFault               // the ring became unreadable/unwritable
-)
-
-// vslot is the decoded input half of one submission slot.
-type vslot struct {
-	op, fd, buf, len, flags uint64
-}
-
-// vreadSlot decodes slot i of the ring at sandbox pointer ring.
-func (rt *Runtime) vreadSlot(p *Proc, ring, i uint64) (vslot, bool) {
-	var b [core.VOffStatus]byte
-	addr := p.maskPtr(ring) + i*core.VSubmitSlotSize
-	if f := rt.AS.ReadAt(b[:], addr); f != nil {
-		return vslot{}, false
+// vputStatus writes slot i's status word into a resolved ring, where it
+// lies unless it crosses a page.
+func (rt *Runtime) vputStatus(ring span, i uint64, status int64) {
+	off := i*core.VSubmitSlotSize + core.VOffStatus
+	if off+8 <= uint64(len(ring.head)) {
+		binary.LittleEndian.PutUint64(ring.head[off:], uint64(status))
+		return
 	}
-	return vslot{
-		op:    binary.LittleEndian.Uint64(b[core.VOffOp:]),
-		fd:    binary.LittleEndian.Uint64(b[core.VOffFD:]),
-		buf:   binary.LittleEndian.Uint64(b[core.VOffBuf:]),
-		len:   binary.LittleEndian.Uint64(b[core.VOffLen:]),
-		flags: binary.LittleEndian.Uint64(b[core.VOffFlags:]),
-	}, true
-}
-
-// vputStatus writes slot i's status word.
-func (rt *Runtime) vputStatus(p *Proc, ring, i uint64, status int64) bool {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(status))
-	addr := p.maskPtr(ring) + i*core.VSubmitSlotSize + core.VOffStatus
-	return rt.AS.WriteAt(b[:], addr) == nil
+	rt.copyIn(ring, off, b[:])
 }
 
-// vstep executes ops idx..n-1 of p's submission ring. It is CPU-state
-// free — arguments come from the decoded slots, results go to the status
-// words — so the same engine serves the trap path, the wakeup scan, and
-// the send-side completion of a parked receiver. Returns the index of
-// the first unfinished op, the fd of a blocking op, and the outcome.
-func (rt *Runtime) vstep(p *Proc, ring, n, idx uint64) (uint64, int, vres) {
+// vring resolves a batch's whole ring, writable and so readable, once
+// per step: a ring overlapping an unmapped guard region or read-only text
+// fails here, before any op runs, and no slot read or status write can
+// fault after.
+func (rt *Runtime) vring(p *Proc, ring, n uint64) (span, bool) {
+	return rt.span(p, ring, n*core.VSubmitSlotSize, mem.AccessWrite)
+}
+
+// vstep executes ops idx..n-1 of p's resolved submission ring. It is
+// CPU-state free — arguments come from the decoded slots, results go to
+// the status words — so the same engine serves the trap path, the wakeup
+// scan, and the send-side completion of a parked receiver. Returns the
+// index of the first unfinished op, the fd of a blocking op, and whether
+// that op blocked.
+func (rt *Runtime) vstep(p *Proc, ring span, n, idx uint64) (uint64, int, bool) {
+	le := binary.LittleEndian
 	for ; idx < n; idx++ {
-		sl, ok := rt.vreadSlot(p, ring, idx)
-		if !ok {
-			return idx, 0, vFault
+		// Decode the slot's input half where it lies (through a copy if
+		// it crosses a page) into locals, before the op can overwrite
+		// it: a five-word struct would go through memory.
+		off := idx * core.VSubmitSlotSize
+		sl := ring.head[min(off, uint64(len(ring.head))):]
+		if len(sl) < int(core.VOffStatus) {
+			var c [core.VOffStatus]byte
+			rt.copyOut(c[:], ring, off)
+			sl = c[:]
 		}
-		rt.charge(rt.CostVOp)
+		op, fdw, buf := le.Uint64(sl[core.VOffOp:]), le.Uint64(sl[core.VOffFD:]), le.Uint64(sl[core.VOffBuf:])
+		size, flags := le.Uint64(sl[core.VOffLen:]), le.Uint64(sl[core.VOffFlags:])
+		rt.charge(rt.ticks.vop)
 		rt.ipc.mVOps.Inc()
 		var status int64
 		blocked := false
-		fdn := int(int32(uint32(sl.fd)))
-		switch sl.op {
+		fdn := int(int32(uint32(fdw)))
+		switch op {
 		case core.VOpNop:
 			status = 0
 		case core.VOpWrite:
-			status = rt.sysWrite(p, sl.fd, sl.buf, sl.len)
+			status = rt.sysWrite(p, fdw, buf, size)
 		case core.VOpRead:
 			if fd := p.fds.get(fdn); fd == nil {
 				status = -EBADF
 			} else {
-				status = rt.doRead(p, fd, sl.buf, sl.len)
+				status = rt.doRead(p, fd, buf, size)
 				blocked = status == -EAGAIN
 			}
 		case core.VOpSend:
 			// Ring-full backpressure is a per-op -EAGAIN, never a park:
 			// the guest retries the send, exactly as the scalar call.
-			status = rt.vsend(p, fdn, sl.buf, sl.len)
+			status = rt.vsend(p, fdn, buf, size)
 		case core.VOpRecv:
 			if fd := p.fds.get(fdn); fd == nil {
 				status = -EBADF
 			} else {
-				status = rt.doRecv(p, fd, sl.buf, sl.len)
+				status = rt.doRecv(p, fd, buf, size)
 				blocked = status == -EAGAIN
 			}
 		default:
 			status = -EINVAL // unknown op: fail the slot, not the batch
 		}
-		if blocked && sl.flags&core.VFlagNonblock == 0 {
-			return idx, fdn, vBlocked
+		if blocked && flags&core.VFlagNonblock == 0 {
+			return idx, fdn, true
 		}
-		if !rt.vputStatus(p, ring, idx, status) {
-			return idx, 0, vFault
-		}
+		rt.vputStatus(ring, idx, status)
 	}
-	return n, 0, vDone
+	return n, 0, false
 }
 
 // vsend is VOpSend: a doSend deposit plus the handoff bookkeeping. A
@@ -160,28 +151,24 @@ func vbatchValid(ring, n, idx uint64) bool {
 }
 
 // resumeVBatchParked re-steps a parked vectored batch (staged state:
-// X[0]=ring, X[1]=n, X[2]=resume index). Returns true when the batch
-// finished and t is ProcReady — left unqueued, like completeWaiter. t's
-// blocked state is cleared while stepping so deposits made by its own
-// send ops can never re-select it as a receive waiter.
+// X[0]=ring, X[1]=n, X[2]=resume index), resolving its ring afresh.
+// Returns true when the batch finished and t is ProcReady — left
+// unqueued, like completeWaiter. t's blocked state is cleared while
+// stepping so deposits made by its own send ops can never re-select it
+// as a receive waiter.
 func (rt *Runtime) resumeVBatchParked(t *Proc) bool {
 	ring, n, idx := t.Regs.X[0], t.Regs.X[1], t.Regs.X[2]
 	t.block = blockNone
 	if !vbatchValid(ring, n, idx) {
 		t.Regs.X[0] = errRet(EINVAL)
-		t.State = ProcReady
-		return true
-	}
-	nidx, fdn, res := rt.vstep(t, ring, n, idx)
-	switch res {
-	case vBlocked:
+	} else if s, ok := rt.vring(t, ring, n); !ok {
+		t.Regs.X[0] = errRet(EFAULT)
+	} else if nidx, fdn, blocked := rt.vstep(t, s, n, idx); blocked {
 		t.block = blockVSubmit
 		t.Regs.X[2] = nidx
 		t.waitingFD = fdn
 		return false
-	case vFault:
-		t.Regs.X[0] = errRet(EFAULT)
-	default:
+	} else {
 		t.Regs.X[0] = n
 	}
 	t.State = ProcReady
@@ -193,26 +180,14 @@ func (rt *Runtime) sysVSubmit(p *Proc, ring, n uint64) action {
 	if n == 0 || n > core.VSubmitMaxOps {
 		return rt.resume(p, errRet(EINVAL))
 	}
-	off := ring & 0xffffffff
-	size := n * core.VSubmitSlotSize
-	if off+size > core.SandboxSize {
-		return rt.resume(p, errRet(EFAULT))
-	}
-	// Validate the whole ring once per batch: every page it touches must
-	// be mapped readable and writable. A ring overlapping an unmapped
-	// guard region or read-only text fails here, before any op runs, and
-	// no later slot read or status write can fault.
-	if !rt.AS.Mapped(p.maskPtr(ring), size, mem.PermRW) {
+	s, ok := rt.vring(p, ring, n)
+	if !ok {
 		return rt.resume(p, errRet(EFAULT))
 	}
 	rt.ipc.mVSubmits.Inc()
-	idx, fdn, res := rt.vstep(p, ring, n, 0)
-	switch res {
-	case vBlocked:
+	if idx, fdn, blocked := rt.vstep(p, s, n, 0); blocked {
 		rt.block(p, blockVSubmit, fdn, ring, n, idx)
 		return rt.blockSwitch(p)
-	case vFault:
-		return rt.resume(p, errRet(EFAULT))
 	}
 	return rt.resume(p, n)
 }

@@ -386,23 +386,6 @@ func (as *AddrSpace) Unmap(addr, size uint64) error {
 	return nil
 }
 
-// Mapped reports whether every page of [addr, addr+size) is mapped with at
-// least the given permissions.
-func (as *AddrSpace) Mapped(addr, size uint64, perm Perm) bool {
-	if size == 0 {
-		return true
-	}
-	first := addr >> as.pageShift
-	last := (addr + size - 1) >> as.pageShift
-	for i := first; i <= last; i++ {
-		pg := as.find(i)
-		if pg == nil || pg.perm&perm != perm {
-			return false
-		}
-	}
-	return true
-}
-
 // buffer returns a page-sized buffer no other page references, holding
 // src's bytes (zeros for a nil src). A recycled buffer is wholly
 // overwritten — every src is a page long, RestoreRange checks — or cleared,
@@ -438,6 +421,23 @@ func (as *AddrSpace) lookup(addr uint64, acc Access) (*page, *Fault) {
 	}
 	cache.idx, cache.pg = idx, pg
 	return pg, nil
+}
+
+// Span resolves every page of [addr, addr+n) for acc, as PageSlice does,
+// and returns the range's bytes in its first page.
+func (as *AddrSpace) Span(addr, n uint64, acc Access) ([]byte, *Fault) {
+	var head []byte
+	mask := as.pageSize - 1
+	for a := addr; a < addr+n; a = (a | mask) + 1 {
+		pg, f := as.lookup(a, acc)
+		if f != nil {
+			return nil, f
+		}
+		if head == nil {
+			head = pg.data[a&mask:][:min(n, mask+1-a&mask)]
+		}
+	}
+	return head, nil
 }
 
 // ReadAt copies len(b) bytes from addr, honoring read permissions.

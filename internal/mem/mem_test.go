@@ -10,6 +10,17 @@ import (
 	"testing/quick"
 )
 
+// mapped reports whether every page of [addr, addr+size) is mapped with at
+// least the given permissions.
+func mapped(as *AddrSpace, addr, size uint64, perm Perm) bool {
+	for i := addr >> as.pageShift; i<<as.pageShift < addr+size; i++ {
+		if pg := as.find(i); pg == nil || pg.perm&perm != perm {
+			return false
+		}
+	}
+	return true
+}
+
 func TestMapUnmapPerms(t *testing.T) {
 	as := NewAddrSpace(0)
 	ps := as.PageSize()
@@ -22,23 +33,23 @@ func TestMapUnmapPerms(t *testing.T) {
 	if err := as.Map(0x100000000, ps, PermRW); err == nil {
 		t.Error("double map must fail")
 	}
-	if !as.Mapped(0x100000000, 4*ps, PermRead) {
+	if !mapped(as, 0x100000000, 4*ps, PermRead) {
 		t.Error("range should be mapped readable")
 	}
-	if as.Mapped(0x100000000, 4*ps, PermExec) {
+	if mapped(as, 0x100000000, 4*ps, PermExec) {
 		t.Error("range should not be executable")
 	}
 	remap(t, as, 0x100000000, ps, PermRX)
-	if !as.Mapped(0x100000000, ps, PermExec) {
+	if !mapped(as, 0x100000000, ps, PermExec) {
 		t.Error("remap to rx failed")
 	}
 	if err := as.Unmap(0x100000000, 2*ps); err != nil {
 		t.Fatal(err)
 	}
-	if as.Mapped(0x100000000, ps, PermRead) {
+	if mapped(as, 0x100000000, ps, PermRead) {
 		t.Error("unmapped page still readable")
 	}
-	if !as.Mapped(0x100000000+2*ps, 2*ps, PermRW) {
+	if !mapped(as, 0x100000000+2*ps, 2*ps, PermRW) {
 		t.Error("later pages must remain")
 	}
 }
@@ -196,10 +207,10 @@ func TestCopyRangeFork(t *testing.T) {
 		t.Fatalf("copied value = %#x (%v)", got, f)
 	}
 	// Hole stays a hole; permissions carry over.
-	if as.Mapped(dst+4096, 4096, PermRead) {
+	if mapped(as, dst+4096, 4096, PermRead) {
 		t.Error("hole was mapped")
 	}
-	if !as.Mapped(dst+8192, 4096, PermExec) {
+	if !mapped(as, dst+8192, 4096, PermExec) {
 		t.Error("rx page lost exec permission")
 	}
 	// Writes to the copy do not affect the original.
@@ -293,10 +304,10 @@ func TestSnapshotRestoreRange(t *testing.T) {
 	if string(buf[:]) != "hello" {
 		t.Errorf("restored data = %q", buf[:])
 	}
-	if !as2.Mapped(nbase+6*4096, 4096, PermExec) {
+	if !mapped(as2, nbase+6*4096, 4096, PermExec) {
 		t.Error("rx page lost its permissions across restore")
 	}
-	if as2.Mapped(nbase+4*4096, 4096, PermRead) {
+	if mapped(as2, nbase+4*4096, 4096, PermRead) {
 		t.Error("unmapped hole was restored as mapped")
 	}
 	// Snapshot immutability: scribbling on the restored copy must not
@@ -367,7 +378,7 @@ func TestMapZero(t *testing.T) {
 	if err := as.MapZero(base, 4096, PermRW); err == nil {
 		t.Error("MapZero over a mapped page succeeded")
 	}
-	if !as.Mapped(base, 4*4096, PermRW) {
+	if !mapped(as, base, 4*4096, PermRW) {
 		t.Error("demand-zero pages do not count as mapped")
 	}
 	if v, f := as.Read(base+4096+8, 8); f != nil || v != 0 {
@@ -447,8 +458,8 @@ func scribble(t *testing.T, as *AddrSpace, base, size uint64, v byte) {
 	fill := bytes.Repeat([]byte{v}, int(as.PageSize()))
 	for n, addr := 0, base; addr < base+size; n, addr = n+1, addr+as.PageSize() {
 		switch {
-		case !as.Mapped(addr, 1, PermNone):
-		case !as.Mapped(addr, 1, PermWrite):
+		case !mapped(as, addr, 1, PermNone):
+		case !mapped(as, addr, 1, PermWrite):
 			if f := as.WriteForce(fill, addr); f != nil {
 				t.Fatal(f)
 			}

@@ -113,12 +113,12 @@ func (s *Server) Mux() *http.ServeMux {
 	return mux
 }
 
+// writeJSON writes body as one line of compact JSON: /v1/* responses are
+// read by programs. /statusz and /metrics stay indented for people.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body)
+	json.NewEncoder(w).Encode(body)
 }
 
 func writeError(w http.ResponseWriter, err error) {

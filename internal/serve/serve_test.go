@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -100,6 +101,38 @@ func TestHTTPSyncJob(t *testing.T) {
 	resp, code = postJob(t, ts, &JobRequest{Source: helloSrc(3)})
 	if code != http.StatusOK || resp.Status != 3 || resp.Stdout != helloOut(3) {
 		t.Errorf("inline source: code=%d resp=%+v", code, resp)
+	}
+}
+
+// TestHTTPCompactJSON: a /v1/* response body is one line of compact JSON
+// that decodes to the response it encodes.
+func TestHTTPCompactJSON(t *testing.T) {
+	s := newTestServer(t, Config{})
+	mustServeImage(t, s, "hello", helloSrc(7))
+	ts := httptest.NewServer(s.Mux())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"image":"hello"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(body, []byte("\n")) != 1 || !bytes.HasSuffix(body, []byte("\n")) {
+		t.Fatalf("body is not one line: %q", body)
+	}
+	var out JobResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.ErrorKind != "ok" || out.Status != 7 || out.Stdout != helloOut(7) {
+		t.Errorf("response = %+v", out)
+	}
+	if again, _ := json.Marshal(&out); !bytes.Equal(again, bytes.TrimSuffix(body, []byte("\n"))) {
+		t.Errorf("body %s does not round-trip: %s", body, again)
 	}
 }
 

@@ -262,13 +262,6 @@ func (r *Runtime) WriteFile(path string, data []byte) { r.rt.FS().WriteFile(path
 // ReadFile fetches a file that sandboxes wrote.
 func (r *Runtime) ReadFile(path string) ([]byte, bool) { return r.rt.FS().ReadFile(path) }
 
-// DenyPathPrefix makes open() fail with EACCES for paths under the prefix
-// (§5.3: "the runtime can disallow all access to certain directories").
-func (r *Runtime) DenyPathPrefix(prefix string) {
-	fs := r.rt.FS()
-	fs.DenyPrefixes = append(fs.DenyPrefixes, prefix)
-}
-
 // Cycles returns the elapsed virtual cycles (0 without a Machine).
 func (r *Runtime) Cycles() float64 {
 	if r.rt.Tim == nil {
@@ -304,10 +297,6 @@ func (r *Runtime) Stats() RuntimeStats { return r.rt.Stats() }
 // Metrics returns a snapshot of the runtime's metrics registry, or an
 // empty snapshot unless RuntimeConfig.Metrics was set.
 func (r *Runtime) Metrics() *MetricsSnapshot { return r.o.Registry().Snapshot() }
-
-// Events returns the runtime's recent trace events (oldest first), or
-// nil unless RuntimeConfig.Metrics was set.
-func (r *Runtime) Events() []TraceEvent { return r.o.Trace().Events() }
 
 // RuntimeCall identifies an entry in the runtime-call table.
 type RuntimeCall = core.RuntimeCall

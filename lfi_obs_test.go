@@ -109,7 +109,7 @@ func TestRuntimeMetricsOption(t *testing.T) {
 	if st.HostCalls != 2 || st.Instrs == 0 {
 		t.Errorf("Stats() = %+v", st)
 	}
-	if len(off.Metrics().Counters) != 0 || off.Events() != nil {
+	if len(off.Metrics().Counters) != 0 || off.o.Trace().Events() != nil {
 		t.Error("metrics recorded without RuntimeConfig.Metrics")
 	}
 
@@ -126,7 +126,7 @@ func TestRuntimeMetricsOption(t *testing.T) {
 	if snap.Counters["rt.host_calls"] != 2 || snap.Counters["rt.verifies"] != 1 {
 		t.Errorf("metrics snapshot = %+v", snap.Counters)
 	}
-	if len(on.Events()) == 0 {
+	if len(on.o.Trace().Events()) == 0 {
 		t.Error("no trace events with RuntimeConfig.Metrics")
 	}
 }

@@ -104,7 +104,8 @@ func TestTimedRuntime(t *testing.T) {
 func TestFilesystemPolicy(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{})
 	rt.WriteFile("/data/ok.txt", []byte("fine"))
-	rt.DenyPathPrefix("/secret")
+	fs := rt.rt.FS()
+	fs.DenyPrefixes = append(fs.DenyPrefixes, "/secret")
 	src := `
 .globl _start
 _start:
