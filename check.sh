@@ -37,8 +37,8 @@ echo '== IPC suite under race (conformance, stress, pipelines, snapshot regressi
 go test -race -run 'TestIPC|TestRing|TestStream|TestDgram|TestPipeline|TestSnapshotBlocked|TestYield' \
     ./internal/lfirt ./internal/pool
 
-echo '== transition suite under race (vectored calls, handoff, wake coalescing and order, cross-slot blocks, guest-memory spans at page and slot edges)'
-go test -race -run 'TestVSubmit|TestHandoff|TestWake|TestCallTableSync|TestWakeOrderDeterministic|TestWaitReapsLowestPID|TestCrossSlotBlocks|TestSpanBoundaries|TestReadFaultKeepsPipeBytes|TestPipeFaultLeaksNoDescriptor' ./internal/lfirt
+echo '== transition suite under race (vectored calls, handoff, wake coalescing and order, cross-slot blocks, guest-memory spans at page and slot edges, faulting calls without side effects)'
+go test -race -run 'TestVSubmit|TestHandoff|TestWake|TestCallTableSync|TestWakeOrderDeterministic|TestWaitReapsLowestPID|TestCrossSlotBlocks|TestSpanBoundaries|TestReadFaultKeepsPipeBytes|TestPipeFaultLeaksNoDescriptor|TestWaitFaultKeepsChild' ./internal/lfirt
 
 echo '== transition micro-bench smoke (direct handoff <= 1.5x bare yield; no allocation per runtime call; no page per warm cycle)'
 go test -count=1 -run TestTransitionRatios ./internal/bench
@@ -114,7 +114,10 @@ kill -TERM "$servepid"
 wait "$servepid" || true
 rm -rf "$bindir"
 
-echo '== emulator hot loops in the ./benchmark binary, address mod 64 (printed, not gated: exec/transitions move ~4% with it)'
+# Not gated, but it moves host speed: with both at 0 instead of 32 mod 64,
+# exec read op_p50_ms 26.6 -> 34.4 (EXPERIMENTS.md, "A runtime call
+# touches guest memory in place", Placement). Compare against the parent.
+echo '== emulator hot loops in the ./benchmark binary, address mod 64 (printed, not gated; see EXPERIMENTS.md "Placement")'
 nmdir=$(mktemp -d)
 go build -o "$nmdir/benchmark" ./benchmark
 go tool nm -n "$nmdir/benchmark" | while read -r addr _ name; do

@@ -434,9 +434,18 @@ func (rt *Runtime) sysFork(p *Proc) action {
 	return rt.resume(p, uint64(child.PID))
 }
 
+// sysWait reaps a zombie child, or blocks until a child exits:
+// RTWait(status). A status pointer the sandbox cannot write fails with
+// -EFAULT before anything is reaped or blocked on, so the child is left
+// for the next wait.
 func (rt *Runtime) sysWait(p *Proc, statusPtr uint64) action {
 	if len(p.children) == 0 {
 		return rt.resume(p, errRet(ECHILD))
+	}
+	if statusPtr != 0 {
+		if _, ok := rt.span(p, statusPtr, 4, mem.AccessWrite); !ok {
+			return rt.resume(p, errRet(EFAULT))
+		}
 	}
 	for _, c := range p.children {
 		if c.State == ProcZombie {
@@ -453,7 +462,8 @@ func (rt *Runtime) sysWait(p *Proc, statusPtr uint64) action {
 	return rt.blockSwitch(p)
 }
 
-// reap collects a zombie child, writing its status if requested.
+// reap collects a zombie child, writing its status if requested;
+// sysWait has checked that statusPtr is writable.
 func (rt *Runtime) reap(p, c *Proc, statusPtr uint64) {
 	if statusPtr != 0 {
 		if s, ok := rt.span(p, statusPtr, 4, mem.AccessWrite); ok {

@@ -57,12 +57,14 @@ type Config struct {
 	// buffers, not in the runtime-wide Stdout/Stderr. Serving pools set
 	// it so long-lived runtimes don't accumulate every request's output.
 	LocalOutput bool
-	// Obs enables observability: scheduler counters, per-slice
-	// instruction histograms, and trace events flow into it. Nil (the
+	// Obs enables observability: the rt.* scheduler and IPC counters and
+	// the per-slice instruction histogram go to its registry. The runtime
+	// records no trace spans; a serving pool records one per job. Nil (the
 	// default) disables recording; the plain Runtime counters still work.
 	Obs *obs.Obs
-	// ObsTag is the worker id stamped on trace events (serving pools set
-	// it so events are attributable to a worker).
+	// ObsTag names this runtime's per-channel gauges,
+	// rt.chan.<tag>.<id>.depth (serving pools set it to the worker id, so
+	// workers sharing one registry do not collide).
 	ObsTag int
 }
 
@@ -214,7 +216,6 @@ type Runtime struct {
 	// Observability handles, created once at New from cfg.Obs. All of
 	// them are nil-safe no-ops when observability is disabled, so the
 	// scheduler records unconditionally.
-	tracer       *obs.Tracer
 	mHostCalls   *obs.Counter
 	mPreempts    *obs.Counter
 	mSwitches    *obs.Counter
@@ -274,7 +275,6 @@ func New(cfg Config) *Runtime {
 	}
 	reg := cfg.Obs.Registry()
 	rt.ipc = newIPCState(reg, cfg.ObsTag)
-	rt.tracer = cfg.Obs.Trace()
 	rt.mHostCalls = reg.Counter("rt.host_calls")
 	rt.mPreempts = reg.Counter("rt.preempts")
 	rt.mSwitches = reg.Counter("rt.switches")
@@ -394,7 +394,6 @@ func (rt *Runtime) LoadExecutable(exe *elfobj.Executable) (_ *Proc, err error) {
 		cfg := rt.cfg.VerifierCfg
 		cfg.TextOff = text.Vaddr
 		rt.mVerifies.Inc()
-		rt.tracer.Record(obs.Event{Kind: obs.EvVerify, Worker: rt.cfg.ObsTag, Arg: uint64(len(text.Data))})
 		if _, err := verifier.Verify(text.Data, cfg); err != nil {
 			return nil, fmt.Errorf("lfirt: %w: %w", ErrVerify, err)
 		}

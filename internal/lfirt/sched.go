@@ -7,7 +7,6 @@ import (
 
 	"lfi/internal/core"
 	"lfi/internal/emu"
-	"lfi/internal/obs"
 )
 
 // The scheduler is round-robin with preemption by instruction budget,
@@ -325,7 +324,6 @@ func (rt *Runtime) dispatch(p *Proc) {
 		case emu.TrapBudget:
 			rt.Preempts++
 			rt.mPreempts.Inc()
-			rt.tracer.Record(obs.Event{Kind: obs.EvPreempt, Worker: rt.cfg.ObsTag, PID: p.PID})
 			rt.saveRegs(p)
 			rt.makeReady(p)
 			rt.charge(rt.ticks.switch_)
@@ -382,7 +380,6 @@ func (rt *Runtime) charge(ticks int64) {
 func (rt *Runtime) trapKill(p *Proc, status int) {
 	rt.Traps++
 	rt.mTraps.Inc()
-	rt.tracer.Record(obs.Event{Kind: obs.EvTrap, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(status)})
 	rt.kill(p, status)
 }
 
@@ -395,7 +392,6 @@ func (rt *Runtime) hostCall(p *Proc, pc uint64) action {
 		return actResched
 	}
 	call := core.RuntimeCall(off / hostCallStride)
-	rt.tracer.Record(obs.Event{Kind: obs.EvHostCall, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(call)})
 	rt.charge(rt.ticks.hostCall)
 	if rt.cfg.SpectreMitigations {
 		// Entering and leaving the runtime each rewrite SCXTNUM_EL0 so

@@ -510,7 +510,6 @@ func (rt *Runtime) doRecv(p *Proc, fd *FD, ptr, n uint64) int64 {
 		rt.copyIn(dst, 0, msg[:k])
 		s.q.pop() // a datagram is consumed whole; excess bytes are truncated
 		rt.ipc.mRecvs.Inc()
-		rt.tracer.Record(obs.Event{Kind: obs.EvRecv, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(k)})
 		return int64(k)
 	default: // SockStream, SockRing
 		if s.conn == nil {
@@ -542,7 +541,6 @@ func (rt *Runtime) doRecv(p *Proc, fd *FD, ptr, n uint64) int64 {
 		rt.copyIn(dst, uint64(len(a)), b)
 		ring.consume(k)
 		rt.ipc.mRecvs.Inc()
-		rt.tracer.Record(obs.Event{Kind: obs.EvRecv, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(k)})
 		return int64(k)
 	}
 }
@@ -580,7 +578,6 @@ func (rt *Runtime) sysSend(p *Proc, fdn, ptr, n uint64) action {
 		return rt.resume(p, uint64(sent))
 	}
 	rt.ipc.mSends.Inc()
-	rt.tracer.Record(obs.Event{Kind: obs.EvSend, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(sent)})
 	if sent == 0 {
 		return rt.resume(p, uint64(sent))
 	}

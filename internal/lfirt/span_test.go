@@ -292,3 +292,40 @@ fds:
 		t.Errorf("pipe() after 200 faulting ones = -%d, want 0 (99: a faulting pipe() did not return -EFAULT)", status)
 	}
 }
+
+// TestWaitFaultKeepsChild: wait() with a status pointer the sandbox
+// cannot write returns -EFAULT and leaves the child for the next wait.
+// Before the check moved ahead of the reap, the faulting wait reaped the
+// child and returned its pid, and the status was lost.
+func TestWaitFaultKeepsChild(t *testing.T) {
+	src := `_start:
+` + progs.RTCall(core.RTFork) + `	cbz x0, child
+	mov x19, x0
+` + la("x0", "_start") + progs.RTCall(core.RTWait) + `	cmn x0, #14
+	b.ne fail
+` + la("x0", "status") + progs.RTCall(core.RTWait) + `	cmp x0, x19
+	b.ne lost
+` + la("x1", "status") + `	ldr w0, [x1]
+` + progs.Exit() + `
+child:
+` + progs.ExitCode(7) + `
+fail:
+	mov x0, #99
+` + progs.Exit() + `
+lost:
+	mov x0, #98
+` + progs.Exit() + `
+.bss
+status:
+	.space 8
+`
+	switch status := loadRun(t, newRT(t), src); status {
+	case 7:
+	case 99:
+		t.Error("wait(&text) did not return -EFAULT")
+	case 98:
+		t.Error("wait(&status) after a faulting wait did not return the child's pid")
+	default:
+		t.Errorf("status = %d, want the child's 7", status)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"lfi/internal/core"
 	"lfi/internal/mem"
-	"lfi/internal/obs"
 )
 
 // Vectored runtime calls (RTVSubmit): the near-zero-cost transition
@@ -125,7 +124,6 @@ func (rt *Runtime) vsend(p *Proc, fdn int, ptr, n uint64) int64 {
 		return sent
 	}
 	rt.ipc.mSends.Inc()
-	rt.tracer.Record(obs.Event{Kind: obs.EvSend, Worker: rt.cfg.ObsTag, PID: p.PID, Arg: uint64(sent)})
 	if sent > 0 {
 		if t := rt.findRecvWaiter(dst); t != nil && rt.completeWaiter(t) {
 			rt.ipc.mHandoffs.Inc()

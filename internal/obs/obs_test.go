@@ -28,9 +28,8 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var tr *Tracer
-	tr.Record(Event{Kind: EvJobStart})
 	tr.RecordSpan(Span{Job: 1})
-	if tr.Events() != nil || tr.Spans() != nil || tr.Dropped() != 0 {
+	if tr.Spans() != nil {
 		t.Fatal("nil tracer must read empty")
 	}
 
@@ -99,7 +98,7 @@ func TestQuantile(t *testing.T) {
 // recording surface.
 func TestConcurrentHammer(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(64, 16)
+	tr := NewTracer(64)
 	const goroutines = 16
 	const iters = 2000
 
@@ -116,11 +115,9 @@ func TestConcurrentHammer(t *testing.T) {
 				g.Add(1)
 				g.Add(-1)
 				h.Observe(uint64(j) * 1000)
-				tr.Record(Event{Kind: EvHostCall, Worker: id, Arg: uint64(j)})
+				tr.RecordSpan(Span{Job: uint64(j), Worker: id})
 				if j%100 == 0 {
-					tr.RecordSpan(Span{Job: uint64(j), Worker: id})
 					_ = r.Snapshot()
-					_ = tr.Events()
 					_ = tr.Spans()
 				}
 			}
@@ -137,31 +134,39 @@ func TestConcurrentHammer(t *testing.T) {
 	if got := r.Gauge("hammer.gauge").Value(); got != 0 {
 		t.Fatalf("gauge = %d, want 0", got)
 	}
-	if len(tr.Events()) != 64 {
-		t.Fatalf("event ring holds %d, want 64", len(tr.Events()))
+	spans := tr.Spans()
+	if len(spans) != 64 {
+		t.Fatalf("span ring holds %d, want 64", len(spans))
 	}
-	wantDropped := uint64(goroutines*iters - 64)
-	if got := tr.Dropped(); got != wantDropped {
-		t.Fatalf("dropped = %d, want %d", got, wantDropped)
+	// Each goroutine records its jobs in order, so oldest-first holds
+	// per goroutine; a torn write would break it or pair a job with a
+	// worker that never recorded it.
+	prev := map[int]uint64{}
+	for _, s := range spans {
+		if s.Job >= iters || s.Worker >= goroutines {
+			t.Fatalf("torn span %+v", s)
+		}
+		if p, ok := prev[s.Worker]; ok && s.Job <= p {
+			t.Fatalf("worker %d: job %d after %d", s.Worker, s.Job, p)
+		}
+		prev[s.Worker] = s.Job
 	}
 }
 
 func TestTracerRingOrder(t *testing.T) {
-	tr := NewTracer(4, 2)
+	tr := NewTracer(4)
 	for i := 0; i < 7; i++ {
-		tr.Record(Event{Kind: EvPreempt, Arg: uint64(i)})
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if want := uint64(3 + i); e.Arg != want {
-			t.Fatalf("event %d arg = %d, want %d (chronological order)", i, e.Arg, want)
+		tr.RecordSpan(Span{Job: uint64(i)})
+		spans := tr.Spans()
+		if want := min(i+1, 4); len(spans) != want {
+			t.Fatalf("after %d spans the ring holds %d, want %d", i+1, len(spans), want)
 		}
-	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", tr.Dropped())
+		// Oldest first, below and at capacity alike.
+		for k, s := range spans {
+			if want := uint64(i + 1 - len(spans) + k); s.Job != want {
+				t.Fatalf("after %d spans, span %d job = %d, want %d", i+1, k, s.Job, want)
+			}
+		}
 	}
 }
 

@@ -1,79 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
-
-// EventKind classifies a traced event.
-type EventKind uint8
-
-const (
-	EvNone EventKind = iota
-	// Pool job lifecycle.
-	EvJobEnqueue // job accepted into the submission queue
-	EvJobDequeue // worker picked the job up
-	EvJobStart   // sandbox acquired (restored/warm/cold) and started
-	EvJobFinish  // result delivered; Arg = retired instructions
-	EvJobCancel  // job canceled by its context
-	// Warm-pool behavior.
-	EvWarmHit  // served from a parked pre-restored sandbox
-	EvWarmMiss // no parked sandbox; restored on the request path
-	EvRestore  // snapshot restore (request path or replenishment)
-	EvColdLoad // full ELF load (Cold jobs)
-	EvEvict    // warm-pool eviction (MaxWarm pressure)
-	// Pipeline and runtime events.
-	EvVerify   // verifier ran over a binary; Arg = text bytes
-	EvPreempt  // timeslice preemption; Arg = PID
-	EvTrap     // fatal sandbox trap; Arg = exit status
-	EvHostCall // runtime call; Arg = call number
-	// Cross-sandbox IPC.
-	EvSend // completed RTSend deposit; Arg = bytes
-	EvRecv // completed RTRecv transfer; Arg = bytes
-)
-
-var eventNames = [...]string{
-	EvNone:       "none",
-	EvJobEnqueue: "job_enqueue",
-	EvJobDequeue: "job_dequeue",
-	EvJobStart:   "job_start",
-	EvJobFinish:  "job_finish",
-	EvJobCancel:  "job_cancel",
-	EvWarmHit:    "warm_hit",
-	EvWarmMiss:   "warm_miss",
-	EvRestore:    "restore",
-	EvColdLoad:   "cold_load",
-	EvEvict:      "evict",
-	EvVerify:     "verify",
-	EvPreempt:    "preempt",
-	EvTrap:       "trap",
-	EvHostCall:   "host_call",
-	EvSend:       "send",
-	EvRecv:       "recv",
-}
-
-func (k EventKind) String() string {
-	if int(k) < len(eventNames) {
-		return eventNames[k]
-	}
-	return "unknown"
-}
-
-// MarshalText renders the kind as its name in JSON exports.
-func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// Event is one traced occurrence. Job, Worker, PID, Arg and DurNS are
-// kind-specific; unused fields are zero.
-type Event struct {
-	Seq    uint64    `json:"seq"`
-	TimeNS int64     `json:"time_ns"` // unix nanoseconds
-	Kind   EventKind `json:"kind"`
-	Job    uint64    `json:"job,omitempty"`
-	Worker int       `json:"worker,omitempty"`
-	PID    int       `json:"pid,omitempty"`
-	Arg    uint64    `json:"arg,omitempty"`
-	DurNS  int64     `json:"dur_ns,omitempty"`
-}
+import "sync"
 
 // Span is the end-to-end accounting of one pool job: where its latency
 // went (queue wait, snapshot restore, sandbox run, warm-pool refill) and
@@ -93,8 +20,9 @@ type Span struct {
 	Canceled    bool   `json:"canceled,omitempty"`
 	Instrs      uint64 `json:"instrs"`
 	Err         string `json:"err,omitempty"`
-	// Stages carries per-stage accounting for pipeline jobs (nil for
-	// single-image jobs).
+	// Stages carries per-stage accounting, one entry per image in job
+	// order (a single-image job has one; none when a stage could not be
+	// acquired).
 	Stages []SpanStage `json:"stages,omitempty"`
 }
 
@@ -106,84 +34,39 @@ type SpanStage struct {
 	WarmHit bool   `json:"warm_hit"`
 }
 
-// Tracer keeps the most recent events and job spans in bounded ring
-// buffers. Recording takes one short mutex hold and never allocates once
-// the rings are full; a nil Tracer discards everything.
+// Tracer keeps the most recent job spans in a bounded ring buffer.
+// Recording takes one short mutex hold and never allocates once the ring
+// is full; a nil Tracer discards everything.
 type Tracer struct {
-	mu     sync.Mutex
-	events []Event
-	evNext uint64 // total events ever recorded (== next seq)
-	spans  []Span
-	spNext uint64
-	evCap  int
-	spCap  int
+	mu    sync.Mutex
+	spans []Span
+	next  uint64 // total spans ever recorded
+	cap   int
 }
 
-// NewTracer creates a tracer keeping up to evCap events and spanCap
-// spans (defaults 1024 and 256 when zero).
-func NewTracer(evCap, spanCap int) *Tracer {
-	if evCap <= 0 {
-		evCap = 1024
-	}
+// NewTracer creates a tracer keeping up to spanCap spans (256 when
+// zero).
+func NewTracer(spanCap int) *Tracer {
 	if spanCap <= 0 {
 		spanCap = 256
 	}
-	return &Tracer{
-		events: make([]Event, 0, evCap),
-		spans:  make([]Span, 0, spanCap),
-		evCap:  evCap,
-		spCap:  spanCap,
-	}
+	return &Tracer{spans: make([]Span, 0, spanCap), cap: spanCap}
 }
 
-// Record appends an event, stamping Seq and (when zero) TimeNS.
-func (t *Tracer) Record(e Event) {
-	if t == nil {
-		return
-	}
-	if e.TimeNS == 0 {
-		e.TimeNS = time.Now().UnixNano()
-	}
-	t.mu.Lock()
-	e.Seq = t.evNext
-	t.evNext++
-	if len(t.events) < t.evCap {
-		t.events = append(t.events, e)
-	} else {
-		t.events[int(e.Seq)%t.evCap] = e
-	}
-	t.mu.Unlock()
-}
-
-// RecordSpan appends a completed job span.
+// RecordSpan appends a completed job span, overwriting the oldest once
+// the ring is full.
 func (t *Tracer) RecordSpan(s Span) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if len(t.spans) < t.spCap {
+	if len(t.spans) < t.cap {
 		t.spans = append(t.spans, s)
 	} else {
-		t.spans[int(t.spNext)%t.spCap] = s
+		t.spans[int(t.next%uint64(t.cap))] = s
 	}
-	t.spNext++
+	t.next++
 	t.mu.Unlock()
-}
-
-// Events returns the retained events in chronological order.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.events))
-	if len(t.events) < t.evCap {
-		return append(out, t.events...)
-	}
-	head := int(t.evNext) % t.evCap
-	out = append(out, t.events[head:]...)
-	return append(out, t.events[:head]...)
 }
 
 // Spans returns the retained spans in completion order.
@@ -194,22 +77,12 @@ func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Span, 0, len(t.spans))
-	if len(t.spans) < t.spCap {
+	if len(t.spans) < t.cap {
 		return append(out, t.spans...)
 	}
-	head := int(t.spNext) % t.spCap
+	head := int(t.next % uint64(t.cap))
 	out = append(out, t.spans[head:]...)
 	return append(out, t.spans[:head]...)
-}
-
-// Dropped reports how many events aged out of the ring.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evNext - uint64(len(t.events))
 }
 
 // Obs bundles a registry and a tracer: the single handle components take
@@ -222,7 +95,7 @@ type Obs struct {
 
 // New creates an Obs with a fresh registry and a default-capacity tracer.
 func New() *Obs {
-	return &Obs{Reg: NewRegistry(), Tracer: NewTracer(0, 0)}
+	return &Obs{Reg: NewRegistry(), Tracer: NewTracer(0)}
 }
 
 // Registry returns the bundle's registry, nil-safe.

@@ -206,8 +206,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("spans = %d, want %d", len(spans), jobs)
 	}
 	for i, s := range spans {
-		if s.RunNS <= 0 || s.TotalNS < s.RunNS {
-			t.Errorf("span %d: run=%d total=%d", i, s.RunNS, s.TotalNS)
+		checkSpanIntervals(t, s)
+		if s.RunNS <= 0 {
+			t.Errorf("span %d: run=%d", i, s.RunNS)
 		}
 		if s.Instrs == 0 {
 			t.Errorf("span %d: no instructions", i)
@@ -215,26 +216,54 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if i == 0 && (s.WarmHit || s.RestoreNS <= 0) {
 			t.Errorf("first span should be a timed restore: %+v", s)
 		}
-		if i > 0 && !s.WarmHit {
-			t.Errorf("span %d should be a warm hit", i)
+		if i > 0 && (!s.WarmHit || s.RestoreNS != 0) {
+			t.Errorf("span %d should be a warm hit with no restore: %+v", i, s)
 		}
-		if s.RefillNS <= 0 || s.TotalNS < s.RunNS+s.RefillNS {
-			t.Errorf("span %d: refill=%d run=%d total=%d", i, s.RefillNS, s.RunNS, s.TotalNS)
+		if s.RefillNS <= 0 {
+			t.Errorf("span %d: refill=%d", i, s.RefillNS)
 		}
 	}
 
-	// Events cover the whole job lifecycle.
-	kinds := map[obs.EventKind]int{}
-	for _, e := range p.Events() {
-		kinds[e.Kind]++
+	// A cold job times its load as the restore and refills nothing.
+	if res, err := p.Do(Job{Image: img, Cold: true}); err != nil || res.Err != nil {
+		t.Fatal(err, res)
 	}
-	for _, k := range []obs.EventKind{
-		obs.EvJobEnqueue, obs.EvJobDequeue, obs.EvJobStart, obs.EvJobFinish,
-		obs.EvWarmHit, obs.EvWarmMiss, obs.EvRestore, obs.EvVerify, obs.EvHostCall,
-	} {
-		if kinds[k] == 0 {
-			t.Errorf("no %v events recorded", k)
+	spans = p.Spans()
+	cold := spans[len(spans)-1]
+	checkSpanIntervals(t, cold)
+	if !cold.Cold || cold.WarmHit || cold.RestoreNS <= 0 || cold.RefillNS != 0 || cold.RunNS <= 0 {
+		t.Errorf("cold span = %+v", cold)
+	}
+
+	// A job canceled mid-run still closes its span.
+	spin := mustImage(t, p, spinSrc)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := p.DoCtx(ctx, Job{Image: spin, Budget: 1 << 60}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("spin job err = %v, want ErrCanceled", err)
+	}
+	spans = p.Spans()
+	canceled := spans[len(spans)-1]
+	checkSpanIntervals(t, canceled)
+	if !canceled.Canceled || canceled.Err == "" || canceled.RunNS <= 0 || canceled.Instrs == 0 {
+		t.Errorf("canceled span = %+v", canceled)
+	}
+}
+
+// checkSpanIntervals asserts that a span's intervals are non-negative
+// and, being disjoint, sum to no more than its total.
+func checkSpanIntervals(t *testing.T, s obs.Span) {
+	t.Helper()
+	parts := []int64{s.QueueWaitNS, s.RestoreNS, s.RunNS, s.RefillNS}
+	var sum int64
+	for _, d := range parts {
+		if d < 0 {
+			t.Errorf("job %d: negative interval in %+v", s.Job, s)
 		}
+		sum += d
+	}
+	if sum > s.TotalNS {
+		t.Errorf("job %d: intervals sum to %d > total %d", s.Job, sum, s.TotalNS)
 	}
 }
 

@@ -400,9 +400,6 @@ func New(cfg Config) *Pool {
 // registry (including worker-runtime and emulator counters).
 func (p *Pool) Metrics() *obs.Snapshot { return p.obs.Registry().Snapshot() }
 
-// Events returns the retained trace events, oldest first.
-func (p *Pool) Events() []obs.Event { return p.obs.Trace().Events() }
-
 // Spans returns the retained per-job spans, oldest first.
 func (p *Pool) Spans() []obs.Span { return p.obs.Trace().Spans() }
 
@@ -468,7 +465,7 @@ func (p *Pool) DoCtx(ctx context.Context, j Job) (*Result, error) {
 	}
 	id := p.jobSeq.Add(1)
 	enq := time.Now()
-	w, err := p.lease(ctx, &j, id)
+	w, err := p.lease(ctx, &j)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +483,7 @@ func (p *Pool) DoCtx(ctx context.Context, j Job) (*Result, error) {
 // until release hands it one. A parked caller whose context fires
 // leaves the queue and never runs; if a worker reached it at that very
 // moment, it passes the worker on.
-func (p *Pool) lease(ctx context.Context, j *Job, id uint64) (*worker, error) {
+func (p *Pool) lease(ctx context.Context, j *Job) (*worker, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -499,7 +496,7 @@ func (p *Pool) lease(ctx context.Context, j *Job, id uint64) (*worker, error) {
 		p.free = p.free[1:]
 		p.leases.Add(1)
 		p.mu.Unlock()
-		p.admit(id)
+		p.m.submitted.Inc()
 		return w, nil
 	}
 	wt := &waiter{tenant: j.Tenant, ready: make(chan *worker, 1)}
@@ -510,12 +507,12 @@ func (p *Pool) lease(ctx context.Context, j *Job, id uint64) (*worker, error) {
 	}
 	p.m.queueDepth.Add(1)
 	p.mu.Unlock()
-	p.admit(id)
+	p.m.submitted.Inc()
 
 	select {
 	case w := <-wt.ready:
 		if w == nil {
-			p.settle(id)
+			p.settle()
 			return nil, fmt.Errorf("%w: job dropped at shutdown", ErrClosed)
 		}
 		if ctx.Err() == nil {
@@ -536,23 +533,13 @@ func (p *Pool) lease(ctx context.Context, j *Job, id uint64) (*worker, error) {
 		}
 	}
 	p.m.canceled.Inc()
-	p.obs.Trace().Record(obs.Event{Kind: obs.EvJobCancel, Job: id})
-	p.settle(id)
+	p.settle()
 	return nil, fmt.Errorf("%w while queued (%w)", ErrCanceled, ctx.Err())
-}
-
-// admit counts a job that leased a worker or parked for one.
-func (p *Pool) admit(id uint64) {
-	p.m.submitted.Inc()
-	p.obs.Trace().Record(obs.Event{Kind: obs.EvJobEnqueue, Job: id})
 }
 
 // settle resolves an admitted job that never ran, so submitted and
 // completed still balance.
-func (p *Pool) settle(id uint64) {
-	p.m.completed.Inc()
-	p.obs.Trace().Record(obs.Event{Kind: obs.EvJobFinish, Job: id})
-}
+func (p *Pool) settle() { p.m.completed.Inc() }
 
 // release hands w to the waiter the queue picks — the one wake-up a
 // parked job costs — or returns it to the free list when nobody waits.
@@ -647,34 +634,38 @@ func imageTag(img *Image) string {
 }
 
 // serve runs one job on the leased worker; enq is when its caller
-// entered DoCtx.
+// entered DoCtx. The span's intervals share clock readings: one that
+// ends an interval starts the next when no work lies between them, and
+// the last one ends the total. A warm single-image job reads the clock
+// six times in all, counting enq.
 func (w *worker) serve(ctx context.Context, j *Job, id uint64, enq time.Time) *Result {
 	p := w.pool
-	tr := p.obs.Trace()
-	queueWait := time.Since(enq)
-	p.m.queueWait.Observe(uint64(queueWait.Nanoseconds()))
-	tr.Record(obs.Event{Kind: obs.EvJobDequeue, Job: id, Worker: w.id, DurNS: queueWait.Nanoseconds()})
+	now := time.Now() // the latest reading: here, the dequeue
+	res := &Result{Worker: w.id, QueueWait: now.Sub(enq)}
+	p.m.queueWait.Observe(uint64(res.QueueWait))
 
 	stages := j.stages()
-	res := &Result{Worker: w.id, QueueWait: queueWait}
 	span := obs.Span{
-		Job:         id,
-		Image:       imageTag(stages[len(stages)-1]), // the stage whose output is the result
-		Worker:      w.id,
-		EnqueueNS:   enq.UnixNano(),
-		QueueWaitNS: queueWait.Nanoseconds(),
-		Cold:        j.Cold,
+		Job:       id,
+		Image:     imageTag(stages[len(stages)-1]), // the stage whose output is the result
+		EnqueueNS: enq.UnixNano(),
+		Cold:      j.Cold,
 	}
-	finish := func() *Result {
-		span.TotalNS = time.Since(enq).Nanoseconds()
+	// finish copies what the span shares with the result, once.
+	finish := func(end time.Time) *Result {
+		span.Worker = res.Worker
+		span.QueueWaitNS = res.QueueWait.Nanoseconds()
+		span.TotalNS = end.Sub(enq).Nanoseconds()
+		span.WarmHit = res.WarmHit
 		span.Instrs = res.Instrs
 		if res.Err != nil {
 			span.Err = res.Err.Error()
 		}
+		for _, sr := range res.Stages {
+			span.Stages = append(span.Stages, obs.SpanStage{Image: sr.Image, PID: sr.PID, Status: sr.Status, WarmHit: sr.WarmHit})
+		}
 		p.m.total.Observe(uint64(span.TotalNS))
-		tr.RecordSpan(span)
-		tr.Record(obs.Event{Kind: obs.EvJobFinish, Job: id, Worker: w.id, Arg: res.Instrs,
-			DurNS: span.TotalNS})
+		p.obs.Trace().RecordSpan(span)
 		p.m.completed.Inc()
 		w.stats.jobs.Inc()
 		return res
@@ -692,24 +683,24 @@ func (w *worker) serve(ctx context.Context, j *Job, id uint64, enq time.Time) *R
 		p.m.plStages.Add(uint64(len(stages)))
 	}
 	procs := make([]*lfirt.Proc, 0, len(stages))
-	allWarm := !j.Cold
+	res.WarmHit = true
 	for _, img := range stages {
-		proc, warm, err := w.acquire(id, &span, img, j.Cold)
+		proc, warm, err := w.acquire(&span, img, j.Cold, &now)
 		if err != nil {
 			for _, pr := range procs {
 				w.rt.KillProcess(pr, 128+9)
 			}
 			p.m.failures.Inc()
 			w.stats.failures.Inc()
+			res.WarmHit = false
+			res.Stages = nil // none of them ran
 			res.Err = err
-			return finish()
+			return finish(time.Now())
 		}
-		allWarm = allWarm && warm
+		res.WarmHit = res.WarmHit && warm
 		procs = append(procs, proc)
-		span.Stages = append(span.Stages, obs.SpanStage{Image: imageTag(img), PID: proc.PID, WarmHit: warm})
+		res.Stages = append(res.Stages, StageResult{Image: imageTag(img), PID: proc.PID, WarmHit: warm})
 	}
-	res.WarmHit = allWarm
-	span.WarmHit = allWarm
 
 	// Wire the request through the stages: Input feeds stage 0's stdin,
 	// stage N's stdout becomes stage N+1's stdin, and only the final
@@ -722,7 +713,6 @@ func (w *worker) serve(ctx context.Context, j *Job, id uint64, enq time.Time) *R
 	}
 	for _, pr := range procs {
 		w.rt.Start(pr)
-		tr.Record(obs.Event{Kind: obs.EvJobStart, Job: id, Worker: w.id, PID: pr.PID})
 	}
 	last := procs[len(procs)-1]
 	runStart := time.Now()
@@ -742,7 +732,6 @@ func (w *worker) serve(ctx context.Context, j *Job, id uint64, enq time.Time) *R
 		span.Canceled = true
 		p.m.canceled.Inc()
 		w.stats.canceled.Inc()
-		tr.Record(obs.Event{Kind: obs.EvJobCancel, Job: id, Worker: w.id, PID: last.PID})
 	case errors.As(err, &de):
 		p.m.deadlines.Inc()
 		w.stats.deadlines.Inc()
@@ -760,75 +749,67 @@ func (w *worker) serve(ctx context.Context, j *Job, id uint64, enq time.Time) *R
 		}
 	}
 	for k, pr := range procs {
-		span.Stages[k].Status = pr.ExitStatus()
-		res.Stages = append(res.Stages, StageResult{
-			Image:   span.Stages[k].Image,
-			PID:     pr.PID,
-			Status:  pr.ExitStatus(),
-			WarmHit: span.Stages[k].WarmHit,
-			Stderr:  append([]byte(nil), pr.Stderr()...),
-		})
+		res.Stages[k].Status = pr.ExitStatus()
+		res.Stages[k].Stderr = append([]byte(nil), pr.Stderr()...)
 	}
 	// The proc's buffers survive the proc's death; copy them out so the
 	// result owns its bytes.
 	res.Stdout = append([]byte(nil), last.Stdout()...)
 	res.Stderr = append([]byte(nil), last.Stderr()...)
 
-	if !j.Cold {
-		// The refill runs before DoCtx returns, so the request pays
-		// for it: it is timed like the restore of a warm miss.
-		refill := time.Now()
-		seen := make(map[string]bool, len(stages))
-		for _, img := range stages {
-			if !seen[img.Key] {
-				seen[img.Key] = true
-				w.replenish(img)
-			}
-		}
-		span.RefillNS = time.Since(refill).Nanoseconds()
-		p.m.refill.Observe(uint64(span.RefillNS))
+	if j.Cold {
+		return finish(time.Now())
 	}
-	return finish()
+	// The refill runs before DoCtx returns, so the request pays for it:
+	// it is timed like the restore of a warm miss.
+	refill := time.Now()
+	seen := make(map[string]bool, len(stages))
+	for _, img := range stages {
+		if !seen[img.Key] {
+			seen[img.Key] = true
+			w.replenish(img)
+		}
+	}
+	now = time.Now()
+	span.RefillNS = now.Sub(refill).Nanoseconds()
+	p.m.refill.Observe(uint64(span.RefillNS))
+	return finish(now)
 }
 
 // acquire materializes one stage's sandbox: a full ELF load for cold
 // jobs, a parked warm clone when one is available, or an inline snapshot
-// restore otherwise. The bool reports a warm hit.
-func (w *worker) acquire(id uint64, span *obs.Span, img *Image, cold bool) (*lfirt.Proc, bool, error) {
+// restore otherwise. The bool reports a warm hit. A warm hit reads no
+// clock; a load or restore is timed from *now, the caller's latest
+// reading, and moves it to the load's end.
+func (w *worker) acquire(span *obs.Span, img *Image, cold bool, now *time.Time) (*lfirt.Proc, bool, error) {
 	p := w.pool
-	tr := p.obs.Trace()
-	start := time.Now()
+	var proc *lfirt.Proc
+	var err error
 	if cold {
 		// Baseline path: parse, verify, and load the ELF from scratch.
-		proc, err := w.rt.Load(img.ELF)
-		d := time.Since(start).Nanoseconds()
-		span.RestoreNS += d
-		p.m.restore.Observe(uint64(d))
+		proc, err = w.rt.Load(img.ELF)
 		p.m.coldLoads.Inc()
 		w.stats.coldLoads.Inc()
-		tr.Record(obs.Event{Kind: obs.EvColdLoad, Job: id, Worker: w.id, DurNS: d})
-		return proc, false, err
-	}
-	if clones := w.warm[img.Key]; len(clones) > 0 {
-		proc := clones[len(clones)-1]
+	} else if clones := w.warm[img.Key]; len(clones) > 0 {
+		proc = clones[len(clones)-1]
 		w.warm[img.Key] = clones[:len(clones)-1]
 		w.warmCount--
 		p.m.parked.Add(-1)
 		w.stats.parked.Add(-1)
 		p.m.warmHits.Inc()
 		w.stats.warmHits.Inc()
-		tr.Record(obs.Event{Kind: obs.EvWarmHit, Job: id, Worker: w.id})
 		return proc, true, nil
+	} else {
+		p.m.warmMisses.Inc()
+		proc, err = w.rt.Restore(img.Snap)
+		p.m.restores.Inc()
+		w.stats.restores.Inc()
 	}
-	p.m.warmMisses.Inc()
-	tr.Record(obs.Event{Kind: obs.EvWarmMiss, Job: id, Worker: w.id})
-	proc, err := w.rt.Restore(img.Snap)
-	d := time.Since(start).Nanoseconds()
+	end := time.Now()
+	d := end.Sub(*now).Nanoseconds()
+	*now = end
 	span.RestoreNS += d
 	p.m.restore.Observe(uint64(d))
-	p.m.restores.Inc()
-	w.stats.restores.Inc()
-	tr.Record(obs.Event{Kind: obs.EvRestore, Job: id, Worker: w.id, DurNS: d})
 	return proc, false, err
 }
 
@@ -897,7 +878,6 @@ func (w *worker) evictOldest(keep string) {
 		w.stats.parked.Add(-1)
 		w.pool.m.evictions.Inc()
 		w.stats.evictions.Inc()
-		w.pool.obs.Trace().Record(obs.Event{Kind: obs.EvEvict, Worker: w.id, PID: victim.PID})
 		if len(w.warm[k]) == 0 {
 			w.forget(k)
 		}

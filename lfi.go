@@ -33,12 +33,12 @@
 //
 // # Observability
 //
-// Pools always carry a metrics registry and an event tracer;
+// Pools always carry a metrics registry and a ring of per-job spans;
 // Pool.Metrics returns a point-in-time snapshot and Pool.Spans the
 // recent per-job latency decompositions (queue wait, snapshot restore,
-// run). A standalone Runtime records the same runtime-level counters
-// when RuntimeConfig.Metrics is set; instrumentation is disabled (and
-// near-free) otherwise.
+// run, warm-pool refill). A standalone Runtime records the same
+// runtime-level counters when RuntimeConfig.Metrics is set;
+// instrumentation is disabled (and near-free) otherwise.
 package lfi
 
 import (
@@ -204,8 +204,9 @@ type RuntimeConfig struct {
 	// SpectreMitigations charges the §7.1 SCXTNUM_EL0 software-context
 	// switch cost on every isolation-domain change.
 	SpectreMitigations bool
-	// Metrics enables the observability registry and event tracer on
-	// this runtime (Runtime.Metrics, Runtime.Events). Off by default:
+	// Metrics enables the observability registry on this runtime: the
+	// rt.* scheduler and IPC counters and the per-slice instruction
+	// histogram, read with Runtime.Metrics. Off by default:
 	// instrumentation then costs one nil check per recording site.
 	Metrics bool
 }
@@ -232,7 +233,7 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 	ic.SpectreMitigations = cfg.SpectreMitigations
 	var o *obs.Obs
 	if cfg.Metrics {
-		o = obs.New()
+		o = &obs.Obs{Reg: obs.NewRegistry()} // a runtime records no spans
 		ic.Obs = o
 	}
 	return &Runtime{rt: lfirt.New(ic), o: o}
@@ -396,10 +397,6 @@ type WorkerStats = pool.WorkerStats
 // to JSON (the /metrics wire format of lfi-serve).
 type MetricsSnapshot = obs.Snapshot
 
-// TraceEvent is one entry in the bounded trace ring: a typed,
-// timestamped record of a job-lifecycle or runtime event.
-type TraceEvent = obs.Event
-
 // TraceSpan is one job's latency decomposition: queue wait, snapshot
 // restore, run, and total, plus warm/cold provenance.
 type TraceSpan = obs.Span
@@ -485,9 +482,6 @@ func (p *Pool) Stats() PoolStats { return p.p.Stats() }
 // warm-pool, and image-cache counters, queue/parked gauges, latency
 // histograms, and the worker runtimes' counters.
 func (p *Pool) Metrics() *MetricsSnapshot { return p.p.Metrics() }
-
-// Events returns the pool's recent trace events, oldest first.
-func (p *Pool) Events() []TraceEvent { return p.p.Events() }
 
 // Spans returns the most recent completed job spans, oldest first.
 func (p *Pool) Spans() []TraceSpan { return p.p.Spans() }
