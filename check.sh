@@ -46,6 +46,9 @@ go test -count=1 -run TestTransitionRatios ./internal/bench
 go test -count=1 -run 'TestTransitionAllocs|TestWarmCycleAllocs' ./internal/lfirt
 # The profile loop EXPERIMENTS.md "Host cost of a transition" cites.
 go test -run '^$' -bench BenchmarkTransitions -benchtime 1x ./internal/lfirt
+# The warm-cycle loop the emulator's flush-cost figures come from
+# (EXPERIMENTS.md "Chain links on lowered slots").
+go test -run '^$' -bench BenchmarkWarmCycle -benchtime 1x ./internal/lfirt
 
 echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor on each kernel; lowered slot <= 64 B and pointer-free; scoreboard and runtime charges exact in ticks)'
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .

@@ -94,18 +94,22 @@ type CPU struct {
 	hostCallLen  uint64
 
 	// Lowered-instruction cache for Step, keyed by page index. Pages are
-	// lowered lazily. Coherence is by AddrSpace epoch: any Map/Unmap/
-	// Protect/restore bumps the epoch and the next Step/Run flushes stale
-	// slots, so remapping text pages needs no manual flush call.
+	// lowered lazily. Coherence is by AddrSpace epoch: any mapping
+	// mutation, restore or forced write bumps the epoch and the next
+	// Step/Run flushes stale slots, so remapping text pages needs no
+	// manual flush call.
 	icache    map[uint64][]instSlot
 	pageShift uint
 	pageSize  uint64
 
 	// Predecoded basic-block cache (fast path) and direct-mapped page
-	// translation caches, all epoch-guarded like icache. See block.go.
+	// translation caches. Each entry records the gen it was filled under
+	// and is valid only while that is current; gen starts at 1, so a
+	// zeroed entry is invalid, and flushDecoded bumps it. See block.go.
 	bcache   [bcacheSize]bcEntry
 	tcRead   [tcacheSize]tcEntry
 	tcWrite  [tcacheSize]tcEntry
+	gen      uint64
 	memEpoch uint64
 	fastpath bool
 
@@ -150,8 +154,6 @@ type Stats struct {
 	FastRuns      uint64 `json:"fast_runs"`       // Run calls served by the block loop
 	SlowRuns      uint64 `json:"slow_runs"`       // Run calls served by the per-step loop
 	Flushes       uint64 `json:"flushes"`         // epoch-driven decode/translation flushes
-	ChainHits     uint64 `json:"chain_hits"`      // block transfers served by chain links
-	ChainMisses   uint64 `json:"chain_misses"`    // chain exits resolved by the outer dispatch
 }
 
 // Add accumulates other into s (for aggregating across CPUs).
@@ -165,8 +167,6 @@ func (s *Stats) Add(other Stats) {
 	s.FastRuns += other.FastRuns
 	s.SlowRuns += other.SlowRuns
 	s.Flushes += other.Flushes
-	s.ChainHits += other.ChainHits
-	s.ChainMisses += other.ChainMisses
 }
 
 // New creates a CPU over the address space.
@@ -181,6 +181,7 @@ func New(m *mem.AddrSpace) *CPU {
 		icache:    make(map[uint64][]instSlot),
 		pageShift: shift,
 		pageSize:  ps,
+		gen:       1,
 		memEpoch:  m.Epoch(),
 		fastpath:  true,
 	}
@@ -202,18 +203,16 @@ func (c *CPU) SetHostCallRegion(base, size uint64) {
 	c.flushDecoded(c.Mem.Epoch())
 }
 
-// flushDecoded drops every decode- and translation-cache entry — including
-// chain links, which hold pointers into the block cache — and marks the
-// caches current as of epoch.
+// flushDecoded invalidates every decode- and translation-cache entry and
+// marks the caches current as of epoch. It runs when the AddrSpace epoch
+// moves and on every SetFastpath or SetHostCallRegion. Bumping gen writes
+// no block or translation entry; the per-step icache, empty while only the
+// fast path runs, is cleared.
 func (c *CPU) flushDecoded(epoch uint64) {
 	c.Stat.Flushes++
 	c.memEpoch = epoch
+	c.gen++
 	clear(c.icache)
-	for i := range c.bcache {
-		c.bcache[i].reset(0)
-	}
-	c.tcRead = [tcacheSize]tcEntry{}
-	c.tcWrite = [tcacheSize]tcEntry{}
 }
 
 // X returns the general-purpose registers x0..x30.

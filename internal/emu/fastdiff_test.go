@@ -302,7 +302,9 @@ _start:
 }
 
 // TestDiffHostCallWindow checks that both paths stop at the host-call
-// window at the same instruction, and resume identically afterwards.
+// window at the same instruction, and resume identically afterwards. It
+// then moves the window into a warm block: blocks decoded under the old
+// window must not run past the new one.
 func TestDiffHostCallWindow(t *testing.T) {
 	src := `
 _start:
@@ -320,6 +322,7 @@ loop:
 	slow := loadProgram(t, src)
 	slow.SetFastpath(false)
 	fast := loadProgram(t, src)
+	entry := fast.PC
 	const hcBase, hcLen = 0x300000, 0x10000
 	slow.SetHostCallRegion(hcBase, hcLen)
 	fast.SetHostCallRegion(hcBase, hcLen)
@@ -345,6 +348,19 @@ loop:
 			t.Fatalf("expected at least 50 host-call stops, got %d iterations", hops)
 		}
 		break
+	}
+
+	// The window now covers the movz inside the entry block, which both
+	// machines have run; no memory epoch moves.
+	win := entry + 12
+	slow.SetHostCallRegion(win, 4)
+	fast.SetHostCallRegion(win, 4)
+	slow.PC, fast.PC = entry, entry
+	str, ftr := slow.Run(0), fast.Run(0)
+	compareTraps(t, str, ftr, "moved window")
+	compareCPUs(t, slow, fast, "moved window")
+	if ftr.Kind != TrapHostCall || ftr.PC != win {
+		t.Fatalf("moved window: trap = %v, want host call at %#x", ftr, win)
 	}
 }
 
@@ -374,7 +390,7 @@ func TestDiffEpochInvalidation(t *testing.T) {
 		}
 
 		// Remap the same page with different code; the AddrSpace epoch
-		// bump must invalidate every decode cache without FlushICache.
+		// bump alone must invalidate every decode cache.
 		if err := as.Unmap(textBase, 16384); err != nil {
 			t.Fatal(err)
 		}
@@ -413,8 +429,8 @@ func assembleText(t *testing.T, src string) []byte {
 	return img.Text
 }
 
-// TestDiffChainEpochInvalidation checks that chain links — not just raw
-// block decodes — are dropped when the address-space epoch
+// TestDiffChainEpochInvalidation checks that warm blocks — entered many
+// times, not just decoded once — are dropped when the address-space epoch
 // bumps, in both mutation scenarios: remapping the text page, and
 // rewriting text in place with WriteForce (which cannot change mappings
 // but must still bump the epoch).
@@ -448,9 +464,9 @@ loop:
 		if c.X()[0] != 200 {
 			t.Fatalf("%s: x0 = %d, want 200", scenario, c.X()[0])
 		}
-		// The run must actually have followed the links being tested.
-		if c.Stat.ChainHits == 0 {
-			t.Fatalf("%s: no chain hits recorded; chaining not exercised", scenario)
+		// The run must actually have re-entered the blocks being tested.
+		if c.Stat.BlockHits == 0 {
+			t.Fatalf("%s: no block hits recorded; warm blocks not exercised", scenario)
 		}
 
 		text2 := assembleText(t, loop2)
@@ -467,7 +483,7 @@ loop:
 			}
 		case "rewrite-in-place":
 			// No mapping mutation at all: WriteForce alone must invalidate
-			// the warm chains.
+			// the warm blocks.
 			if f := c.Mem.WriteForce(text2, textBase); f != nil {
 				t.Fatal(f)
 			}
@@ -477,17 +493,16 @@ loop:
 			t.Fatalf("%s: second run trap = %v, want brk", scenario, tr)
 		}
 		if c.X()[0] != 600 {
-			t.Fatalf("%s: stale chained code survived: x0 = %d, want 600", scenario, c.X()[0])
+			t.Fatalf("%s: stale warm block survived: x0 = %d, want 600", scenario, c.X()[0])
 		}
 	}
 }
 
 // TestDiffSnapshotMidChainedLoop stops a machine whose hot loop runs over
-// a warm chain link at a budget trap that lands mid-block, snapshots
-// memory and architectural state, rebuilds a machine from the snapshot
-// (cold caches, no links), and runs both forward in lockstep: the restored
-// machine must resume at the exact PC and stay bit-identical to the
-// original.
+// a warm block at a budget trap that lands mid-block, snapshots memory and
+// architectural state, rebuilds a machine from the snapshot (cold caches),
+// and runs both forward in lockstep: the restored machine must resume at
+// the exact PC and stay bit-identical to the original.
 func TestDiffSnapshotMidChainedLoop(t *testing.T) {
 	const src = `
 _start:
@@ -502,7 +517,7 @@ loop:
 `
 	a := loadProgram(t, src)
 	a.Timing = nil // timing scoreboards are not part of a snapshot
-	// Warm up until the loop block is chained to itself; 97 is not a
+	// Warm up until the loop block is entered from the cache; 97 is not a
 	// multiple of the 4-instruction loop, so budget traps from here on land
 	// inside the block.
 	for i := 0; i < 20; i++ {
@@ -510,8 +525,8 @@ loop:
 			t.Fatalf("warmup trap = %v, want budget", tr)
 		}
 	}
-	if a.Stat.ChainHits == 0 {
-		t.Fatal("no chain link followed during warmup")
+	if a.Stat.BlockHits == 0 {
+		t.Fatal("no warm block entered during warmup")
 	}
 
 	pages, err := a.Mem.SnapshotRange(0, 0x900000)

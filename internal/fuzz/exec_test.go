@@ -102,7 +102,7 @@ func newExecCPU(t testing.TB, text []byte, fastpath bool) *emu.CPU {
 // comparing registers, flags, PC, Instrs, cycles, mispredicts, TLB misses
 // and the trap after every slice and the data page at the end. Both
 // executors run the same lowered slots, so this is the oracle for what
-// they still do differently: blocks, chaining, budget clipping, caches.
+// they still do differently: blocks, budget clipping, caches.
 func FuzzExecLockstep(f *testing.F) {
 	for _, src := range execSeeds {
 		f.Add(assembleWords(f, src), uint8(0))

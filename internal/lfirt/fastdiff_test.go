@@ -201,22 +201,22 @@ func TestDiffMidRunMemory(t *testing.T) {
 }
 
 // TestDiffSnapshotHotProc snapshots a process whose hot loop has already
-// run over chain links (it parks in an RTRecv on an empty ring
+// run over warm blocks (it parks in an RTRecv on an empty ring
 // mid-program), then restores it three ways: into the same runtime (whose
-// CPU still holds blocks and chain links built over the original slot),
+// CPU still holds blocks built over the original slot),
 // into a fresh fast-path runtime, and into a reference interpreter
 // runtime. All three clones must resume at the correct PC with the
 // snapshotted registers — the program's second loop continues the first
 // loop's counter and checks the exact final value — and exit identically.
 // This pins two properties at the runtime level: restores never resume
-// through stale links (the clone lands in a different slot, so warm
+// through stale blocks (the clone lands in a different slot, so warm
 // blocks keyed by the old pcs must not misfire), and a snapshot image is
 // executor independent.
 func TestDiffSnapshotHotProc(t *testing.T) {
 	src := `
 _start:
-	// First hot loop: 2000 iterations over the loop block's chain link
-	// to itself before the program parks.
+	// First hot loop: 2000 iterations over the warm loop block before
+	// the program parks.
 	mov x19, #0
 loop1:
 	add x19, x19, #1
@@ -264,8 +264,8 @@ buf:
 `
 	rt := newRT(t)
 	p := blockedDeadlock(t, rt, src, 1)
-	if rt.CPU.Stat.ChainHits == 0 {
-		t.Fatal("hot loop never followed a chain link; the snapshot point is not downstream of chained code")
+	if rt.CPU.Stat.BlockHits == 0 {
+		t.Fatal("hot loop never entered a warm block; the snapshot point is not downstream of warm code")
 	}
 	snap, err := rt.Snapshot(p)
 	if err != nil {

@@ -136,9 +136,9 @@ loop:
 // TestCrossSlotBlocks is the regression test for a block cache indexed by
 // in-slot offset alone: two sandboxes running code at the same offsets —
 // the YieldPing pair, or one image loaded twice — evicted each other's
-// blocks, and with them every chain link, on every switch (two decodes a
-// round). With the slot in the index the decodes are a constant and the
-// loop back-edge is served by its chain link every round.
+// blocks on every switch (two decodes a round). With the slot in the index
+// the decodes are a constant and the loop block is a warm block every
+// round.
 func TestCrossSlotBlocks(t *testing.T) {
 	const maxMisses = 24 // measured: 9 either way, whatever n is
 	for _, n := range []int{200, 2000} {
@@ -151,12 +151,12 @@ func TestCrossSlotBlocks(t *testing.T) {
 			{"one-image-twice", [][]byte{image, image}},
 		} {
 			st := runELFs(t, tc.elfs...).Stats().Emu
-			t.Logf("%s n=%d: %d block misses, %d hits, %d chain hits", tc.name, n, st.BlockMisses, st.BlockHits, st.ChainHits)
+			t.Logf("%s n=%d: %d block misses, %d hits", tc.name, n, st.BlockMisses, st.BlockHits)
 			if st.BlockMisses > maxMisses {
 				t.Errorf("%s n=%d: %d block decodes, want <= %d whatever n is", tc.name, n, st.BlockMisses, maxMisses)
 			}
-			if st.ChainHits < uint64(n) {
-				t.Errorf("%s n=%d: %d chain hits, want >= n", tc.name, n, st.ChainHits)
+			if st.BlockHits < uint64(n) {
+				t.Errorf("%s n=%d: %d block hits, want >= n", tc.name, n, st.BlockHits)
 			}
 		}
 	}

@@ -474,8 +474,7 @@ func (as *AddrSpace) WriteAt(b []byte, addr uint64) *Fault {
 // pages must exist). A shared page gets private bytes first, whatever its
 // permissions. Because it can rewrite pages mapped read/exec — the one way
 // text changes without a mapping mutation — it bumps the epoch so
-// decoded-block caches and chain links built over the old bytes are
-// dropped.
+// decoded-block caches built over the old bytes are dropped.
 func (as *AddrSpace) WriteForce(b []byte, addr uint64) *Fault {
 	defer as.invalidate()
 	for len(b) > 0 {

@@ -166,7 +166,7 @@ type serverMetrics struct {
 // pools. Close it when done.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	o := obs.New()
+	o := &obs.Obs{Reg: obs.NewRegistry()} // spans go to each shard pool's own bundle
 	pc := cfg.Pool
 	rc := pc.RuntimeConfig()
 	cache := pool.NewCache(rc)
