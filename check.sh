@@ -37,8 +37,8 @@ echo '== IPC suite under race (conformance, stress, pipelines, snapshot regressi
 go test -race -run 'TestIPC|TestRing|TestStream|TestDgram|TestPipeline|TestSnapshotBlocked|TestYield' \
     ./internal/lfirt ./internal/pool
 
-echo '== transition suite under race (vectored calls, handoff, wake coalescing and order, cross-slot blocks, guest-memory spans at page and slot edges, faulting calls without side effects)'
-go test -race -run 'TestVSubmit|TestHandoff|TestWake|TestCallTableSync|TestWakeOrderDeterministic|TestWaitReapsLowestPID|TestCrossSlotBlocks|TestSpanBoundaries|TestReadFaultKeepsPipeBytes|TestPipeFaultLeaksNoDescriptor|TestWaitFaultKeepsChild' ./internal/lfirt
+echo '== transition suite under race (vectored calls, handoff, wake coalescing and order, cross-slot blocks, guest-memory spans at page and slot edges, faulting calls without side effects, fork by snapshot and restore)'
+go test -race -run 'TestVSubmit|TestHandoff|TestWake|TestCallTableSync|TestWakeOrderDeterministic|TestWaitReapsLowestPID|TestCrossSlotBlocks|TestSpanBoundaries|TestReadFaultKeepsPipeBytes|TestPipeFaultLeaksNoDescriptor|TestWaitFaultKeepsChild|TestForkChildContextWord|TestForkCopiesOnlyWrittenPages' ./internal/lfirt
 
 echo '== transition micro-bench smoke (direct handoff <= 1.5x bare yield; no allocation per runtime call; no page per warm cycle)'
 go test -count=1 -run TestTransitionRatios ./internal/bench
@@ -49,6 +49,8 @@ go test -run '^$' -bench BenchmarkTransitions -benchtime 1x ./internal/lfirt
 # The warm-cycle loop the emulator's flush-cost figures come from
 # (EXPERIMENTS.md "Chain links on lowered slots").
 go test -run '^$' -bench BenchmarkWarmCycle -benchtime 1x ./internal/lfirt
+# The fork loop EXPERIMENTS.md "One way to make a sandbox" cites.
+go test -run '^$' -bench BenchmarkFork -benchtime 1x ./internal/lfirt
 
 echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor on each kernel; lowered slot <= 64 B and pointer-free; scoreboard and runtime charges exact in ticks)'
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .

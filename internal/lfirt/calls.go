@@ -384,53 +384,26 @@ func (rt *Runtime) sysMunmap(p *Proc, addr, length uint64) int64 {
 	return 0
 }
 
-// sysFork implements single-address-space fork (§5.3): the child lands in
-// a fresh slot, gets the parent's resident pages — shared where nobody can
-// write them, copied where the parent has — and every address-bearing
-// register is rebased by replacing the top 32 bits.
+// sysFork implements single-address-space fork (§5.3): the parent is
+// snapshotted in place and restored into a fresh slot, so the two share
+// every page until one of them writes it. The child resumes at the call's
+// return with x0 = 0; restore rebases its address-bearing registers, and
+// the guards replace the top 32 bits of the rest at every use, which is
+// exactly what makes fork work in one address space.
 func (rt *Runtime) sysFork(p *Proc) action {
-	slot, err := rt.allocSlot()
+	pages, err := rt.AS.SnapshotRange(p.Base, core.SandboxSize)
 	if err != nil {
 		return rt.resume(p, errRet(ENOMEM))
 	}
-	childBase := core.SlotBase(slot)
-	if err := rt.AS.CopyRange(p.Base, childBase, core.SandboxSize); err != nil {
-		rt.releaseSlot(slot) // drop the half-built child with its slot
+	rt.saveRegs(p) // we are inside the call
+	s := &Snapshot{pages: pages, regs: p.Regs, brk: p.brk, mmap: p.mmap, segHi: p.segHi, pageSize: rt.cfg.PageSize}
+	s.regs.X[0], s.regs.PC = 0, s.regs.X[30]
+	child, err := rt.restore(s, p)
+	if err != nil {
 		return rt.resume(p, errRet(ENOMEM))
 	}
-
-	child := &Proc{
-		PID:    rt.nextPID,
-		Slot:   slot,
-		Base:   childBase,
-		State:  ProcReady,
-		fds:    p.fds.clone(),
-		brk:    p.brk,
-		mmap:   p.mmap,
-		parent: p,
-		segHi:  p.segHi,
-	}
-	rt.nextPID++
-
-	// Child registers: parent's state with x0 = 0 and the address-bearing
-	// registers rebased into the child slot. General registers keep their
-	// values: the guards replace their top 32 bits at every use, which is
-	// exactly what makes fork work in one address space.
-	rt.saveRegs(p) // snapshot current state (we are inside the call)
-	child.Regs = p.Regs
-	rebase := func(v uint64) uint64 { return childBase | (v & 0xffffffff) }
-	child.Regs.X[0] = 0
-	child.Regs.X[18] = rebase(child.Regs.X[18])
-	child.Regs.X[21] = childBase
-	child.Regs.X[23] = rebase(child.Regs.X[23])
-	child.Regs.X[24] = rebase(child.Regs.X[24])
-	child.Regs.X[30] = rebase(child.Regs.X[30])
-	child.Regs.SP = rebase(child.Regs.SP)
-	child.Regs.PC = rebase(child.Regs.X[30])
-
 	p.children = append(p.children, child)
-	rt.procs = append(rt.procs, child)
-	rt.ready = append(rt.ready, child)
+	rt.Start(child)
 	return rt.resume(p, uint64(child.PID))
 }
 

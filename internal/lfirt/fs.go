@@ -3,7 +3,6 @@ package lfirt
 import (
 	"bytes"
 	"io"
-	"sort"
 )
 
 // The runtime mediates all I/O: sandboxes never see host file descriptors.
@@ -75,16 +74,6 @@ func (fs *FS) ReadFile(path string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), f.data...), true
-}
-
-// List returns all paths, sorted.
-func (fs *FS) List() []string {
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (fs *FS) denied(path string) bool {

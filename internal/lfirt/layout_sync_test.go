@@ -24,7 +24,7 @@ func TestLayoutSync(t *testing.T) {
 		if f != nil {
 			t.Fatalf("reading call-table entry %v: %v", rc, f)
 		}
-		want := rt.hostBase + uint64(rc)*core.HostCallStride
+		want := hostBase + uint64(rc)*core.HostCallStride
 		if got != want {
 			t.Errorf("call-table entry %v = %#x, want %#x", rc, got, want)
 		}

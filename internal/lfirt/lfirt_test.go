@@ -545,9 +545,8 @@ func TestSandboxCapacity(t *testing.T) {
 	if last+core.SandboxSize != uint64(1)<<48 {
 		t.Errorf("last slot ends at %#x, want 2^48", last+core.SandboxSize)
 	}
-	rt := newRT(t)
-	if rt.hostBase != last {
-		t.Errorf("runtime slot = %#x, want %#x", rt.hostBase, last)
+	if hostBase != last {
+		t.Errorf("runtime slot = %#x, want %#x", hostBase, last)
 	}
 	if core.SlotIndex(core.SlotBase(77)+123) != 77 {
 		t.Error("SlotIndex broken")

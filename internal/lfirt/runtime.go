@@ -7,13 +7,10 @@ package lfirt
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
-
-	"debug/elf"
 
 	"lfi/internal/core"
 	"lfi/internal/elfobj"
@@ -75,10 +72,13 @@ func DefaultConfig() Config {
 
 // Host-call dispatch: call-table entries point into the reserved runtime
 // slot (the last 4GiB slot of the 48-bit space; §3 footnote 2). Entry i
-// lives at hostCallStride*i past the base. The stride is part of the
+// lives at hostCallStride*i past hostBase. The stride is part of the
 // shared layout model so the fuzz watchdog and the soundness prover see
 // the same call-table shape.
-const hostCallStride = core.HostCallStride
+const (
+	hostBase       = uint64(core.MaxSandboxes-1) * core.SandboxSize
+	hostCallStride = core.HostCallStride
+)
 
 // ProcState is a process's scheduler state.
 type ProcState uint8
@@ -166,8 +166,6 @@ type Runtime struct {
 	CPU *emu.CPU
 	Tim *emu.Timing
 
-	hostBase uint64
-
 	// procs is the process table in PID order (nextPID only rises, so
 	// appending keeps it sorted). Every scheduler scan walks it front to
 	// back, which makes wake order a function of the PIDs alone.
@@ -220,7 +218,6 @@ type Runtime struct {
 	mPreempts    *obs.Counter
 	mSwitches    *obs.Counter
 	mTraps       *obs.Counter
-	mVerifies    *obs.Counter
 	mSliceInstrs *obs.Histogram
 
 	// ticks holds the costs below in ticks, converted once by New;
@@ -239,8 +236,8 @@ const (
 	costVOp      = 6  // one op in a vectored submission: a table dispatch plus ring access, no trap
 )
 
-// New creates a runtime with an empty address space.
-func New(cfg Config) *Runtime {
+// withDefaults fills in the zero fields that have defaults.
+func (cfg Config) withDefaults() Config {
 	if cfg.PageSize == 0 {
 		cfg.PageSize = core.DefaultPageSize
 	}
@@ -253,13 +250,18 @@ func New(cfg Config) *Runtime {
 	if cfg.StackSize == 0 {
 		cfg.StackSize = 8 << 20
 	}
+	return cfg
+}
+
+// New creates a runtime with an empty address space.
+func New(cfg Config) *Runtime {
+	cfg = cfg.withDefaults()
 	as := mem.NewAddrSpace(cfg.PageSize)
 	cpu := emu.New(as)
 	rt := &Runtime{
 		cfg:      cfg,
 		AS:       as,
 		CPU:      cpu,
-		hostBase: core.SlotBase(core.MaxSandboxes - 1),
 		nextPID:  1,
 		slots:    make(map[int]bool),
 		maxSlot:  cfg.MaxSlots,
@@ -279,9 +281,8 @@ func New(cfg Config) *Runtime {
 	rt.mPreempts = reg.Counter("rt.preempts")
 	rt.mSwitches = reg.Counter("rt.switches")
 	rt.mTraps = reg.Counter("rt.traps")
-	rt.mVerifies = reg.Counter("rt.verifies")
 	rt.mSliceInstrs = reg.Histogram("rt.slice_instrs", obs.InstrBounds())
-	cpu.SetHostCallRegion(rt.hostBase, core.HostCallRegionSize)
+	cpu.SetHostCallRegion(hostBase, core.HostCallRegionSize)
 	return rt
 }
 
@@ -370,121 +371,22 @@ func (rt *Runtime) pageUp(v uint64) uint64 {
 	return (v + rt.cfg.PageSize - 1) &^ (rt.cfg.PageSize - 1)
 }
 
-func (rt *Runtime) pageDown(v uint64) uint64 {
-	return v &^ (rt.cfg.PageSize - 1)
-}
-
-// Load verifies and loads an ELF executable into a fresh sandbox,
-// returning the new (ready) process.
+// Load verifies an ELF executable and starts it in a fresh sandbox:
+// NewSnapshot, then Restore and Start. It returns the new (ready) process.
 func (rt *Runtime) Load(elfBytes []byte) (*Proc, error) {
 	exe, err := elfobj.Unmarshal(elfBytes)
 	if err != nil {
 		return nil, err
 	}
-	return rt.LoadExecutable(exe)
-}
-
-// LoadExecutable loads an already-parsed executable.
-func (rt *Runtime) LoadExecutable(exe *elfobj.Executable) (_ *Proc, err error) {
-	text, err := exe.TextSegment()
+	s, err := NewSnapshot(rt.cfg, exe)
 	if err != nil {
 		return nil, err
 	}
-	if rt.cfg.Verify {
-		cfg := rt.cfg.VerifierCfg
-		cfg.TextOff = text.Vaddr
-		rt.mVerifies.Inc()
-		if _, err := verifier.Verify(text.Data, cfg); err != nil {
-			return nil, fmt.Errorf("lfirt: %w: %w", ErrVerify, err)
-		}
-	}
-
-	slot, err := rt.allocSlot()
+	p, err := rt.Restore(s)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			rt.releaseSlot(slot) // unmap whatever went in before the failure
-		}
-	}()
-	base := core.SlotBase(slot)
-
-	// Call-table page: read-only, entries point at the host-call region.
-	if err := rt.AS.Map(base, core.CallTableSize, mem.PermRead); err != nil {
-		return nil, err
-	}
-	var entry [8]byte
-	for rc := core.RuntimeCall(0); rc < core.NumRuntimeCalls; rc++ {
-		binary.LittleEndian.PutUint64(entry[:], rt.hostBase+uint64(rc)*hostCallStride)
-		if f := rt.AS.WriteForce(entry[:], base+uint64(rc.TableOffset())); f != nil {
-			return nil, fmt.Errorf("lfirt: writing call table: %v", f)
-		}
-	}
-	// Context words used by the Wasm-baseline instrumentation (no secrets:
-	// the sandbox base and a type tag; see internal/wasmbase).
-	binary.LittleEndian.PutUint64(entry[:], base)
-	rt.AS.WriteForce(entry[:], base+core.CtxHeapBaseOff)
-	binary.LittleEndian.PutUint64(entry[:], core.CtxTypeTag)
-	rt.AS.WriteForce(entry[:], base+core.CtxTypeTagOff)
-
-	segHi := uint64(0)
-	for _, s := range exe.Segments {
-		if s.Vaddr < core.MinCodeOffset {
-			return nil, fmt.Errorf("lfirt: segment at %#x below the code region", s.Vaddr)
-		}
-		if s.Vaddr+s.MemSize > core.SandboxSize-core.GuardSize {
-			return nil, fmt.Errorf("lfirt: segment at %#x overflows the sandbox", s.Vaddr)
-		}
-		perm := mem.PermRead
-		if s.Flags&elf.PF_W != 0 {
-			perm |= mem.PermWrite
-		}
-		if s.Flags&elf.PF_X != 0 {
-			perm = mem.PermRX // W^X: never writable and executable
-		}
-		start := rt.pageDown(base + s.Vaddr)
-		end := rt.pageUp(base + s.Vaddr + s.MemSize)
-		if err := rt.AS.Map(start, end-start, perm); err != nil {
-			return nil, fmt.Errorf("lfirt: mapping segment: %w", err)
-		}
-		if f := rt.AS.WriteForce(s.Data, base+s.Vaddr); f != nil {
-			return nil, fmt.Errorf("lfirt: writing segment: %v", f)
-		}
-		if s.Vaddr+s.MemSize > segHi {
-			segHi = s.Vaddr + s.MemSize
-		}
-	}
-
-	// Stack: below the trailing guard region.
-	stackTop := base + core.StackTopOff
-	if err := rt.AS.MapZero(stackTop-rt.cfg.StackSize, rt.cfg.StackSize, mem.PermRW); err != nil {
-		return nil, fmt.Errorf("lfirt: mapping stack: %w", err)
-	}
-
-	p := &Proc{
-		PID:   rt.nextPID,
-		Slot:  slot,
-		Base:  base,
-		State: ProcReady,
-		brk:   rt.pageUp(segHi),
-		mmap:  core.SandboxSize / 2, // mmap arena in the upper half
-		segHi: rt.pageUp(segHi),
-	}
-	p.fds = newFDTable(rt.console(&p.stdout, &rt.stdout), rt.console(&p.stderr, &rt.stderr))
-	rt.nextPID++
-
-	p.Regs.PC = base + exe.Entry
-	p.Regs.SP = stackTop
-	p.Regs.X[21] = base
-	// The always-valid registers start at the entry point.
-	p.Regs.X[18] = base + exe.Entry
-	p.Regs.X[23] = base + exe.Entry
-	p.Regs.X[24] = base + exe.Entry
-	p.Regs.X[30] = base + exe.Entry
-
-	rt.procs = append(rt.procs, p)
-	rt.ready = append(rt.ready, p)
+	rt.Start(p)
 	return p, nil
 }
 

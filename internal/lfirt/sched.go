@@ -385,7 +385,7 @@ func (rt *Runtime) trapKill(p *Proc, status int) {
 
 // hostCall dispatches the runtime call whose entry the sandbox jumped to.
 func (rt *Runtime) hostCall(p *Proc, pc uint64) action {
-	off := pc - rt.hostBase
+	off := pc - hostBase
 	if off%hostCallStride != 0 || off/hostCallStride >= uint64(core.NumRuntimeCalls) {
 		rt.saveRegs(p)
 		rt.trapKill(p, 128+4)

@@ -217,7 +217,7 @@ func TestSnapshotBytesImmutable(t *testing.T) {
 }
 
 // TestForkFailureReleasesChild is the regression test for a failed fork
-// leaving the half-copied child mapped in a slot it had already freed: the
+// leaving the half-built child mapped in a slot it had already freed: the
 // next sandbox given that slot could not be loaded ("already mapped").
 func TestForkFailureReleasesChild(t *testing.T) {
 	rt := servingRT()
@@ -227,7 +227,7 @@ func TestForkFailureReleasesChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The child will get the next slot. One stray page under its stack
-	// makes the copy fail after the call table and text are already in.
+	// makes the restore fail after the call table and text are already in.
 	next := core.SlotBase(p.Slot + 1)
 	if err := rt.AS.Map(next+core.StackTopOff-rt.cfg.PageSize, rt.cfg.PageSize, mem.PermRW); err != nil {
 		t.Fatal(err)
@@ -253,33 +253,62 @@ func TestForkFailureReleasesChild(t *testing.T) {
 	}
 }
 
-// TestLoadFailureReleasesSlot is the fork bug's twin in LoadExecutable: a
-// load that failed after the call table and text were mapped kept its slot
+// TestLoadFailureReleasesSlot is the fork bug's twin in Load: a load
+// that failed after the call table and text were mapped kept its slot
 // allocated and half-mapped. elfobj.Unmarshal does not check segment
-// ranges, so a client ELF reaches these paths through Runtime.Load.
+// ranges, so a client ELF reaches every rejection below through Load, and
+// each must leave no page mapped and no slot taken.
 func TestLoadFailureReleasesSlot(t *testing.T) {
-	rt := servingRT()
-	const slot = 1 // a fresh runtime's first free slot
 	good := build(t, writerSrc("ok", 3))
 	exe, err := elfobj.Unmarshal(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe.Segments = append(exe.Segments, elfobj.Segment{Data: []byte{1}, MemSize: 1, Flags: elf.PF_R})
-	if _, err := rt.LoadExecutable(exe); err == nil || !strings.Contains(err.Error(), "below the code region") {
-		t.Fatalf("segment at 0: err=%v, want the below-the-code-region error", err)
-	}
-	if pages, _ := rt.AS.SnapshotRange(core.SlotBase(slot), core.SandboxSize); len(pages) != 0 {
-		t.Errorf("failed load left %d pages mapped in slot %d", len(pages), slot)
-	}
-	p, err := rt.Load(good)
+	text, err := exe.TextSegment()
 	if err != nil {
-		t.Fatalf("load after a failed load: %v", err)
+		t.Fatal(err)
 	}
-	if p.Slot != slot {
-		t.Fatalf("loaded into slot %d, want %d", p.Slot, slot)
-	}
-	if status, err := rt.RunProc(p); err != nil || status != 3 {
-		t.Fatalf("status=%d err=%v, want 3", status, err)
+	const limit = core.SandboxSize - core.GuardSize
+	for _, tc := range []struct {
+		name string
+		seg  elfobj.Segment
+		want string
+	}{
+		{"below the code region", elfobj.Segment{Data: []byte{1}, MemSize: 1, Flags: elf.PF_R}, "below the code region"},
+		{"past the sandbox", elfobj.Segment{Vaddr: limit - 8, MemSize: 16, Flags: elf.PF_R}, "overflows the sandbox"},
+		{"wrapping the address space", elfobj.Segment{Vaddr: ^uint64(0) &^ 0x3fff, MemSize: 0x8000, Flags: elf.PF_R}, "overflows the sandbox"},
+		{"two segments on one page", elfobj.Segment{Vaddr: text.Vaddr + 8, Data: []byte{1}, MemSize: 1, Flags: elf.PF_R}, "mapped twice"},
+		{"a segment on the stack", elfobj.Segment{Vaddr: core.StackTopOff - 16, MemSize: 16, Flags: elf.PF_R | elf.PF_W}, "mapped twice"},
+		{"empty", elfobj.Segment{Vaddr: 1 << 30, Flags: elf.PF_R}, "maps no page"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := servingRT()
+			const slot = 1 // a fresh runtime's first free slot
+			bad := *exe
+			bad.Segments = append(slices.Clone(exe.Segments), tc.seg)
+			b, err := bad.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rt.Load(b); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err=%v, want the %q error", err, tc.want)
+			}
+			if pages, _ := rt.AS.SnapshotRange(core.SlotBase(slot), core.SandboxSize); len(pages) != 0 {
+				t.Errorf("failed load left %d pages mapped in slot %d", len(pages), slot)
+			}
+			if len(rt.slots) != 0 {
+				t.Errorf("failed load left %d slots taken", len(rt.slots))
+			}
+			p, err := rt.Load(good)
+			if err != nil {
+				t.Fatalf("load after a failed load: %v", err)
+			}
+			if p.Slot != slot {
+				t.Fatalf("loaded into slot %d, want %d", p.Slot, slot)
+			}
+			if status, err := rt.RunProc(p); err != nil || status != 3 {
+				t.Fatalf("status=%d err=%v, want 3", status, err)
+			}
+		})
 	}
 }

@@ -1,21 +1,26 @@
 package lfirt
 
 import (
+	"debug/elf"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"lfi/internal/core"
+	"lfi/internal/elfobj"
 	"lfi/internal/mem"
+	"lfi/internal/verifier"
 )
 
-// Sandbox snapshot/restore: the serving-path counterpart of fork (§5.3).
-// fork clones a live sandbox into a sibling slot of the same address
-// space; Restore clones a *saved* sandbox into a fresh slot — of this
-// runtime or any other with the same page size — rebasing the
-// address-bearing registers exactly the way fork does. Because LFI guards
-// replace the top 32 bits of every sandboxed pointer at each use, a
-// sandbox image is position-independent across slots, which is what makes
-// a snapshot restorable anywhere.
+// A Snapshot is the one thing a process is made from (§5.3). NewSnapshot
+// lays out a verified executable, Runtime.Snapshot and fork save a live
+// process, and restore maps either into a fresh slot of any runtime with
+// the same page size, rebasing the address-bearing registers. Load is
+// NewSnapshot then Restore; fork is a save of the parent then a restore
+// into a sibling slot. Because LFI guards replace the top 32 bits of
+// every sandboxed pointer at each use, a sandbox image is
+// position-independent across slots, which is what makes a snapshot
+// restorable anywhere.
 
 // Snapshot is an immutable image of one process: every mapped page of its
 // sandbox (stored base-relative, with all-zero pages deduplicated) plus
@@ -24,7 +29,8 @@ import (
 // Restored pages alias the snapshot's bytes — every tenant running the
 // image reads the same text — which is safe because mem never lets a page
 // write bytes it shares: it gets private ones first (the sharing invariant,
-// stated on mem's page type).
+// stated on mem's page type). Its fields are unexported, so every Snapshot
+// holds either verified text (NewSnapshot) or a live process's memory.
 type Snapshot struct {
 	pages    []mem.PageImage
 	regs     Regs
@@ -34,9 +40,103 @@ type Snapshot struct {
 	pageSize uint64
 	// blocked records what the process was waiting on when snapshotted
 	// (blockNone for a runnable process). Descriptors are not part of a
-	// snapshot, so a restore cannot resurrect the wait; Restore instead
-	// completes the parked call with a defined error (see Restore).
+	// snapshot, so a restore cannot resurrect the wait; restore instead
+	// completes the parked call with a defined error (see restore).
 	blocked blockKind
+}
+
+// NewSnapshot verifies exe (iff cfg.Verify) and lays it out as the
+// snapshot of a process that has not yet run: the call-table page, the
+// segments and a demand-zero stack, with the registers at the entry point
+// of slot 0 and the heap-base word left for restore to write. Every check
+// on the layout is made here, before any runtime gives it a slot.
+func NewSnapshot(cfg Config, exe *elfobj.Executable) (*Snapshot, error) {
+	cfg = cfg.withDefaults()
+	text, err := exe.TextSegment()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Verify {
+		vcfg := cfg.VerifierCfg
+		vcfg.TextOff = text.Vaddr
+		cfg.Obs.Registry().Counter("rt.verifies").Inc()
+		if _, err := verifier.Verify(text.Data, vcfg); err != nil {
+			return nil, fmt.Errorf("lfirt: %w: %w", ErrVerify, err)
+		}
+	}
+	if cfg.StackSize%cfg.PageSize != 0 || cfg.StackSize > core.StackTopOff {
+		return nil, fmt.Errorf("lfirt: stack size %#x is not a page multiple below %#x", cfg.StackSize, core.StackTopOff)
+	}
+	s := &Snapshot{mmap: core.SandboxSize / 2, pageSize: cfg.PageSize} // mmap arena in the upper half
+
+	// Call-table page: read-only, entries point at the host-call region.
+	// Then the context words used by the Wasm-baseline instrumentation (no
+	// secrets: the sandbox base, which restore writes, and a type tag; see
+	// internal/wasmbase).
+	table := make([]byte, core.CtxTypeTagOff+8)
+	for rc := core.RuntimeCall(0); rc < core.NumRuntimeCalls; rc++ {
+		binary.LittleEndian.PutUint64(table[rc.TableOffset():], hostBase+uint64(rc)*hostCallStride)
+	}
+	binary.LittleEndian.PutUint64(table[core.CtxTypeTagOff:], core.CtxTypeTag)
+	s.addPages(0, core.CallTableSize, mem.PermRead, table)
+
+	const limit = core.SandboxSize - core.GuardSize
+	for _, seg := range exe.Segments {
+		if seg.Vaddr < core.MinCodeOffset {
+			return nil, fmt.Errorf("lfirt: segment at %#x below the code region", seg.Vaddr)
+		}
+		if seg.MemSize > limit || seg.Vaddr > limit-seg.MemSize {
+			return nil, fmt.Errorf("lfirt: segment at %#x overflows the sandbox", seg.Vaddr)
+		}
+		if uint64(len(seg.Data)) > seg.MemSize {
+			return nil, fmt.Errorf("lfirt: segment at %#x holds more data than its size", seg.Vaddr)
+		}
+		perm := mem.PermRead
+		if seg.Flags&elf.PF_W != 0 {
+			perm |= mem.PermWrite
+		}
+		if seg.Flags&elf.PF_X != 0 {
+			perm = mem.PermRX // W^X: never writable and executable
+		}
+		n := len(s.pages)
+		if s.addPages(seg.Vaddr, seg.MemSize, perm, seg.Data); len(s.pages) == n {
+			return nil, fmt.Errorf("lfirt: segment at %#x maps no page", seg.Vaddr)
+		}
+		s.segHi = max(s.segHi, seg.Vaddr+seg.MemSize)
+	}
+	s.segHi = (s.segHi + cfg.PageSize - 1) &^ (cfg.PageSize - 1)
+	s.brk = s.segHi
+
+	// Stack: below the trailing guard region.
+	s.addPages(core.StackTopOff-cfg.StackSize, cfg.StackSize, mem.PermRW, nil)
+	sort.Slice(s.pages, func(i, j int) bool { return s.pages[i].Off < s.pages[j].Off })
+	for i := 1; i < len(s.pages); i++ {
+		if s.pages[i].Off == s.pages[i-1].Off {
+			return nil, fmt.Errorf("lfirt: the page at %#x is mapped twice", s.pages[i].Off)
+		}
+	}
+
+	// The always-valid registers start at the entry point.
+	e := exe.Entry
+	s.regs.PC, s.regs.SP = e, core.StackTopOff
+	s.regs.X[18], s.regs.X[23], s.regs.X[24], s.regs.X[30] = e, e, e, e
+	return s, nil
+}
+
+// addPages appends the images of the pages covering [off, off+size), whose
+// first len(data) bytes are data and the rest zeros. A page with no
+// non-zero byte gets a nil (demand-zero) image, as Snapshot would give it.
+func (s *Snapshot) addPages(off, size uint64, perm mem.Perm, data []byte) {
+	ps := s.pageSize
+	for po := off &^ (ps - 1); po < off+size; po += ps {
+		pi := mem.PageImage{Off: po, Perm: perm}
+		lo, hi := max(po, off), min(po+ps, off+uint64(len(data)))
+		if lo < hi && !mem.AllZero(data[lo-off:hi-off]) {
+			pi.Data = make([]byte, ps)
+			copy(pi.Data[lo-po:], data[lo-off:hi-off])
+		}
+		s.pages = append(s.pages, pi)
+	}
 }
 
 // Pages reports how many pages the snapshot holds (for diagnostics).
@@ -46,7 +146,7 @@ func (s *Snapshot) Pages() int { return len(s.pages) }
 // copying them; p runs on, under the same invariant. It must be quiescent —
 // not currently executing — and must not have forked children (their
 // shared descriptors cannot be saved coherently). Snapshotting a process
-// right after LoadExecutable, before it runs, always satisfies both.
+// right after Load, before it runs, always satisfies both.
 func (rt *Runtime) Snapshot(p *Proc) (*Snapshot, error) {
 	switch {
 	case p.State == ProcZombie:
@@ -76,10 +176,17 @@ func (rt *Runtime) Snapshot(p *Proc) (*Snapshot, error) {
 // new process. The process is *parked*: it exists in the process
 // table with its memory mapped and registers staged, but is not scheduled
 // until Start — which is what lets a serving pool keep warm, pre-restored
-// sandboxes waiting for requests. Restore skips verification: the pages
-// were verified when the snapshotted image was first loaded, and the
-// snapshot is immutable.
-func (rt *Runtime) Restore(s *Snapshot) (*Proc, error) {
+// sandboxes waiting for requests. Restore does not verify: a Snapshot
+// holds text that NewSnapshot verified or that a live process runs, and is
+// immutable.
+func (rt *Runtime) Restore(s *Snapshot) (*Proc, error) { return rt.restore(s, nil) }
+
+// restore is Restore for a child of parent, or for no one's child when
+// parent is nil: a child shares its parent's descriptors, any other
+// process gets fresh consoles. It points the heap-base context word at
+// the new slot and rebases the address-bearing registers into it; the
+// guards mask the rest.
+func (rt *Runtime) restore(s *Snapshot, parent *Proc) (*Proc, error) {
 	if s.pageSize != rt.cfg.PageSize {
 		return nil, fmt.Errorf("lfirt: snapshot page size %d does not match runtime page size %d",
 			s.pageSize, rt.cfg.PageSize)
@@ -93,8 +200,6 @@ func (rt *Runtime) Restore(s *Snapshot) (*Proc, error) {
 		rt.releaseSlot(slot) // drop any partial restore
 		return nil, fmt.Errorf("lfirt: restore: %w", err)
 	}
-	// The context heap-base word in the call-table page still holds the
-	// snapshotted slot's base; repoint it at this slot.
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], base)
 	rt.AS.WriteForce(b[:], base+core.CtxHeapBaseOff)
@@ -104,15 +209,19 @@ func (rt *Runtime) Restore(s *Snapshot) (*Proc, error) {
 		Slot:   slot,
 		Base:   base,
 		State:  ProcReady,
+		parent: parent,
 		brk:    s.brk,
 		mmap:   s.mmap,
 		segHi:  s.segHi,
 		parked: true,
 	}
-	p.fds = newFDTable(rt.console(&p.stdout, &rt.stdout), rt.console(&p.stderr, &rt.stderr))
+	if parent != nil {
+		p.fds = parent.fds.clone()
+	} else {
+		p.fds = newFDTable(rt.console(&p.stdout, &rt.stdout), rt.console(&p.stderr, &rt.stderr))
+	}
 	rt.nextPID++
 
-	// Rebase exactly the registers fork rebases; the guards mask the rest.
 	rebase := func(v uint64) uint64 { return base | (v & 0xffffffff) }
 	p.Regs = s.regs
 	p.Regs.X[18] = rebase(p.Regs.X[18])
@@ -161,8 +270,8 @@ func (rt *Runtime) Restore(s *Snapshot) (*Proc, error) {
 	return p, nil
 }
 
-// Start schedules a parked (restored) process. Processes created by Load
-// are scheduled automatically; Start on them is a no-op.
+// Start schedules a parked (restored) process. Load and fork start the
+// processes they make; Start on them is a no-op.
 func (rt *Runtime) Start(p *Proc) {
 	if !p.parked || p.State != ProcReady {
 		return

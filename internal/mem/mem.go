@@ -84,8 +84,8 @@ const MaxAddr = uint64(1) << AddrWidth
 // page is one mapped page, in one of three states:
 //
 //	demand-zero  data == nil            reads as zeros, owns no bytes
-//	aliased      data != nil, shared    data is a Snapshot's backing (or a
-//	                                    fork sibling's page): read in place
+//	aliased      data != nil, shared    data is a SnapshotRange's backing
+//	                                    (a snapshot's or a fork's): read in place
 //	private      data != nil, !shared   data belongs to this page alone
 //
 // The sharing invariant: bytes reachable from a Snapshot are never written
@@ -124,7 +124,7 @@ type AddrSpace struct {
 	slots map[uint64][]extent
 
 	// free holds the private buffers of unmapped pages, at most freePages,
-	// for the next first touch or fork copy: a sandbox restored, run and
+	// for the next first touch or copy on write: a sandbox restored, run and
 	// released in a loop allocates no page. No shared buffer enters it.
 	free [][]byte
 
@@ -134,8 +134,8 @@ type AddrSpace struct {
 	// invalidate drops every entry.
 	cache [AccessExec + 1][lookupCacheSize]cachedPage
 
-	// epoch counts mapping mutations (Map/Unmap/CopyRange/RestoreRange),
-	// WriteForce and SnapshotRange. External caches keyed on page identity
+	// epoch counts mapping mutations (Map/Unmap/RestoreRange), WriteForce
+	// and SnapshotRange. External caches keyed on page identity
 	// — the emulator's decoded-block and translation caches — revalidate
 	// by comparing epochs instead of being flushed explicitly.
 	epoch uint64
@@ -194,8 +194,8 @@ func (as *AddrSpace) invalidate() {
 	as.epoch++
 }
 
-// Epoch returns the mapping-mutation counter. Any Map, MapZero, Unmap,
-// CopyRange, or RestoreRange bumps it, as do WriteForce — the host-side
+// Epoch returns the mapping-mutation counter. Any Map, MapZero, Unmap or
+// RestoreRange bumps it, as do WriteForce — the host-side
 // escape hatch that can rewrite text in place under a read/exec mapping —
 // and SnapshotRange, which turns the pages it saves into shared ones.
 // Sandbox-initiated page *contents* changes (ordinary stores) do not:
@@ -566,45 +566,6 @@ func (as *AddrSpace) Fetch32(addr uint64) (uint32, *Fault) {
 	return 0, &Fault{Addr: addr, Access: AccessExec, Size: 4}
 }
 
-// CopyRange gives dstBase a copy of the mapped pages (and permissions) of
-// [srcBase, srcBase+size): the memory side of single-address-space fork.
-// It walks the source's mapped pages only; unmapped source pages stay
-// unmapped at the destination and demand-zero pages stay demand-zero. A
-// page nobody can write — no write permission, or still aliasing a
-// snapshot — is shared by reference; a private writable page is copied.
-// On error the destination may hold a partial copy (callers unmap it).
-func (as *AddrSpace) CopyRange(srcBase, dstBase, size uint64) error {
-	if err := as.aligned(srcBase, size); err != nil {
-		return err
-	}
-	if err := as.aligned(dstBase, size); err != nil {
-		return err
-	}
-	src := srcBase >> as.pageShift
-	dst := dstBase >> as.pageShift
-	var runs []extent // built first: install may move the extents walk reads
-	as.walk(src, src+size>>as.pageShift, func(idx uint64, pages []page) {
-		cp := slices.Clone(pages)
-		for i := range cp {
-			switch pg := &cp[i]; {
-			case pg.data == nil:
-			case pg.shared || pg.perm&PermWrite == 0:
-				pg.shared, pages[i].shared = true, true
-			default:
-				pg.data = as.buffer(pg.data)
-			}
-		}
-		runs = append(runs, extent{idx - src + dst, cp})
-	})
-	as.invalidate()
-	for _, r := range runs {
-		if err := as.install(r.first, r.pages); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // PageImage is one saved page of a snapshot: its offset from the snapshot
 // base, its permissions, and its contents. Data is nil for an all-zero
 // page, so snapshots of mostly-untouched sandboxes (fresh stacks, sparse
@@ -621,8 +582,7 @@ type PageImage struct {
 // marks the page shared, so the address space keeps running on them under
 // the sharing invariant (a writable page copies itself on its next touch)
 // and the result is immutable: it may be restored concurrently into other
-// AddrSpaces (the memory half of sandbox snapshot/restore, which reuses
-// the same single-address-space copy idea as fork).
+// AddrSpaces (the memory half of snapshot, restore and fork).
 func (as *AddrSpace) SnapshotRange(base, size uint64) ([]PageImage, error) {
 	if err := as.aligned(base, size); err != nil {
 		return nil, err
@@ -633,7 +593,7 @@ func (as *AddrSpace) SnapshotRange(base, size uint64) ([]PageImage, error) {
 		for i := range pages {
 			pg := &pages[i]
 			pi := PageImage{Off: (idx + uint64(i) - first) << as.pageShift, Perm: pg.perm}
-			if pg.data != nil && !allZero(pg.data) {
+			if pg.data != nil && !AllZero(pg.data) {
 				pi.Data, pg.shared = pg.data, true
 			}
 			out = append(out, pi)
@@ -677,7 +637,9 @@ func (as *AddrSpace) RestoreRange(base uint64, pages []PageImage) error {
 	return nil
 }
 
-func allZero(b []byte) bool {
+// AllZero reports whether b holds no non-zero byte: the test that keeps a
+// page's bytes out of a PageImage.
+func AllZero(b []byte) bool {
 	for len(b) >= 8 {
 		if binary.LittleEndian.Uint64(b) != 0 {
 			return false

@@ -186,7 +186,21 @@ func TestWriteForceAndReadAt(t *testing.T) {
 	}
 }
 
-func TestCopyRangeFork(t *testing.T) {
+// fork gives dst the pages of [src, src+size) the way a runtime fork
+// does: the source's SnapshotRange restored at dst, so the two share every
+// page until one of them writes it.
+func fork(t *testing.T, as *AddrSpace, src, dst, size uint64) {
+	t.Helper()
+	pages, err := as.SnapshotRange(src, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.RestoreRange(dst, pages); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestForkRange(t *testing.T) {
 	as := NewAddrSpace(4096)
 	src := uint64(0x100000)
 	dst := uint64(0x200000)
@@ -199,9 +213,7 @@ func TestCopyRangeFork(t *testing.T) {
 	if f := as.Write(src+8, 0xdead, 8); f != nil {
 		t.Fatal(f)
 	}
-	if err := as.CopyRange(src, dst, 3*4096); err != nil {
-		t.Fatal(err)
-	}
+	fork(t, as, src, dst, 3*4096)
 	got, f := as.Read(dst+8, 8)
 	if f != nil || got != 0xdead {
 		t.Fatalf("copied value = %#x (%v)", got, f)
@@ -400,9 +412,7 @@ func TestMapZero(t *testing.T) {
 	if len(snap) != 4 || dirty != 2 {
 		t.Errorf("snapshot has %d pages, %d with data; want 4 and 2", len(snap), dirty)
 	}
-	if err := as.CopyRange(base, base+0x100000, 4*4096); err != nil {
-		t.Fatal(err)
-	}
+	fork(t, as, base, base+0x100000, 4*4096)
 	var buf [5]byte
 	if f := as.ReadAt(buf[:], base+0x100000+2*4096-2); f != nil || string(buf[:]) != "hello" {
 		t.Errorf("forked copy reads %q, %v", buf[:], f)
@@ -497,8 +507,8 @@ func TestRecycledPageNoResidue(t *testing.T) {
 	if len(as.free) != freePages {
 		t.Fatalf("free list holds %d buffers after release, want the cap %d", len(as.free), freePages)
 	}
-	// The next tenant's pages come out of that list: restored writable
-	// pages by copy, fresh and forked ones besides, until it is drained.
+	// The next tenant's pages come out of that list: restored and forked
+	// writable pages by copy, fresh ones besides, until it is drained.
 	snap := image(t, 0x10, PermRW, PermRW, PermRead)
 	want := map[uint64]byte{0: 0x10, 2 * 4096: 0x11, 3 * 4096: 0x12}
 	if err := as.RestoreRange(slot, snap); err != nil {
@@ -507,14 +517,12 @@ func TestRecycledPageNoResidue(t *testing.T) {
 	if err := as.MapZero(slot+0x100000, freePages*4096, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	// A private page for the fork to copy.
+	// A private page for the fork to share, so both sides copy it.
 	if f := as.WriteAt(bytes.Repeat([]byte{0x77}, 4096), slot+2*4096); f != nil {
 		t.Fatal(f)
 	}
 	want[2*4096] = 0x77
-	if err := as.CopyRange(slot, 2*slot, 4*4096); err != nil {
-		t.Fatal(err)
-	}
+	fork(t, as, slot, 2*slot, 4*4096)
 	buf := make([]byte, 4096)
 	check := func(base, off uint64) {
 		if f := as.ReadAt(buf, base+off); f != nil {
@@ -549,9 +557,7 @@ func TestSharedBackingNeverRecycled(t *testing.T) {
 	if b, f := as.PageSlice(slot, AccessExec); f != nil || &b[0] != &first[0].Data[0] {
 		t.Fatalf("text page does not alias the snapshot (fault %v)", f)
 	}
-	if err := as.CopyRange(slot, 2*slot, 4*4096); err != nil { // a fork shares them on
-		t.Fatal(err)
-	}
+	fork(t, as, slot, 2*slot, 4*4096) // a fork shares them on
 	if err := as.Unmap(slot, 2<<32); err != nil {
 		t.Fatal(err)
 	}
@@ -588,9 +594,7 @@ func TestSharedBackingNeverRecycled(t *testing.T) {
 	if f := as.WriteForce(text, 3*slot); f != nil {
 		t.Fatal(f)
 	}
-	if err := as.CopyRange(3*slot, 4*slot, 4096); err != nil {
-		t.Fatal(err)
-	}
+	fork(t, as, 3*slot, 4*slot, 4096)
 	if err := as.Unmap(3*slot, 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -636,9 +640,7 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("fresh restore", slot)
-	if err := as.CopyRange(slot, 2*slot, 1<<32); err != nil {
-		t.Fatal(err)
-	}
+	fork(t, as, slot, 2*slot, 1<<32)
 	same("forked child", 2*slot)
 	same("parent after fork", slot)
 
@@ -650,9 +652,7 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 	if err := as.Unmap(2*slot, 1<<32); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.CopyRange(slot, 2*slot, 1<<32); err != nil {
-		t.Fatal(err)
-	}
+	fork(t, as, slot, 2*slot, 1<<32)
 	parent, _ := as.SnapshotRange(slot, 1<<32)
 	child, _ := as.SnapshotRange(2*slot, 1<<32)
 	if digest(parent) != digest(child) || digest(parent) == want {

@@ -173,20 +173,13 @@ func (c *Cache) FromELF(elfBytes []byte) (*Image, error) {
 	return c.get(key, func() (*Image, error) { return c.makeImage(key, elfBytes) })
 }
 
-// makeImage verifies and loads the ELF into a scratch runtime and
-// snapshots the initialized sandbox. The scratch runtime is discarded;
-// only the immutable snapshot survives.
+// makeImage verifies the ELF and lays it out as an immutable snapshot.
 func (c *Cache) makeImage(key string, elfBytes []byte) (*Image, error) {
 	exe, err := elfobj.Unmarshal(elfBytes)
 	if err != nil {
 		return nil, err
 	}
-	rt := lfirt.New(c.cfg)
-	p, err := rt.LoadExecutable(exe)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := rt.Snapshot(p)
+	snap, err := lfirt.NewSnapshot(c.cfg, exe)
 	if err != nil {
 		return nil, err
 	}
