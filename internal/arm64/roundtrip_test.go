@@ -2,6 +2,7 @@ package arm64
 
 import (
 	"math/bits"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -387,22 +388,87 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
+// TestEncodeRejects gives every operand check in the encoder a row at its
+// boundary, with a piece of the message it must give. Rows the parser
+// would refuse first build the Inst directly.
 func TestEncodeRejects(t *testing.T) {
-	bad := []string{
-		"add x0, x1, #123456789",
-		"and x0, x1, #0",
-		"b 3",         // not a multiple of 4
-		"b 536870912", // out of ±128MiB
-		"ldr x0, [x1, #65536]",
-		"ldp x0, x1, [x2, #1024]", // imm7*8 max 504
+	x := func(op Op, rd, rn, rm Reg, imm int64, amount int8) Inst {
+		return Inst{Op: op, Rd: rd, Rn: rn, Rm: rm, Ra: RegNone, Imm: imm, Amount: amount}
 	}
-	for _, src := range bad {
-		inst, err := ParseInst(src)
-		if err != nil {
-			t.Fatalf("parse %q unexpectedly failed: %v", src, err)
+	mem := func(op Op, rt Reg, m Mem) Inst {
+		return Inst{Op: op, Rd: rt, Rn: RegNone, Rm: RegNone, Ra: RegNone, Amount: -1, Mem: m}
+	}
+	cases := []struct {
+		src  string // parsed when inst.Op is BAD
+		inst Inst
+		sub  string
+	}{
+		{src: "add x0, x1, #123456789", sub: "out of range"},
+		{src: "add x0, x1, #4097", sub: "add/sub immediate 4097 out of range"},
+		{src: "add x0, x1, #16777216", sub: "out of range"},
+		{src: "add x0, xzr, #1", sub: "zero register"},
+		{src: "add w0, w1, w2, lsl #32", sub: "shift amount out of range"},
+		{src: "add x0, x1, x2, ror #3", sub: "bad shift ror for add/sub"},
+		{inst: Inst{Op: ADD, Rd: X0, Rn: X1, Rm: W2, Ra: RegNone, Ext: ExtUXTW, Amount: 5}, sub: "extend amount 5 out of range"},
+		{src: "and x0, x1, #0", sub: "not a valid bitmask immediate"},
+		{src: "and w0, w1, #0x5", sub: "not a valid bitmask immediate"},
+		{inst: x(BIC, X0, X1, RegNone, 1, -1), sub: "no immediate form"},
+		{inst: Inst{Op: AND, Rd: X0, Rn: X1, Rm: X2, Ra: RegNone, Ext: ExtUXTW, Amount: -1}, sub: "bad shift uxtw for logical op"},
+		{src: "eor w0, w1, w2, ror #32", sub: "shift amount out of range"},
+		{src: "movz x0, #65536", sub: "imm16 out of range"},
+		{inst: x(MOVZ, X0, RegNone, RegNone, 1, 8), sub: "bad move-wide shift 8"},
+		{src: "movz w0, #1, lsl #32", sub: "bad move-wide shift 32"},
+		{src: "ubfm w0, w1, #32, #0", sub: "bitfield immediate out of range"},
+		{src: "sbfm x0, x1, #0, #64", sub: "bitfield immediate out of range"},
+		{src: "extr w0, w1, w2, #32", sub: "extr lsb out of range"},
+		{src: "rev32 w0, w1", sub: "rev32 requires 64-bit registers"},
+		{src: "ccmp x0, #32, #0, eq", sub: "ccmp imm5 out of range"},
+		{src: "adrp x0, 4097", sub: "not page aligned"},
+		{src: "adr x0, 1048576", sub: "adr offset out of range"},
+		{src: "adrp x0, 4294967296", sub: "adr offset out of range"},
+		{src: "b 3", sub: "out of range"}, // not a multiple of 4
+		{src: "b 536870912", sub: "out of range"},
+		{src: "bl 134217728", sub: "branch offset 134217728 out of range"},
+		{src: "b -134217732", sub: "branch offset -134217732 out of range"},
+		{src: "b.eq 1048576", sub: "b.cond offset out of range"},
+		{src: "cbz x0, 1048576", sub: "cbz offset out of range"},
+		{src: "cbnz w0, -1048580", sub: "cbz offset out of range"},
+		{src: "tbz x0, #0, 32768", sub: "tbz offset out of range"},
+		{src: "tbz w0, #32, 8", sub: "tbz bit number out of range"},
+		{src: "svc #65536", sub: "svc imm16 out of range"},
+		{src: "brk #65536", sub: "brk imm16 out of range"},
+		{src: "ldr x0, [x1, #65536]", sub: "out of range"},
+		{src: "ldr x0, [x1, #257]", sub: "load/store offset 257 out of range"},
+		{src: "ldr x0, [x1, #-257]", sub: "load/store offset -257 out of range"},
+		{src: "ldr x0, [x1, #256]!", sub: "pre/post index offset 256 out of range"},
+		{src: "str x0, [x1], #-257", sub: "pre/post index offset -257 out of range"},
+		{inst: mem(LDR, X0, Mem{Mode: AddrReg, Base: X1, Index: X2, Amount: 2}), sub: "register-offset shift 2 must be 0 or 3"},
+		{inst: mem(LDRH, W0, Mem{Mode: AddrRegUXTW, Base: X1, Index: W2, Amount: 2}), sub: "register-offset shift 2 must be 0 or 1"},
+		{inst: mem(LDR, X0, Mem{Mode: AddrNone, Base: X1}), sub: "bad addressing mode"},
+		{src: "ldr x0, 6", sub: "literal offset out of range"},
+		{src: "ldr x0, 1048576", sub: "literal offset out of range"},
+		{inst: mem(STR, X0, Mem{Mode: AddrLiteral}), sub: "literal addressing requires a load"},
+		{inst: mem(LDRB, W0, Mem{Mode: AddrLiteral}), sub: "op has no literal form"},
+		{src: "ldp x0, x1, [x2, #1024]", sub: "pair offset 1024 out of range"}, // imm7*8 max 504
+		{src: "ldp x0, x1, [x2, #4]", sub: "pair offset 4 out of range"},
+		{src: "stp w0, w1, [sp, #-260]!", sub: "pair offset -260 out of range"},
+		{inst: Inst{Op: LDP, Rd: X0, Rn: RegNone, Rm: X1, Ra: RegNone, Amount: -1, Mem: Mem{Mode: AddrReg, Base: X2, Index: X3}}, sub: "bad pair addressing mode"},
+		{src: "fmov d0, #0.1", sub: "is not an fmov immediate"},
+		{src: "fadd q0, q1, q2", sub: "has no fp type"},
+		{src: "scvtf q0, x1", sub: "has no fp type"},
+		{inst: Inst{Op: BAD}, sub: "unsupported op"},
+	}
+	for _, c := range cases {
+		inst := c.inst
+		if inst.Op == BAD && c.src != "" {
+			var err error
+			if inst, err = ParseInst(c.src); err != nil {
+				t.Fatalf("parse %q unexpectedly failed: %v", c.src, err)
+			}
 		}
-		if _, err := Encode(&inst); err == nil {
-			t.Errorf("encode %q: expected error", src)
+		_, err := Encode(&inst)
+		if err == nil || !strings.Contains(err.Error(), c.sub) {
+			t.Errorf("encode %q: err = %v, want one containing %q", inst.String(), err, c.sub)
 		}
 	}
 }
