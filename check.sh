@@ -56,10 +56,10 @@ echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor o
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .
 go test -count=1 -run 'TestSlotLayout|TestTimingTicks|TestAddTicksExact' ./internal/emu
 
-echo '== toolchain: golden ELF + alloc bound (verifier: none on accept, none per instruction)'
+echo '== toolchain: golden ELF + alloc bound (verifier: none on accept, none per instruction); codec pinned over 2^24 stride words and checked against the ISA table'
 # Not under -race: the detector allocates on its own account.
 go test -count=1 -run 'TestBuildGolden|TestRewriteTextGolden|TestBuildAllocs|TestVerifyAllocs' ./internal/progs
-go test -count=1 -run 'TestPrintGolden' ./internal/arm64
+go test -count=1 -run 'TestPrintGolden|TestCodecStride|TestRowsAgainstISA' ./internal/arm64
 
 echo '== toolchain at 1, 2 and 4 cores (no output may depend on the core count)'
 go test -count=1 -cpu 1,2,4 -run 'TestBuildGolden|TestChunked' ./internal/progs
@@ -86,9 +86,10 @@ go test -count=1 -run 'TestDecodeAllocBound' ./internal/wasmfront
 echo '== wasm fuzz smoke (FuzzWasmTranslate, 5000 executions)'
 go test -run '^$' -fuzz '^FuzzWasmTranslate$' -fuzztime 5000x ./internal/fuzz
 
-echo '== verifier fuzz smoke (FuzzVerify, FuzzRewriteVerify: 5000 executions each)'
+echo '== verifier and codec fuzz smoke (FuzzVerify, FuzzRewriteVerify, FuzzDecode: 5000 executions each)'
 go test -run '^$' -fuzz '^FuzzVerify$' -fuzztime 5000x ./internal/fuzz
 go test -run '^$' -fuzz '^FuzzRewriteVerify$' -fuzztime 5000x ./internal/fuzz
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5000x ./internal/fuzz
 
 echo '== emulator lockstep fuzz smoke (FuzzExecLockstep, 5000 executions: fast path vs per-step on fuzzed words)'
 go test -run '^$' -fuzz '^FuzzExecLockstep$' -fuzztime 5000x ./internal/fuzz

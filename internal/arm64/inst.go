@@ -97,51 +97,6 @@ func ParseExtend(s string) (Extend, bool) {
 	return ExtNone, false
 }
 
-// option returns the 3-bit "option" field for extended-register encodings.
-func (e Extend) option() (uint32, bool) {
-	switch e {
-	case ExtUXTB:
-		return 0, true
-	case ExtUXTH:
-		return 1, true
-	case ExtUXTW:
-		return 2, true
-	case ExtUXTX, ExtLSL:
-		return 3, true
-	case ExtSXTB:
-		return 4, true
-	case ExtSXTH:
-		return 5, true
-	case ExtSXTW:
-		return 6, true
-	case ExtSXTX:
-		return 7, true
-	}
-	return 0, false
-}
-
-func extendFromOption(opt uint32, is64 bool) Extend {
-	switch opt {
-	case 0:
-		return ExtUXTB
-	case 1:
-		return ExtUXTH
-	case 2:
-		return ExtUXTW
-	case 3:
-		_ = is64
-		return ExtUXTX
-	case 4:
-		return ExtSXTB
-	case 5:
-		return ExtSXTH
-	case 6:
-		return ExtSXTW
-	default:
-		return ExtSXTX
-	}
-}
-
 // AddrMode identifies a load/store addressing mode (Table 1 in the paper).
 type AddrMode uint8
 

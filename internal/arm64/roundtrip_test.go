@@ -456,6 +456,7 @@ func TestEncodeRejects(t *testing.T) {
 		{src: "fmov d0, #0.1", sub: "is not an fmov immediate"},
 		{src: "fadd q0, q1, q2", sub: "has no fp type"},
 		{src: "scvtf q0, x1", sub: "has no fp type"},
+		{src: "fcvt q0, d1", sub: "register q0 has no fp type"},
 		{inst: Inst{Op: BAD}, sub: "unsupported op"},
 	}
 	for _, c := range cases {
@@ -469,6 +470,30 @@ func TestEncodeRejects(t *testing.T) {
 		_, err := Encode(&inst)
 		if err == nil || !strings.Contains(err.Error(), c.sub) {
 			t.Errorf("encode %q: err = %v, want one containing %q", inst.String(), err, c.sub)
+		}
+	}
+}
+
+// TestEncodeRefusesMismatchedTransfer: a transfer register the op has no
+// encoding for is refused. The hand-written encoder turned each of these
+// into another instruction (ldrb h2 into a store of b2, ldr h2 from a
+// literal into ldr s2, ldp b1 into ldp w1).
+func TestEncodeRefusesMismatchedTransfer(t *testing.T) {
+	for _, src := range []string{
+		"ldrb h2, [x1]",
+		"strh q0, [x1, #2]",
+		"ldrsw s0, [x1], #4",
+		"ldr h2, 1024",
+		"ldrsw d0, 8",
+		"ldp b1, b2, [x0]",
+		"stp h1, h2, [sp, #-4]!",
+	} {
+		inst, err := ParseInst(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		if w, err := Encode(&inst); err == nil {
+			t.Errorf("encode %q = %#08x, want an error", src, w)
 		}
 	}
 }

@@ -156,19 +156,6 @@ type Stats struct {
 	Flushes       uint64 `json:"flushes"`         // epoch-driven decode/translation flushes
 }
 
-// Add accumulates other into s (for aggregating across CPUs).
-func (s *Stats) Add(other Stats) {
-	s.BlockHits += other.BlockHits
-	s.BlockMisses += other.BlockMisses
-	s.TCReadHits += other.TCReadHits
-	s.TCReadMisses += other.TCReadMisses
-	s.TCWriteHits += other.TCWriteHits
-	s.TCWriteMisses += other.TCWriteMisses
-	s.FastRuns += other.FastRuns
-	s.SlowRuns += other.SlowRuns
-	s.Flushes += other.Flushes
-}
-
 // New creates a CPU over the address space.
 func New(m *mem.AddrSpace) *CPU {
 	ps := m.PageSize()

@@ -15,20 +15,18 @@ import (
 	"lfi/internal/wasmfront"
 )
 
-// An Image is a program prepared for serving: the verified ELF, its
-// parsed segments, and a post-initialization snapshot of a loaded
-// sandbox. Building an image runs the whole pipeline once —
-// rewrite/assemble (for source), parse, verify, load, snapshot — so that
-// serving a request costs only a snapshot restore. Images are immutable
-// and safe to share across workers.
+// An Image is a program prepared for serving: the verified ELF and a
+// post-initialization snapshot of a loaded sandbox. Building an image
+// runs the whole pipeline once — rewrite/assemble (for source), parse,
+// verify, load, snapshot — so that serving a request costs only a
+// snapshot restore. Images are immutable and safe to share across
+// workers.
 type Image struct {
 	// Key identifies the image: a hash of the source and options (for
 	// Build) or of the ELF bytes (for FromELF).
 	Key string
 	// ELF is the verified executable (kept for cold-load baselines).
 	ELF []byte
-	// Exe is the parsed executable.
-	Exe *elfobj.Executable
 	// Snap is the post-initialization sandbox snapshot workers restore.
 	Snap *lfirt.Snapshot
 }
@@ -183,7 +181,7 @@ func (c *Cache) makeImage(key string, elfBytes []byte) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Image{Key: key, ELF: elfBytes, Exe: exe, Snap: snap}, nil
+	return &Image{Key: key, ELF: elfBytes, Snap: snap}, nil
 }
 
 // Len reports how many images the cache holds or is building.
