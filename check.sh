@@ -56,15 +56,17 @@ echo '== bench smoke (go test -bench=BenchmarkEmu -benchtime=1x: each executor o
 go test -run '^$' -bench 'BenchmarkEmu' -benchtime=1x .
 go test -count=1 -run 'TestSlotLayout|TestTimingTicks|TestAddTicksExact' ./internal/emu
 
-echo '== toolchain: golden ELF + alloc bound (verifier: none on accept, none per instruction); codec pinned over 2^24 stride words and checked against the ISA table'
+echo '== toolchain: golden ELF + alloc bound (verifier: none on accept, none per instruction); codec pinned over 2^24 stride words, checked against the ISA table, refusing registers of the wrong bank'
 # Not under -race: the detector allocates on its own account.
 go test -count=1 -run 'TestBuildGolden|TestRewriteTextGolden|TestBuildAllocs|TestVerifyAllocs' ./internal/progs
-go test -count=1 -run 'TestPrintGolden|TestCodecStride|TestRowsAgainstISA' ./internal/arm64
+go test -count=1 -run 'TestPrintGolden|TestCodecStride|TestRowsAgainstISA|TestEncodeRefusesWrongBank' ./internal/arm64
+# The per-word codec loop EXPERIMENTS.md "The build at codec speed" cites.
+go test -run '^$' -bench BenchmarkCodec -benchtime 1x .
 
 echo '== toolchain at 1, 2 and 4 cores (no output may depend on the core count)'
 go test -count=1 -cpu 1,2,4 -run 'TestBuildGolden|TestChunked' ./internal/progs
 
-echo '== chunked parse/rewrite/verify and single-flight image builds under race'
+echo '== chunked parse/rewrite/assemble/verify and single-flight image builds under race'
 go test -race -count=1 -run 'TestChunked|TestCacheSingleFlight' \
     ./internal/arm64 ./internal/rewrite ./internal/verifier ./internal/pool
 

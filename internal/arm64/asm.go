@@ -1,12 +1,14 @@
 package arm64
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // ItemKind distinguishes the pieces of a parsed assembly file.
@@ -35,29 +37,80 @@ type File struct {
 	Items []Item
 }
 
-// stripComment removes //, @ and ; comments (not inside string literals).
-func stripComment(line string) string {
+// cutLine splits src after its first newline. It returns the line without
+// its comment (//, @ or ;, outside string literals) and without the blanks
+// around what is left, and whether that has a colon, reading each byte
+// once.
+func cutLine(src string) (line, rest string, colon bool) {
 	inStr := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if c == '"' {
-			inStr = !inStr
-			continue
+	for i := 0; i < len(src); i++ {
+		for i < len(src) && !lineStop[src[i]] {
+			i++
 		}
-		if inStr {
-			if c == '\\' {
+		if i == len(src) {
+			break
+		}
+		switch c := src[i]; {
+		case c == '\n':
+			return trimSpace(src[:i]), src[i+1:], colon
+		case inStr:
+			if c == '"' {
+				inStr = false
+			} else if c == '\\' && i+1 < len(src) && src[i+1] != '\n' {
 				i++
 			}
-			continue
-		}
-		if c == ';' || c == '@' {
-			return line[:i]
-		}
-		if c == '/' && i+1 < len(line) && line[i+1] == '/' {
-			return line[:i]
+		case c == '"':
+			inStr = true
+		case c == ':':
+			colon = true
+		case c == ';' || c == '@' || (c == '/' && i+1 < len(src) && src[i+1] == '/'):
+			line = trimSpace(src[:i])
+			if j := strings.IndexByte(src[i:], '\n'); j >= 0 {
+				return line, src[i+j+1:], colon
+			}
+			return line, "", colon
 		}
 	}
-	return line
+	return trimSpace(src), "", colon
+}
+
+// lineStop marks the bytes cutLine stops at.
+var lineStop = [256]bool{'\n': true, '"': true, '\\': true, ':': true, ';': true, '@': true, '/': true}
+
+// trimSpace is strings.TrimSpace, returning at once the common line or
+// operand that has no blank or non-ASCII byte at either edge.
+func trimSpace(s string) string {
+	if len(s) > 0 && (trimEdge[s[0]] || trimEdge[s[len(s)-1]]) {
+		return trimBlanks(s)
+	}
+	return s
+}
+
+// trimBlanks is trimSpace's loop.
+func trimBlanks(s string) string {
+	for len(s) > 0 && asciiSpace[s[0]] {
+		s = s[1:]
+	}
+	for len(s) > 0 && asciiSpace[s[len(s)-1]] {
+		s = s[:len(s)-1]
+	}
+	if len(s) > 0 && (s[0]|s[len(s)-1]) >= utf8.RuneSelf {
+		return strings.TrimSpace(s)
+	}
+	return s
+}
+
+// asciiSpace marks the blanks strings.TrimSpace trims in ASCII; trimEdge
+// marks those and every non-ASCII byte.
+var asciiSpace, trimEdge [256]bool
+
+func init() {
+	for _, c := range "\t\n\v\f\r " {
+		asciiSpace[c], trimEdge[c] = true, true
+	}
+	for c := utf8.RuneSelf; c < len(trimEdge); c++ {
+		trimEdge[c] = true
+	}
 }
 
 // stripBlockComments removes /* ... */ comments (which may span lines),
@@ -184,21 +237,23 @@ func inChunks(k int, fn func(c int)) {
 // parseLines appends the items of src, whose first line is number no.
 func parseLines(items []Item, src string, no int32) ([]Item, error) {
 	var line string
+	var hasColon bool
+	var it *Item
 	for ; src != ""; no++ {
-		line, src, _ = strings.Cut(src, "\n")
-		line = strings.TrimSpace(stripComment(line))
+		line, src, hasColon = cutLine(src)
 		// A line may start with one or more labels.
-		for line != "" {
+		for hasColon && line != "" {
 			colon := strings.IndexByte(line, ':')
 			if colon < 0 {
 				break
 			}
-			name := strings.TrimSpace(line[:colon])
+			name := trimSpace(line[:colon])
 			if !isSymbolName(name) {
 				break
 			}
-			items = append(items, Item{Kind: ItemLabel, Name: name, LineNo: no})
-			line = strings.TrimSpace(line[colon+1:])
+			items, it = next(items)
+			it.Kind, it.Name, it.LineNo = ItemLabel, name, no
+			line = trimSpace(line[colon+1:])
 		}
 		if line == "" {
 			continue
@@ -210,23 +265,36 @@ func parseLines(items []Item, src string, no int32) ([]Item, error) {
 				var buf [8]string
 				args = append(args, splitOperands(buf[:0], rest)...)
 			}
-			items = append(items, Item{Kind: ItemDirective, Name: dir, Args: args, LineNo: no})
+			items, it = next(items)
+			it.Kind, it.Name, it.Args, it.LineNo = ItemDirective, dir, args, no
 			continue
 		}
-		inst, err := ParseInst(line)
-		if err != nil {
+		items, it = next(items)
+		if err := parseInst(line, &it.Inst); err != nil {
+			err.Line = line
 			return nil, fmt.Errorf("line %d: %w", no, err)
 		}
-		items = append(items, Item{Kind: ItemInst, Inst: inst, LineNo: no})
+		it.Kind, it.LineNo = ItemInst, no
 	}
 	return items, nil
+}
+
+// next appends an item to items and returns it to be filled in: in the
+// reservation, whose items are zero, where it has room.
+func next(items []Item) ([]Item, *Item) {
+	if len(items) < cap(items) {
+		items = items[:len(items)+1]
+	} else {
+		items = append(items, Item{})
+	}
+	return items, &items[len(items)-1]
 }
 
 // cutWord splits s at its first run of blanks: "lsl #3" gives "lsl", "#3".
 func cutWord(s string) (word, rest string) {
 	for i := 0; i < len(s); i++ {
 		if s[i] == ' ' || s[i] == '\t' {
-			return s[:i], strings.TrimSpace(s[i+1:])
+			return s[:i], trimSpace(s[i+1:])
 		}
 	}
 	return s, ""
@@ -377,69 +445,64 @@ func dataSize(it *Item) (uint64, error) {
 }
 
 // Assemble lays out and encodes the file into a linked image.
-func Assemble(f *File, layout Layout) (*Image, error) {
+func Assemble(f *File, layout Layout) (*Image, error) { return assemble(f, layout, 0) }
+
+// minAssembleChunk is the fewest items worth a goroutine.
+const minAssembleChunk = 16 << 10
+
+// secShift places a symbol's section in the top two bits over its offset
+// until the section bases are known.
+const secShift = 62
+
+// An asmChunk is one goroutine's share of pass 2: items c*n/k up to
+// (c+1)*n/k, which start in section cur at offset off[s] of every
+// section s.
+type asmChunk struct {
+	cur section
+	off [numSections]uint64
+	err error
+}
+
+// A label is a symbol definition pass 1 found: its item, and its section
+// over its offset.
+type label struct {
+	item int
+	at   uint64
+}
+
+// assemble is Assemble with pass 2 in k chunks (0: one per
+// minAssembleChunk items, at most GOMAXPROCS). Pass 1 is one walk: it
+// sizes the sections, finds the labels, and notes where each chunk
+// starts. Each chunk then encodes its items into its window of the sized
+// section buffers, reading the finished symbol map; the lowest chunk's
+// error is the first in the file.
+func assemble(f *File, layout Layout, k int) (*Image, error) {
 	if layout.PageSize == 0 {
 		layout.PageSize = 16 * 1024
 	}
+	n := len(f.Items)
+	if k == 0 {
+		k = max(1, min(runtime.GOMAXPROCS(0), n/minAssembleChunk))
+	}
+	parts := make([]asmChunk, k)
 
-	// Pass 1: compute section sizes and symbol offsets. A symbol is held
-	// as its section in the top two bits over its offset until the
-	// section bases are known.
-	const secShift = 62
-	symAddr := make(map[string]uint64)
+	// Pass 1: compute section sizes and symbol offsets.
+	var labels []label
 	globals := make(map[string]bool)
 	cur := secText
 	var size [numSections]uint64
-
+	c := 0
 	for idx := range f.Items {
-		it := &f.Items[idx]
-		switch it.Kind {
-		case ItemLabel:
-			if _, dup := symAddr[it.Name]; dup {
-				return nil, &AssembleError{it.LineNo, fmt.Errorf("duplicate symbol %q", it.Name)}
-			}
-			symAddr[it.Name] = uint64(cur)<<secShift | size[cur]
-		case ItemInst:
-			if cur != secText {
-				return nil, &AssembleError{it.LineNo, fmt.Errorf("instruction outside .text")}
-			}
-			size[cur] += 4
-		case ItemDirective:
-			if sec, ok := sectionSwitch(it); ok {
-				cur = sec
-				continue
-			}
-			switch it.Name {
-			case "globl", "global":
-				for _, a := range it.Args {
-					globals[a] = true
-				}
-			case "align", "p2align":
-				if len(it.Args) >= 1 {
-					v, ok := parseImmVal(it.Args[0])
-					if !ok || v < 0 || v > 16 {
-						return nil, &AssembleError{it.LineNo, fmt.Errorf("bad alignment")}
-					}
-					size[cur] = alignUp(size[cur], 1<<uint(v))
-				}
-			case "balign":
-				if len(it.Args) >= 1 {
-					v, ok := parseImmVal(it.Args[0])
-					if !ok || v <= 0 || v&(v-1) != 0 {
-						return nil, &AssembleError{it.LineNo, fmt.Errorf("bad alignment")}
-					}
-					size[cur] = alignUp(size[cur], uint64(v))
-				}
-			default:
-				n, err := dataSize(it)
-				if err != nil {
-					return nil, &AssembleError{it.LineNo, err}
-				}
-				size[cur] += n
-			}
+		for c < k && idx == c*n/k {
+			parts[c].cur, parts[c].off = cur, size
+			c++
 		}
-		if size[cur] > MaxSectionSize {
-			return nil, &AssembleError{it.LineNo, fmt.Errorf("section exceeds %d bytes", MaxSectionSize)}
+		if err := layOut(&f.Items[idx], &cur, &size, globals); err != nil {
+			_, dup := symbols(f, labels, &size) // a duplicate on an earlier line comes first
+			return nil, cmp.Or(dup, err)
+		}
+		if f.Items[idx].Kind == ItemLabel {
+			labels = append(labels, label{idx, uint64(cur)<<secShift | size[cur]})
 		}
 	}
 
@@ -455,152 +518,31 @@ func Assemble(f *File, layout Layout) (*Image, error) {
 		base[secData] = alignUp(base[secROData]+size[secROData], layout.PageSize)
 	}
 	base[secBSS] = alignUp(base[secData]+size[secData], layout.PageSize)
-
-	for name, v := range symAddr {
-		symAddr[name] = base[v>>secShift] + v&(1<<secShift-1)
-	}
-
-	resolve := func(label string, lineNo int32) (uint64, error) {
-		a, ok := symAddr[label]
-		if !ok {
-			return 0, &AssembleError{lineNo, fmt.Errorf("undefined symbol %q", label)}
-		}
-		return a, nil
-	}
-	// value is a data directive argument: a number or a symbol's address.
-	value := func(arg string, lineNo int32) (uint64, error) {
-		if isImm(arg) {
-			v, _ := parseImmVal(arg)
-			return uint64(v), nil
-		}
-		return resolve(arg, lineNo)
+	symAddr, err := symbols(f, labels, &base)
+	if err != nil {
+		return nil, err
 	}
 
 	// Pass 2: emit bytes into buffers of the sizes pass 1 found. The BSS
 	// holds no bytes, so nothing is emitted for it.
-	var buf [numSections][]byte
+	a := &assembler{f: f, sym: symAddr, base: base}
 	for sec := secText; sec < secBSS; sec++ {
-		buf[sec] = make([]byte, 0, size[sec])
+		a.buf[sec] = make([]byte, size[sec])
 	}
-	cur = secText
-	le := binary.LittleEndian
-
-	for idx := range f.Items {
-		it := &f.Items[idx]
-		switch it.Kind {
-		case ItemInst:
-			pc := base[secText] + uint64(len(buf[secText]))
-			inst := it.Inst
-			if inst.Label != "" {
-				if strings.HasPrefix(inst.Label, ":lo12:") {
-					a, err := resolve(inst.Label[len(":lo12:"):], it.LineNo)
-					if err != nil {
-						return nil, err
-					}
-					inst.Imm = int64(a & 0xfff)
-				} else {
-					a, err := resolve(inst.Label, it.LineNo)
-					if err != nil {
-						return nil, err
-					}
-					switch inst.Op {
-					case ADRP:
-						inst.Imm = int64(a&^0xfff) - int64(pc&^0xfff)
-					case ADR, B, BL, BCOND, CBZ, CBNZ, TBZ, TBNZ:
-						inst.Imm = int64(a) - int64(pc)
-					default:
-						if inst.Mem.Mode == AddrLiteral {
-							inst.Imm = int64(a) - int64(pc)
-						} else {
-							inst.Imm = int64(a)
-						}
-					}
-				}
-				inst.Label = ""
-			}
-			w, err := Encode(&inst)
-			if err != nil {
-				return nil, &AssembleError{it.LineNo, err}
-			}
-			buf[secText] = le.AppendUint32(buf[secText], w)
-
-		case ItemDirective:
-			if sec, ok := sectionSwitch(it); ok {
-				cur = sec
-				continue
-			}
-			if cur == secBSS {
-				continue
-			}
-			out := buf[cur]
-			switch it.Name {
-			case "align", "p2align", "balign":
-				if len(it.Args) >= 1 {
-					v, _ := parseImmVal(it.Args[0])
-					a := uint64(1) << uint(v)
-					if it.Name == "balign" {
-						a = uint64(v)
-					}
-					for uint64(len(out))%a != 0 {
-						if cur == secText && len(out)%4 == 0 && a >= 4 {
-							out = le.AppendUint32(out, 0xd503201f) // nop
-						} else {
-							out = append(out, 0)
-						}
-					}
-				}
-			case "quad", "xword", "dword", "8byte":
-				for _, a := range it.Args {
-					v, err := value(a, it.LineNo)
-					if err != nil {
-						return nil, err
-					}
-					out = le.AppendUint64(out, v)
-				}
-			case "word", "long", "4byte":
-				for _, a := range it.Args {
-					v, err := value(a, it.LineNo)
-					if err != nil {
-						return nil, err
-					}
-					out = le.AppendUint32(out, uint32(v))
-				}
-			case "hword", "short", "2byte":
-				for _, a := range it.Args {
-					sv, _ := parseImmVal(a)
-					out = le.AppendUint16(out, uint16(sv))
-				}
-			case "byte":
-				for _, a := range it.Args {
-					sv, _ := parseImmVal(a)
-					out = append(out, byte(sv))
-				}
-			case "ascii", "asciz", "string":
-				for _, a := range it.Args {
-					s, err := parseStringLit(a)
-					if err != nil {
-						return nil, &AssembleError{it.LineNo, err}
-					}
-					out = append(out, s...)
-					if it.Name != "ascii" {
-						out = append(out, 0)
-					}
-				}
-			case "space", "skip", "zero":
-				v, _ := parseImmVal(it.Args[0])
-				out = append(out, make([]byte, v)...)
-			}
-			buf[cur] = out
+	inChunks(k, func(c int) { parts[c].err = a.emit(&parts[c], c*n/k, (c+1)*n/k) })
+	for _, p := range parts {
+		if p.err != nil {
+			return nil, p.err
 		}
 	}
 
 	img := &Image{
 		TextAddr:   base[secText],
-		Text:       buf[secText],
+		Text:       a.buf[secText],
 		RODataAddr: base[secROData],
-		ROData:     buf[secROData],
+		ROData:     a.buf[secROData],
 		DataAddr:   base[secData],
-		Data:       buf[secData],
+		Data:       a.buf[secData],
 		BSSAddr:    base[secBSS],
 		BSSSize:    size[secBSS],
 		Symbols:    symAddr,
@@ -613,6 +555,218 @@ func Assemble(f *File, layout Layout) (*Image, error) {
 		img.Entry = a
 	}
 	return img, nil
+}
+
+// layOut is pass 1 for one item: it moves *cur and grows *size by what the
+// item emits, and notes .globl names.
+func layOut(it *Item, cur *section, size *[numSections]uint64, globals map[string]bool) error {
+	switch it.Kind {
+	case ItemInst:
+		if *cur != secText {
+			return &AssembleError{it.LineNo, fmt.Errorf("instruction outside .text")}
+		}
+		size[*cur] += 4
+	case ItemDirective:
+		if sec, ok := sectionSwitch(it); ok {
+			*cur = sec
+			return nil
+		}
+		switch it.Name {
+		case "globl", "global":
+			for _, a := range it.Args {
+				globals[a] = true
+			}
+		case "align", "p2align":
+			if len(it.Args) >= 1 {
+				v, ok := parseImmVal(it.Args[0])
+				if !ok || v < 0 || v > 16 {
+					return &AssembleError{it.LineNo, fmt.Errorf("bad alignment")}
+				}
+				size[*cur] = alignUp(size[*cur], 1<<uint(v))
+			}
+		case "balign":
+			if len(it.Args) >= 1 {
+				v, ok := parseImmVal(it.Args[0])
+				if !ok || v <= 0 || v&(v-1) != 0 {
+					return &AssembleError{it.LineNo, fmt.Errorf("bad alignment")}
+				}
+				size[*cur] = alignUp(size[*cur], uint64(v))
+			}
+		default:
+			n, err := dataSize(it)
+			if err != nil {
+				return &AssembleError{it.LineNo, err}
+			}
+			size[*cur] += n
+		}
+	}
+	if size[*cur] > MaxSectionSize {
+		return &AssembleError{it.LineNo, fmt.Errorf("section exceeds %d bytes", MaxSectionSize)}
+	}
+	return nil
+}
+
+// symbols maps each label to its address, given the section bases, in a
+// map sized once. It reports the first symbol defined twice.
+func symbols(f *File, labels []label, base *[numSections]uint64) (map[string]uint64, error) {
+	sym := make(map[string]uint64, len(labels))
+	for _, l := range labels {
+		it := &f.Items[l.item]
+		if _, dup := sym[it.Name]; dup {
+			return nil, &AssembleError{it.LineNo, fmt.Errorf("duplicate symbol %q", it.Name)}
+		}
+		sym[it.Name] = base[l.at>>secShift] + l.at&(1<<secShift-1)
+	}
+	return sym, nil
+}
+
+// assembler is what pass 2 reads, and the buffers its chunks write.
+type assembler struct {
+	f    *File
+	sym  map[string]uint64
+	base [numSections]uint64
+	buf  [numSections][]byte
+}
+
+func (a *assembler) resolve(label string, lineNo int32) (uint64, error) {
+	v, ok := a.sym[label]
+	if !ok {
+		return 0, &AssembleError{lineNo, fmt.Errorf("undefined symbol %q", label)}
+	}
+	return v, nil
+}
+
+// value is a data directive argument: a number or a symbol's address.
+func (a *assembler) value(arg string, lineNo int32) (uint64, error) {
+	if isImm(arg) {
+		v, _ := parseImmVal(arg)
+		return uint64(v), nil
+	}
+	return a.resolve(arg, lineNo)
+}
+
+// emit is pass 2 over chunk p, items [lo, hi): it writes them from p.off
+// on.
+func (a *assembler) emit(p *asmChunk, lo, hi int) error {
+	cur, off := p.cur, p.off
+	le := binary.LittleEndian
+	for idx := lo; idx < hi; idx++ {
+		it := &a.f.Items[idx]
+		switch it.Kind {
+		case ItemInst:
+			in := &it.Inst
+			if in.Label != "" {
+				pc := a.base[secText] + off[secText]
+				inst := *in
+				in = &inst
+				if strings.HasPrefix(inst.Label, ":lo12:") {
+					v, err := a.resolve(inst.Label[len(":lo12:"):], it.LineNo)
+					if err != nil {
+						return err
+					}
+					inst.Imm = int64(v & 0xfff)
+				} else {
+					v, err := a.resolve(inst.Label, it.LineNo)
+					if err != nil {
+						return err
+					}
+					switch inst.Op {
+					case ADRP:
+						inst.Imm = int64(v&^0xfff) - int64(pc&^0xfff)
+					case ADR, B, BL, BCOND, CBZ, CBNZ, TBZ, TBNZ:
+						inst.Imm = int64(v) - int64(pc)
+					default:
+						if inst.Mem.Mode == AddrLiteral {
+							inst.Imm = int64(v) - int64(pc)
+						} else {
+							inst.Imm = int64(v)
+						}
+					}
+				}
+				inst.Label = ""
+			}
+			w, err := Encode(in)
+			if err != nil {
+				return &AssembleError{it.LineNo, err}
+			}
+			le.PutUint32(a.buf[secText][off[secText]:], w)
+			off[secText] += 4
+
+		case ItemDirective:
+			if sec, ok := sectionSwitch(it); ok {
+				cur = sec
+				continue
+			}
+			if cur == secBSS {
+				continue
+			}
+			out, at := a.buf[cur], off[cur]
+			switch it.Name {
+			case "align", "p2align", "balign":
+				if len(it.Args) >= 1 {
+					v, _ := parseImmVal(it.Args[0])
+					n := uint64(1) << uint(v)
+					if it.Name == "balign" {
+						n = uint64(v)
+					}
+					// The buffer is zero: only text padding from a
+					// word boundary on needs writing, as nops.
+					for ; at%n != 0; at++ {
+						if cur == secText && at%4 == 0 && n >= 4 {
+							le.PutUint32(out[at:], 0xd503201f) // nop
+							at += 3
+						}
+					}
+				}
+			case "quad", "xword", "dword", "8byte":
+				for _, arg := range it.Args {
+					v, err := a.value(arg, it.LineNo)
+					if err != nil {
+						return err
+					}
+					le.PutUint64(out[at:], v)
+					at += 8
+				}
+			case "word", "long", "4byte":
+				for _, arg := range it.Args {
+					v, err := a.value(arg, it.LineNo)
+					if err != nil {
+						return err
+					}
+					le.PutUint32(out[at:], uint32(v))
+					at += 4
+				}
+			case "hword", "short", "2byte":
+				for _, arg := range it.Args {
+					sv, _ := parseImmVal(arg)
+					le.PutUint16(out[at:], uint16(sv))
+					at += 2
+				}
+			case "byte":
+				for _, arg := range it.Args {
+					sv, _ := parseImmVal(arg)
+					out[at] = byte(sv)
+					at++
+				}
+			case "ascii", "asciz", "string":
+				for _, arg := range it.Args {
+					s, err := parseStringLit(arg)
+					if err != nil {
+						return &AssembleError{it.LineNo, err}
+					}
+					at += uint64(copy(out[at:], s))
+					if it.Name != "ascii" {
+						at++
+					}
+				}
+			case "space", "skip", "zero":
+				v, _ := parseImmVal(it.Args[0])
+				at += uint64(v)
+			}
+			off[cur] = at
+		}
+	}
+	return nil
 }
 
 func parseStringLit(s string) (string, error) {

@@ -211,15 +211,22 @@ func TestTrailingCommaIsParseError(t *testing.T) {
 
 func TestStripComment(t *testing.T) {
 	cases := map[string]string{
-		"add x0, x1, #1 // comment":     "add x0, x1, #1 ",
-		"add x0, x1, #1 ; tail":         "add x0, x1, #1 ",
-		`.asciz "a // not a comment"`:   `.asciz "a // not a comment"`,
-		"mov x0, #2 @ arm style":        "mov x0, #2 ",
-		`.asciz "quote \" inside" // c`: `.asciz "quote \" inside" `,
+		"add x0, x1, #1 // comment":           "add x0, x1, #1",
+		"add x0, x1, #1 ; tail":               "add x0, x1, #1",
+		`.asciz "a // not a comment"`:         `.asciz "a // not a comment"`,
+		"mov x0, #2 @ arm style":              "mov x0, #2",
+		`.asciz "quote \" inside" // c`:       `.asciz "quote \" inside"`,
+		"\t ret \r":                           "ret",
+		`.ascii "ends in \`:                   `.ascii "ends in \`,
+		"\u00a0nop\u00a0// unicode blanks":    "nop",
+		"l1: l2:\tadd x0, x0, :lo12:l1 // x:": "l1: l2:\tadd x0, x0, :lo12:l1",
 	}
 	for in, want := range cases {
-		if got := stripComment(in); got != want {
-			t.Errorf("stripComment(%q) = %q, want %q", in, got, want)
+		for _, tail := range []string{"", "\nnext"} {
+			line, rest, colon := cutLine(in + tail)
+			if line != want || rest != strings.TrimPrefix(tail, "\n") || colon != strings.Contains(want, ":") {
+				t.Errorf("cutLine(%q) = %q, %q, %v; want %q, %q", in+tail, line, rest, colon, want, strings.TrimPrefix(tail, "\n"))
+			}
 		}
 	}
 }
@@ -263,6 +270,29 @@ func TestDestSrcRegs(t *testing.T) {
 		}
 		if got := inst.SrcRegs(nil); !eq(got, c.srcs) {
 			t.Errorf("%q SrcRegs = %v, want %v", c.src, got, c.srcs)
+		}
+	}
+}
+
+// TestEncodeRefusesWrongBank: a register of the other bank in an operand
+// is refused, not encoded as the register of the same number.
+func TestEncodeRefusesWrongBank(t *testing.T) {
+	cases := map[string]string{
+		"mov x0, d1":          "d1 is not a general register",
+		"add x0, x1, d2":      "d2 is not a general register",
+		"madd x0, x1, q2, x3": "q2 is not a general register",
+		"fadd d0, x1, d2":     "x1 is not an fp register",
+		"cmp x0, s3":          "s3 is not a general register",
+		"str x1, [x2, d3]":    "d3 is not a general register",
+	}
+	for src, want := range cases {
+		in, err := ParseInst(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		w, err := Encode(&in)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: encoded %#08x, %v; want %q", src, w, err, want)
 		}
 	}
 }

@@ -31,3 +31,40 @@ func TestChunkedParse(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkedAssemble: encoded in 2 to 8 chunks, a file assembles to the
+// image of a single pass, or fails with its error: the first in the file
+// when chunks fail apart, a .quad whose label a later chunk defines, and
+// text alignment wherever the cuts fall.
+func TestChunkedAssemble(t *testing.T) {
+	body := strings.Repeat("\tadd x0, x0, #1\n", 400)
+	var aligned strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&aligned, "\tadd x0, x0, #%d\n", i)
+		if i%7 == 3 {
+			fmt.Fprintf(&aligned, "\t.byte %d\n\t.balign %d\n", i, 4<<(i%4))
+		}
+	}
+	cases := map[string]string{
+		"encode error first, undefined symbol last": "_start:\n\tadd x0, x0, #5000\n" + body + "\tb nowhere\n",
+		"quad of a later label":                     ".data\nv:\n\t.quad tail, 7\n\t.word tail\n.text\n_start:\n" + body + "tail:\n\tret\n",
+		"balign in text":                            "_start:\n" + aligned.String() + "\tret\n.data\n\t.byte 1\n\t.balign 8\n\t.quad _start\n",
+	}
+	layout := Layout{TextBase: 0x10000}
+	for name, src := range cases {
+		f, err := ParseFile(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, wantErr := assemble(f, layout, 1)
+		if strings.HasPrefix(name, "encode error") && (wantErr == nil || !strings.HasPrefix(wantErr.Error(), "line 2: ")) {
+			t.Fatalf("%s: one chunk gives %v, want line 2's error", name, wantErr)
+		}
+		for k := 2; k <= 8; k++ {
+			got, err := assemble(f, layout, k)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d chunks assemble differently from one (%v; one: %v)", name, k, err, wantErr)
+			}
+		}
+	}
+}

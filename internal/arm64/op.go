@@ -400,24 +400,86 @@ func (i *Inst) SrcRegs(dst []Reg) []Reg {
 	return dst
 }
 
-var opByName map[string]Op
+// A mnemonic is what a name in the op position means: an op, or an alias
+// that parseInst resolves to one from the operands (lsl is both: the
+// alias takes an immediate, the op a register).
+type mnemonic struct {
+	op    Op
+	alias alias
+}
+
+type alias uint8
+
+const (
+	aliasNone     alias = iota
+	aliasMov            // mov
+	aliasCmp            // cmp, cmn
+	aliasTst            // tst
+	aliasNeg            // neg, negs
+	aliasMvn            // mvn
+	aliasMul            // mul, mneg, smull, umull
+	aliasShift          // lsl, lsr, asr, ror
+	aliasExtend         // sxtb, sxth, sxtw, uxtb, uxth
+	aliasBitfield       // ubfx, ubfiz, sbfx, sbfiz, bfi, bfxil
+	aliasCset           // cset, csetm
+	aliasCinc           // cinc, cinv, cneg
+)
+
+// mnemonics holds every name by its length over its bytes, packed into a
+// word (no mnemonic is longer than 7 bytes): one lookup, which hashes
+// faster than the string, says both what the name is and which alias.
+var mnemonics = make(map[uint64]mnemonic, NumOps+40)
+
+// packName is s as mnemonics keys it, or 0 if no mnemonic could be s.
+func packName(s string) uint64 {
+	if len(s) > 7 {
+		return 0
+	}
+	k := uint64(len(s))
+	for i := 0; i < len(s); i++ {
+		k = k<<8 | uint64(s[i])
+	}
+	return k
+}
 
 func init() {
-	opByName = make(map[string]Op, NumOps)
+	add := func(op Op, a alias, names ...string) {
+		for _, name := range names {
+			m := mnemonics[packName(name)]
+			if op != BAD {
+				m.op = op
+			}
+			if a != aliasNone {
+				m.alias = a
+			}
+			mnemonics[packName(name)] = m
+		}
+	}
 	for op := Op(1); op < NumOps; op++ {
-		opByName[opTab[op].name] = op
+		// b.cond is parsed by its condition suffix.
+		if name := opTab[op].name; name != "" && name != "b." {
+			add(op, aliasNone, name)
+		}
 	}
 	// ldur/stur spell the unscaled forms of the same canonical ops.
-	opByName["ldur"] = LDR
-	opByName["stur"] = STR
-	opByName["ldurb"] = LDRB
-	opByName["sturb"] = STRB
-	opByName["ldurh"] = LDRH
-	opByName["sturh"] = STRH
-	opByName["ldursb"] = LDRSB
-	opByName["ldursh"] = LDRSH
-	opByName["ldursw"] = LDRSW
-	delete(opByName, "b.") // handled specially (condition suffix)
-	// lsl/lsr/asr/ror map to the V forms; immediate forms are aliases
-	// resolved by the parser.
+	add(LDR, aliasNone, "ldur")
+	add(STR, aliasNone, "stur")
+	add(LDRB, aliasNone, "ldurb")
+	add(STRB, aliasNone, "sturb")
+	add(LDRH, aliasNone, "ldurh")
+	add(STRH, aliasNone, "sturh")
+	add(LDRSB, aliasNone, "ldursb")
+	add(LDRSH, aliasNone, "ldursh")
+	add(LDRSW, aliasNone, "ldursw")
+	add(BAD, aliasMov, "mov")
+	add(BAD, aliasCmp, "cmp", "cmn")
+	add(BAD, aliasTst, "tst")
+	add(BAD, aliasNeg, "neg", "negs")
+	add(BAD, aliasMvn, "mvn")
+	add(BAD, aliasMul, "mul", "mneg", "smull", "umull")
+	add(BAD, aliasShift, "lsl", "lsr", "asr", "ror")
+	add(BAD, aliasExtend, "sxtb", "sxth", "sxtw", "uxtb", "uxth")
+	add(BAD, aliasBitfield, "ubfx", "ubfiz", "sbfx", "sbfiz", "bfi", "bfxil")
+	add(BAD, aliasCset, "cset", "csetm")
+	add(BAD, aliasCinc, "cinc", "cinv", "cneg")
 }

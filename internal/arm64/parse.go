@@ -25,6 +25,12 @@ func splitOperands(dst []string, s string) []string {
 	depth := 0
 	start := 0
 	for i := 0; i < len(s); i++ {
+		for i < len(s) && !operandStop[s[i]] {
+			i++
+		}
+		if i == len(s) {
+			break
+		}
 		switch s[i] {
 		case '"':
 			for i++; i < len(s) && s[i] != '"'; i++ {
@@ -38,17 +44,22 @@ func splitOperands(dst []string, s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				dst = append(dst, strings.TrimSpace(s[start:i]))
-				start = i + 1
+				dst = append(dst, trimSpace(s[start:i]))
+				for start = i + 1; start < len(s) && (s[start] == ' ' || s[start] == '\t'); start++ {
+				}
+				i = start - 1
 			}
 		}
 	}
-	last := strings.TrimSpace(s[start:])
+	last := trimSpace(s[start:])
 	if last != "" || len(dst) > 0 {
 		dst = append(dst, last)
 	}
 	return dst
 }
+
+// operandStop marks the bytes splitOperands stops at.
+var operandStop = [256]bool{'"': true, '[': true, ']': true, ',': true}
 
 func parseImmVal(s string) (int64, bool) {
 	s = strings.TrimPrefix(s, "#")
@@ -139,7 +150,7 @@ func parseMem(s string) (Mem, string, bool) {
 		return Mem{}, "", false
 	}
 	inner := s[1:close]
-	trail := strings.TrimSpace(s[close+1:])
+	trail := trimSpace(s[close+1:])
 	if trail != "" && trail != "!" {
 		return Mem{}, "", false
 	}
@@ -229,8 +240,8 @@ func parseMem(s string) (Mem, string, bool) {
 // targets may be symbolic labels (returned in Label) or numeric offsets.
 func ParseInst(line string) (Inst, error) {
 	line = strings.TrimSpace(line)
-	i, err := parseInst(line)
-	if err != nil {
+	var i Inst
+	if err := parseInst(line, &i); err != nil {
 		err.Line = line
 		return Inst{Op: BAD}, err
 	}
@@ -239,11 +250,18 @@ func ParseInst(line string) (Inst, error) {
 
 // perr, needReg and the rest of parseInst report errors without the line;
 // ParseInst adds it, so nothing on the success path holds on to it.
-func perr(format string, args ...any) (Inst, *ParseError) {
-	return Inst{Op: BAD}, &ParseError{Msg: fmt.Sprintf(format, args...)}
+func perr(format string, args ...any) *ParseError {
+	return &ParseError{Msg: fmt.Sprintf(format, args...)}
 }
 
-func lowerReg(s string) (Reg, bool) { return ParseReg(strings.ToLower(s)) }
+// lowerReg is ParseReg of s in any case. A name that parses as it is was
+// lower-case already.
+func lowerReg(s string) (Reg, bool) {
+	if r, ok := ParseReg(s); ok {
+		return r, true
+	}
+	return ParseReg(strings.ToLower(s))
+}
 
 func needReg(s string) (Reg, *ParseError) {
 	r, ok := lowerReg(s)
@@ -270,15 +288,18 @@ func parseShiftOp(s string) (Extend, int8, bool) {
 	return ext, int8(v), true
 }
 
-func parseInst(line string) (Inst, *ParseError) {
+func parseInst(line string, i *Inst) *ParseError {
 	mnem, rest := cutWord(line)
-	mnem = strings.ToLower(mnem)
+	// A name found as it is was lower-case already.
+	m, ok := mnemonics[packName(mnem)]
+	if !ok {
+		mnem = strings.ToLower(mnem)
+		m = mnemonics[packName(mnem)]
+	}
 	var opbuf [6]string
 	ops := splitOperands(opbuf[:0], rest)
 
-	var i Inst
-	i.Rd, i.Rn, i.Rm, i.Ra = RegNone, RegNone, RegNone, RegNone
-	i.Amount = -1
+	*i = Inst{Rd: RegNone, Rn: RegNone, Rm: RegNone, Ra: RegNone, Amount: -1}
 
 	labelOrOfs := func(s string) {
 		if isImm(s) {
@@ -301,7 +322,7 @@ func parseInst(line string) (Inst, *ParseError) {
 		i.Op = BCOND
 		i.Cond = c
 		labelOrOfs(ops[0])
-		return i, nil
+		return nil
 	}
 
 	// Fill Rm/Imm/Ext from an "operand 2" (register with optional shift, or
@@ -353,14 +374,14 @@ func parseInst(line string) (Inst, *ParseError) {
 		return nil
 	}
 
-	switch mnem {
-	case "mov":
+	switch m.alias {
+	case aliasMov:
 		if len(ops) != 2 {
 			return perr("mov needs 2 operands")
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd = rd
 		if isImm(ops[1]) {
@@ -368,17 +389,19 @@ func parseInst(line string) (Inst, *ParseError) {
 			if !ok {
 				return perr("bad immediate")
 			}
-			return movImmInst(rd, v)
+			var err *ParseError
+			*i, err = movImmInst(rd, v)
+			return err
 		}
 		rm, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		if rd.IsSP() || rm.IsSP() {
 			i.Op = ADD
 			i.Rn = rm
 			i.Imm = 0
-			return i, nil
+			return nil
 		}
 		i.Op = ORR
 		i.Rn = rd.X().W() // placeholder, fixed below
@@ -388,15 +411,15 @@ func parseInst(line string) (Inst, *ParseError) {
 			i.Rn = WZR
 		}
 		i.Rm = rm
-		return i, nil
+		return nil
 
-	case "cmp", "cmn":
+	case aliasCmp:
 		if len(ops) < 2 {
 			return perr("cmp needs 2 operands")
 		}
 		rn, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rn = rn
 		if rn.Is64() {
@@ -410,17 +433,17 @@ func parseInst(line string) (Inst, *ParseError) {
 			i.Op = ADDS
 		}
 		if err := fillOp2(ops[1:]); err != nil {
-			return i, err
+			return err
 		}
-		return i, nil
+		return nil
 
-	case "tst":
+	case aliasTst:
 		if len(ops) < 2 {
 			return perr("tst needs 2 operands")
 		}
 		rn, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Op = ANDS
 		i.Rn = rn
@@ -430,17 +453,17 @@ func parseInst(line string) (Inst, *ParseError) {
 			i.Rd = WZR
 		}
 		if err := fillOp2(ops[1:]); err != nil {
-			return i, err
+			return err
 		}
-		return i, nil
+		return nil
 
-	case "neg", "negs":
+	case aliasNeg:
 		if len(ops) < 2 {
 			return perr("neg needs 2 operands")
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd = rd
 		if rd.Is64() {
@@ -453,17 +476,17 @@ func parseInst(line string) (Inst, *ParseError) {
 			i.Op = SUBS
 		}
 		if err := fillOp2(ops[1:]); err != nil {
-			return i, err
+			return err
 		}
-		return i, nil
+		return nil
 
-	case "mvn":
+	case aliasMvn:
 		if len(ops) < 2 {
 			return perr("mvn needs 2 operands")
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Op = ORN
 		i.Rd = rd
@@ -473,25 +496,25 @@ func parseInst(line string) (Inst, *ParseError) {
 			i.Rn = WZR
 		}
 		if err := fillOp2(ops[1:]); err != nil {
-			return i, err
+			return err
 		}
-		return i, nil
+		return nil
 
-	case "mul", "mneg", "smull", "umull":
+	case aliasMul:
 		if len(ops) != 3 {
 			return perr("%s needs 3 operands", mnem)
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rm, err := needReg(ops[2])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd, i.Rn, i.Rm = rd, rn, rm
 		switch mnem {
@@ -509,25 +532,25 @@ func parseInst(line string) (Inst, *ParseError) {
 		} else {
 			i.Ra = WZR
 		}
-		return i, nil
+		return nil
 
-	case "lsl", "lsr", "asr", "ror":
+	case aliasShift:
 		if len(ops) != 3 {
 			return perr("%s needs 3 operands", mnem)
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd, i.Rn = rd, rn
 		if !isImm(ops[2]) {
 			rm, err := needReg(ops[2])
 			if err != nil {
-				return i, err
+				return err
 			}
 			i.Rm = rm
 			switch mnem {
@@ -540,7 +563,7 @@ func parseInst(line string) (Inst, *ParseError) {
 			case "ror":
 				i.Op = RORV
 			}
-			return i, nil
+			return nil
 		}
 		sh, ok := parseImmVal(ops[2])
 		if !ok {
@@ -571,19 +594,19 @@ func parseInst(line string) (Inst, *ParseError) {
 			i.Rm = rn
 			i.Imm = sh
 		}
-		return i, nil
+		return nil
 
-	case "sxtb", "sxth", "sxtw", "uxtb", "uxth":
+	case aliasExtend:
 		if len(ops) != 2 {
 			return perr("%s needs 2 operands", mnem)
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd, i.Rn = rd, rn
 		if strings.HasPrefix(mnem, "s") {
@@ -608,19 +631,19 @@ func parseInst(line string) (Inst, *ParseError) {
 		if rd.Is64() {
 			i.Rn = rn.X()
 		}
-		return i, nil
+		return nil
 
-	case "ubfx", "ubfiz", "sbfx", "sbfiz", "bfi", "bfxil":
+	case aliasBitfield:
 		if len(ops) != 4 {
 			return perr("%s needs 4 operands", mnem)
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		lsb, ok1 := parseImmVal(ops[2])
 		width, ok2 := parseImmVal(ops[3])
@@ -646,15 +669,15 @@ func parseInst(line string) (Inst, *ParseError) {
 		case "bfxil":
 			i.Op, i.Imm, i.Amount = BFM, lsb, int8(lsb+width-1)
 		}
-		return i, nil
+		return nil
 
-	case "cset", "csetm":
+	case aliasCset:
 		if len(ops) != 2 {
 			return perr("%s needs 2 operands", mnem)
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		c, ok := ParseCond(strings.ToLower(ops[1]))
 		if !ok {
@@ -671,19 +694,19 @@ func parseInst(line string) (Inst, *ParseError) {
 		} else {
 			i.Op = CSINV
 		}
-		return i, nil
+		return nil
 
-	case "cinc", "cinv", "cneg":
+	case aliasCinc:
 		if len(ops) != 3 {
 			return perr("%s needs 3 operands", mnem)
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		c, ok := ParseCond(strings.ToLower(ops[2]))
 		if !ok {
@@ -699,18 +722,18 @@ func parseInst(line string) (Inst, *ParseError) {
 		case "cneg":
 			i.Op = CSNEG
 		}
-		return i, nil
+		return nil
 	}
 
-	op, ok := opByName[mnem]
-	if !ok {
+	op := m.op
+	if op == BAD {
 		return perr("unknown mnemonic %q", mnem)
 	}
 	i.Op = op
 
 	switch op.shape() {
 	case shapeNone:
-		return i, nil
+		return nil
 
 	case shapeAdr:
 		if len(ops) != 2 {
@@ -718,11 +741,11 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd = rd
 		labelOrOfs(ops[1])
-		return i, nil
+		return nil
 
 	case shapeAddSub, shapeLogical:
 		if len(ops) < 3 {
@@ -730,17 +753,17 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd, i.Rn = rd, rn
 		if err := fillOp2(ops[2:]); err != nil {
-			return i, err
+			return err
 		}
-		return i, nil
+		return nil
 
 	case shapeMovWide:
 		if len(ops) < 2 {
@@ -748,7 +771,7 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		v, ok := parseImmVal(ops[1])
 		if !ok {
@@ -763,7 +786,7 @@ func parseInst(line string) (Inst, *ParseError) {
 			i.Amount = amt
 			i.Ext = ExtNone
 		}
-		return i, nil
+		return nil
 
 	case shapeBitfield:
 		if len(ops) != 4 {
@@ -771,11 +794,11 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		immr, ok1 := parseImmVal(ops[2])
 		imms, ok2 := parseImmVal(ops[3])
@@ -783,7 +806,7 @@ func parseInst(line string) (Inst, *ParseError) {
 			return perr("bad bitfield immediates")
 		}
 		i.Rd, i.Rn, i.Imm, i.Amount = rd, rn, immr, int8(imms)
-		return i, nil
+		return nil
 
 	case shapeExtr:
 		if len(ops) != 4 {
@@ -791,22 +814,22 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rm, err := needReg(ops[2])
 		if err != nil {
-			return i, err
+			return err
 		}
 		lsb, ok := parseImmVal(ops[3])
 		if !ok {
 			return perr("bad lsb")
 		}
 		i.Rd, i.Rn, i.Rm, i.Imm = rd, rn, rm, lsb
-		return i, nil
+		return nil
 
 	case shapeRRR:
 		if len(ops) != 3 {
@@ -814,18 +837,18 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rm, err := needReg(ops[2])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd, i.Rn, i.Rm = rd, rn, rm
-		return i, nil
+		return nil
 
 	case shapeRRRR:
 		if len(ops) != 4 {
@@ -833,22 +856,22 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rm, err := needReg(ops[2])
 		if err != nil {
-			return i, err
+			return err
 		}
 		ra, err := needReg(ops[3])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd, i.Rn, i.Rm, i.Ra = rd, rn, rm, ra
-		return i, nil
+		return nil
 
 	case shapeRR:
 		if len(ops) != 2 {
@@ -856,7 +879,7 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd = rd
 		if op == FMOV && isImm(ops[1]) {
@@ -866,14 +889,14 @@ func parseInst(line string) (Inst, *ParseError) {
 				return perr("bad fmov immediate")
 			}
 			i.Imm = int64(math.Float64bits(f))
-			return i, nil
+			return nil
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rn = rn
-		return i, nil
+		return nil
 
 	case shapeCSel:
 		if len(ops) != 4 {
@@ -881,22 +904,22 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rd, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rn, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rm, err := needReg(ops[2])
 		if err != nil {
-			return i, err
+			return err
 		}
 		c, ok := ParseCond(strings.ToLower(ops[3]))
 		if !ok {
 			return perr("bad condition")
 		}
 		i.Rd, i.Rn, i.Rm, i.Cond = rd, rn, rm, c
-		return i, nil
+		return nil
 
 	case shapeCCmp:
 		if len(ops) != 4 {
@@ -904,7 +927,7 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rn, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rn = rn
 		if isImm(ops[1]) {
@@ -916,7 +939,7 @@ func parseInst(line string) (Inst, *ParseError) {
 		} else {
 			rm, err := needReg(ops[1])
 			if err != nil {
-				return i, err
+				return err
 			}
 			i.Rm = rm
 		}
@@ -930,14 +953,14 @@ func parseInst(line string) (Inst, *ParseError) {
 			return perr("bad condition")
 		}
 		i.Cond = c
-		return i, nil
+		return nil
 
 	case shapeBranch:
 		if len(ops) != 1 {
 			return perr("%s needs 1 operand", mnem)
 		}
 		labelOrOfs(ops[0])
-		return i, nil
+		return nil
 
 	case shapeCB:
 		if len(ops) != 2 {
@@ -945,11 +968,11 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rt, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd = rt
 		labelOrOfs(ops[1])
-		return i, nil
+		return nil
 
 	case shapeTB:
 		if len(ops) != 3 {
@@ -957,7 +980,7 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rt, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		b, ok := parseImmVal(ops[1])
 		if !ok || b < 0 || b > 63 {
@@ -966,7 +989,7 @@ func parseInst(line string) (Inst, *ParseError) {
 		i.Rd = rt
 		i.Amount = int8(b)
 		labelOrOfs(ops[2])
-		return i, nil
+		return nil
 
 	case shapeBReg:
 		if len(ops) != 1 {
@@ -974,22 +997,22 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rn, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rn = rn
-		return i, nil
+		return nil
 
 	case shapeRet:
 		if len(ops) == 0 {
 			i.Rn = X30
-			return i, nil
+			return nil
 		}
 		rn, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rn = rn
-		return i, nil
+		return nil
 
 	case shapeMem:
 		if len(ops) < 2 {
@@ -997,7 +1020,7 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rt, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd = rt
 		if !strings.HasPrefix(ops[1], "[") {
@@ -1007,7 +1030,7 @@ func parseInst(line string) (Inst, *ParseError) {
 			}
 			i.Mem = Mem{Mode: AddrLiteral}
 			labelOrOfs(ops[1])
-			return i, nil
+			return nil
 		}
 		m, trail, ok := parseMem(ops[1])
 		if !ok {
@@ -1024,7 +1047,7 @@ func parseInst(line string) (Inst, *ParseError) {
 			return perr("bad pre-index")
 		}
 		i.Mem = m
-		return i, nil
+		return nil
 
 	case shapeMemPair:
 		if len(ops) < 3 {
@@ -1032,11 +1055,11 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rt, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		rt2, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd, i.Rm = rt, rt2
 		m, trail, ok := parseMem(ops[2])
@@ -1054,7 +1077,7 @@ func parseInst(line string) (Inst, *ParseError) {
 			return perr("bad pre-index")
 		}
 		i.Mem = m
-		return i, nil
+		return nil
 
 	case shapeMemEx:
 		// ldxr rt, [rn] / stxr rs, rt, [rn]
@@ -1070,14 +1093,14 @@ func parseInst(line string) (Inst, *ParseError) {
 		if isStX {
 			rs, err := needReg(ops[0])
 			if err != nil {
-				return i, err
+				return err
 			}
 			i.Rm = rs
 			k = 1
 		}
 		rt, err := needReg(ops[k])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rd = rt
 		m, _, ok := parseMem(ops[k+1])
@@ -1085,7 +1108,7 @@ func parseInst(line string) (Inst, *ParseError) {
 			return perr("exclusive ops take [rn] only")
 		}
 		i.Rn = m.Base
-		return i, nil
+		return nil
 
 	case shapeFPCmp:
 		if len(ops) != 2 {
@@ -1093,19 +1116,19 @@ func parseInst(line string) (Inst, *ParseError) {
 		}
 		rn, err := needReg(ops[0])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rn = rn
 		if isImm(ops[1]) {
 			i.Rm = RegNone // fcmp dN, #0.0
-			return i, nil
+			return nil
 		}
 		rm, err := needReg(ops[1])
 		if err != nil {
-			return i, err
+			return err
 		}
 		i.Rm = rm
-		return i, nil
+		return nil
 
 	case shapeSys:
 		switch op {
@@ -1118,7 +1141,7 @@ func parseInst(line string) (Inst, *ParseError) {
 				return perr("bad immediate")
 			}
 			i.Imm = v
-			return i, nil
+			return nil
 		case DMB, DSB:
 			if len(ops) != 1 {
 				return perr("%s needs 1 operand", mnem)
@@ -1127,7 +1150,7 @@ func parseInst(line string) (Inst, *ParseError) {
 			for v, name := range barrierOpts {
 				if name == opt && name != "" {
 					i.Imm = int64(v)
-					return i, nil
+					return nil
 				}
 			}
 			return perr("bad barrier option %q", ops[0])
@@ -1137,14 +1160,14 @@ func parseInst(line string) (Inst, *ParseError) {
 			}
 			rt, err := needReg(ops[0])
 			if err != nil {
-				return i, err
+				return err
 			}
 			v, ok := parseSysReg(ops[1])
 			if !ok {
 				return perr("unknown system register %q", ops[1])
 			}
 			i.Rd, i.Imm = rt, v
-			return i, nil
+			return nil
 		case MSR:
 			if len(ops) != 2 {
 				return perr("msr needs 2 operands")
@@ -1155,10 +1178,10 @@ func parseInst(line string) (Inst, *ParseError) {
 			}
 			rt, err := needReg(ops[1])
 			if err != nil {
-				return i, err
+				return err
 			}
 			i.Rd, i.Imm = rt, v
-			return i, nil
+			return nil
 		}
 	}
 	return perr("unhandled shape for %q", mnem)
@@ -1209,5 +1232,5 @@ func movImmInst(rd Reg, v int64) (Inst, *ParseError) {
 		i.Amount = -1
 		return i, nil
 	}
-	return perr("mov immediate %#x needs multiple instructions", u)
+	return Inst{Op: BAD}, perr("mov immediate %#x needs multiple instructions", u)
 }

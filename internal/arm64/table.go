@@ -1,5 +1,7 @@
 package arm64
 
+import "fmt"
+
 // The encoding table. Each row is one (op, form): the word matches it
 // when w&mask == val, and its kinds move the operands between the word's
 // fields and Inst. DecodeInto and Encode read the same rows; a row's order
@@ -17,7 +19,8 @@ package arm64
 // Branch offsets (B/BL/B.cond/CBZ/CBNZ and the TBZ Imm) are signed byte
 // offsets from the instruction's own address.
 
-// kind is one operand of a row; step runs it in either direction.
+// kind is one operand of a row; kind.decode and kind.encode (codec.go)
+// run it in each direction.
 type kind uint8
 
 // row is one encoding: fixed bits, op, and up to five operand kinds.
@@ -30,8 +33,8 @@ type row struct {
 const (
 	kNone kind = iota
 
-	// Kinds that only encode: the row's fixed bits already say what they
-	// would check, so DecodeInto skips them.
+	// Kinds that do not decode: the row's fixed bits already say what they
+	// would check. Some only select their row's form.
 	kSf       // sf (bit 31) from Rd's width
 	kSfRn     // sf from Rn's width
 	kSfAdd    // sf from Rd's width, or Rn's when Rd is the zero register
@@ -76,10 +79,6 @@ const (
 	kFImm // fmov immediate; the form whose Rn is RegNone
 	kFcvt // fcvt's Rd, typed by opcode bits 16:15
 )
-
-// kDecodes is the first kind DecodeInto runs; the ones before it only
-// encode.
-const kDecodes = kSfN
 
 // Register operands: rd, rn, rm or ra (the Inst slot, and the word field
 // 4:0, 9:5, 20:16 or 14:10) plus one view.
@@ -288,26 +287,155 @@ var rows = [...]row{
 	{0x5f3ffc00, 0x1e270000, FMOV, [5]kind{kFtRd, kSfRn, rd + vF, rn + vW}},
 }
 
-// decRows holds the rows by the bucket bits 28:24 their fixed bits allow;
-// encRows holds them by op.
+// What DecodeInto and Encode run is derived from rows at init, so a row's
+// mask stays the one place that says which words it takes.
+//
+// Decoding indexes the rows by the word's bits 31:21: decTop holds, for
+// each value, the rows whose fixed bits allow it, in table order. Where
+// more than one row is left and they test bits 15:10, the entry instead
+// names 64 entries of decSub, one per value of those bits. DecodeInto
+// takes the first row of its entry whose fixed bits all match, as it
+// would over the whole table.
+//
+// Encoding holds each op's rows in table order; Encode takes the first
+// whose kinds serve the operands' form. ldstAt is kLdSt's map from op and
+// transfer register view to its ldst entry.
 var (
-	decRows [32][]row
-	encRows [NumOps][]row
+	coded   [len(rows)]codedRow
+	decTop  [1 << 11]span
+	decSub  []span
+	decRows []uint8
+	encRows [NumOps][]*codedRow
+	encNeed [NumOps]form // what formOf computes for the op: what its rows test
+	ldstAt  [STRH - LDR + 1][numRegKinds]int8
 )
 
+// span is a run of decRows, or with sub set the first of 64 decSub
+// entries.
+type span struct {
+	lo, n uint16
+	sub   bool
+}
+
+// codedRow is a row as the codec runs it: its register operands, the
+// kinds that decode, the kinds that encode, and the operand form
+// (form&need == want) it serves.
+type codedRow struct {
+	mask, val  uint32
+	op         Op
+	ndec, nenc uint8
+	nregs      uint8
+	regs       [4]uint8 // the slots that hold a register
+	slots      [4]slotCodec
+	dec        [3]kind
+	enc        [5]kind
+	need, want form
+}
+
+// slotCodec is how a row holds the register in one Inst slot: the
+// register kind (times regKindStride) for each value of the view's two
+// select bits at sel, or regBad where the view has none; num, 31 where
+// the row has a register in the slot; whether 31 names sp; and the view.
+// A slot without a register has RegNone for every kind and num 0, so it
+// decodes as RegNone.
+type slotCodec struct {
+	kinds [4]Reg
+	num   Reg
+	sel   uint8
+	view  uint8
+	sp    bool
+}
+
+// regBad is the kind of a select value the view has no register for: it
+// and the register number it is added to lie between every register and
+// RegNone.
+const regBad = 0x8000
+
 func init() {
-	for _, r := range rows {
-		for b := uint32(0); b < 32; b++ {
-			if (b<<24^r.val)&r.mask&(0x1f<<24) == 0 {
-				decRows[b] = append(decRows[b], r)
+	for j := range rows {
+		r, c := &rows[j], &coded[j]
+		c.mask, c.val, c.op = r.mask, r.val, r.op
+		for s := range c.slots {
+			c.slots[s].kinds = [4]Reg{RegNone, RegNone, RegNone, RegNone}
+		}
+		for _, k := range r.args {
+			switch {
+			case k == kNone:
+			case k >= rd:
+				v := &views[(k-rd)%8]
+				c.regs[c.nregs], c.nregs = uint8(k-rd)/8, c.nregs+1
+				sc := &c.slots[(k-rd)/8]
+				sc.view, sc.sel, sc.num, sc.sp = uint8(k-rd)%8, uint8(v.sel), 31, v.sp
+				for b, vk := range v.kinds {
+					sc.kinds[b] = regBad
+					if vk != RegNone {
+						sc.kinds[b] = vk * regKindStride
+					}
+				}
+			default:
+				if k.decodes() {
+					c.dec[c.ndec], c.ndec = k, c.ndec+1
+				}
+				if k.encodes() {
+					c.enc[c.nenc], c.nenc = k, c.nenc+1
+				}
+				kc := &kindForms[k]
+				if c.want&kc.need != kc.want&c.need {
+					panic(fmt.Sprintf("arm64: row %d serves two forms", j))
+				}
+				c.need, c.want = c.need|kc.need, c.want|kc.want
 			}
 		}
+		ops := []Op{r.op}
 		if r.args[0] == kLdSt || r.args[0] == kLit {
+			ops = nil
 			for op := LDR; op <= STRH; op++ {
-				encRows[op] = append(encRows[op], r)
+				ops = append(ops, op)
 			}
-		} else {
-			encRows[r.op] = append(encRows[r.op], r)
+		}
+		for _, op := range ops {
+			encRows[op] = append(encRows[op], c)
+			encNeed[op] |= c.need
+		}
+	}
+	for op := LDR; op <= STRH; op++ {
+		for v := range ldstAt[op-LDR] {
+			ldstAt[op-LDR][v] = int8(lookup(ldst[:], op, Reg(v)))
+		}
+	}
+
+	// Runs of decRows are shared: most index entries repeat another's.
+	runs := map[string]span{}
+	run := func(w, bits uint32) span {
+		var list []uint8
+		for j := range rows {
+			if (w^rows[j].val)&rows[j].mask&bits == 0 {
+				list = append(list, uint8(j))
+			}
+		}
+		s, ok := runs[string(list)]
+		if !ok {
+			s = span{lo: uint16(len(decRows)), n: uint16(len(list))}
+			decRows = append(decRows, list...)
+			runs[string(list)] = s
+		}
+		return s
+	}
+	const top, sub = 0x7ff << 21, 0x3f << 10
+	for t := range decTop {
+		hi := uint32(t) << 21
+		s := run(hi, top)
+		split := false
+		for _, j := range decRows[s.lo : s.lo+s.n] {
+			split = split || (s.n > 1 && rows[j].mask&sub != 0)
+		}
+		if !split {
+			decTop[t] = s
+			continue
+		}
+		decTop[t] = span{lo: uint16(len(decSub)), sub: true}
+		for b := uint32(0); b < 64; b++ {
+			decSub = append(decSub, run(hi|b<<10, top|sub))
 		}
 	}
 }

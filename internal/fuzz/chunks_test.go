@@ -9,7 +9,7 @@ import (
 	"lfi/internal/verifier"
 )
 
-// The toolchain's three large-input stages split their input into as many
+// The toolchain's four large-input stages split their input into as many
 // chunks as its size and GOMAXPROCS warrant, and no caller may choose the
 // count. The fuzz oracles must, to compare a split run with a single
 // pass on every input however small, so they reach the unexported forms
@@ -17,6 +17,9 @@ import (
 
 //go:linkname parseFile lfi/internal/arm64.parseFile
 func parseFile(src string, k int) (*arm64.File, error)
+
+//go:linkname assemble lfi/internal/arm64.assemble
+func assemble(f *arm64.File, layout arm64.Layout, k int) (*arm64.Image, error)
 
 //go:linkname rewriteFile lfi/internal/rewrite.rewriteFile
 func rewriteFile(f *arm64.File, opts core.Options, k int) (*arm64.File, rewrite.Stats, error)

@@ -151,8 +151,8 @@ func FuzzVerify(f *testing.F) {
 
 // FuzzRewriteVerify: every generated program, rewritten at every option
 // set, must pass the verifier — the native-fuzzing form of oracle 1 — and
-// parsing, rewriting and verifying it in three chunks must give what one
-// pass gives.
+// parsing, rewriting, assembling and verifying it in three chunks must
+// give what one pass gives.
 func FuzzRewriteVerify(f *testing.F) {
 	f.Add(int64(1), uint8(10))
 	f.Add(int64(1337), uint8(30))
@@ -182,6 +182,12 @@ func FuzzRewriteVerify(f *testing.F) {
 			nf3, st3, err3 := rewriteFile(f3, set, 3)
 			if fmt.Sprint(err1) != fmt.Sprint(err3) || st1 != st3 || err1 == nil && !reflect.DeepEqual(nf1.Items, nf3.Items) {
 				t.Fatalf("%+v: three chunks rewrite differently from one: %v / %v\n%s", set, err1, err3, src)
+			}
+			layout := arm64.Layout{TextBase: core.MinCodeOffset}
+			img1, err1 := assemble(nf1, layout, 1)
+			img3, err3 := assemble(nf1, layout, 3)
+			if fmt.Sprint(err1) != fmt.Sprint(err3) || !reflect.DeepEqual(img1, img3) {
+				t.Fatalf("%+v: three chunks assemble differently from one: %v / %v\n%s", set, err1, err3, src)
 			}
 			if three, err := verifyText(img.Text, cfg, 3); err != nil || three != one {
 				t.Fatalf("%+v: three chunks verify differently from one: %+v, %v vs %+v\n%s", set, three, err, one, src)

@@ -168,6 +168,11 @@ func FuzzParseFile(f *testing.F) {
 		if err != nil {
 			return
 		}
+		img, aerr := assemble(file, arm64.Layout{}, 1)
+		split3, serr := assemble(file, arm64.Layout{}, 3)
+		if fmt.Sprint(aerr) != fmt.Sprint(serr) || !reflect.DeepEqual(img, split3) {
+			t.Fatalf("three chunks assemble differently from one: %v / %v\nsource %q", aerr, serr, data)
+		}
 		text := file.String()
 		again, err := arm64.ParseFile(text)
 		if err != nil {

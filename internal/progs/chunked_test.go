@@ -18,13 +18,16 @@ import (
 	"lfi/internal/verifier"
 )
 
-// The toolchain's three large-input stages split their input into as many
+// The toolchain's four large-input stages split their input into as many
 // chunks as its size and GOMAXPROCS warrant, and no caller may choose the
 // count. These tests must, to hold every input at every count against
 // the single pass, so they reach the unexported forms that take it.
 
 //go:linkname parseFile lfi/internal/arm64.parseFile
 func parseFile(src string, k int) (*arm64.File, error)
+
+//go:linkname assemble lfi/internal/arm64.assemble
+func assemble(f *arm64.File, layout arm64.Layout, k int) (*arm64.Image, error)
 
 //go:linkname rewriteFile lfi/internal/rewrite.rewriteFile
 func rewriteFile(f *arm64.File, opts core.Options, k int) (*arm64.File, rewrite.Stats, error)
@@ -40,7 +43,8 @@ type chunked struct {
 }
 
 // buildChunked is progs.Build and then verification of the text, with
-// the parser, the rewriter and the verifier each cut into k chunks.
+// the parser, the rewriter, the assembler and the verifier each cut into
+// k chunks.
 func buildChunked(src string, opts core.Options, k int) (chunked, error) {
 	var b chunked
 	f, err := parseFile(src, k)
@@ -51,7 +55,7 @@ func buildChunked(src string, opts core.Options, k int) (chunked, error) {
 	if err != nil {
 		return b, err
 	}
-	img, err := arm64.Assemble(nf, arm64.Layout{TextBase: core.MinCodeOffset, PageSize: 16 * 1024})
+	img, err := assemble(nf, arm64.Layout{TextBase: core.MinCodeOffset, PageSize: 16 * 1024}, k)
 	if err != nil {
 		return b, err
 	}

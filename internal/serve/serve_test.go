@@ -226,6 +226,13 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		t.Errorf("unparseable image source: code=%d resp=%+v", hr.StatusCode, ir)
 	}
 
+	// A register of the wrong bank → 400 bad_request, refused by the
+	// encoder instead of assembled as the general register of its number.
+	resp, code = postJob(t, ts, &JobRequest{Source: "_start:\n\tmov x0, d1\n\tret\n"})
+	if code != http.StatusBadRequest || resp.ErrorKind != "bad_request" || !strings.Contains(resp.Error, "d1 is not a general register") {
+		t.Errorf("wrong-bank register: code=%d resp=%+v", code, resp)
+	}
+
 	// A section size no slot could hold → 400 bad_request, refused by the
 	// assembler before it allocates (`.space N` once allocated N bytes).
 	resp, code = postJob(t, ts, &JobRequest{Source: "_start:\n\tret\n.data\nbuf:\n\t.space 1099511627776\n"})
